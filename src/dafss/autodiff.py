@@ -7,7 +7,8 @@ order and accumulates gradients additively into every reachable leaf.
 
 Conventions:
   * all data is float64, row-major, CPU-only;
-  * gradients are NOT cleared implicitly -- callers zero them between steps;
+  * leaf gradients are NOT cleared implicitly -- callers zero them between
+    steps; the gradients of intermediate nodes live only during a sweep;
   * :func:`stop_gradient` is the identity on values and detaches the result
     from the graph entirely.
 """
@@ -109,8 +110,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _node(out_data, (a, b), backward)
 
@@ -321,8 +324,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
 
     return _node(a.data * b.data, (a, b), backward)
 
@@ -505,7 +510,10 @@ def backward(loss: Tensor) -> dict:
     Returns a map from every reachable leaf parameter (requires_grad, no
     parents) to its accumulated gradient array. Calling backward twice on
     the same loss tensor is an error; gradients from separate backward
-    calls on shared leaves accumulate unless explicitly zeroed.
+    calls on shared leaves accumulate unless explicitly zeroed. Each
+    intermediate node's gradient is dropped as soon as it has been pushed
+    to its parents, so a later backward through a shared subgraph starts
+    from zero there and counts only its own loss.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -520,6 +528,7 @@ def backward(loss: Tensor) -> dict:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
     loss._done = True
     return {n: n.grad for n in order if n._backward is None and n.grad is not None}
 

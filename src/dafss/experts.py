@@ -3,7 +3,10 @@
 Each expert consumes exactly one correlation matrix and never sees the
 other modality; the geometric expert adapts while the semantic expert
 refines frozen priors. Both carry a small linear classifier head whose
-softmax output feeds the consistency regularizer.
+softmax output feeds the consistency regularizer. The experts' attention
+works through the low-rank factors of the lifted tokens (see
+:func:`run_expert`); :func:`mhsa` is the dense form over arbitrary token
+rows, used by the arbitration layers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dafss import autodiff as ad
-from dafss.autodiff import Tensor, parameter
+from dafss.autodiff import Tensor, constant, parameter
 from dafss.errors import ConfigurationError, ShapeError
 
 
@@ -108,14 +111,58 @@ class ExpertOutput:
     probs: Tensor  # softmax of logits
 
 
+def _lifted_attention(corr: Tensor, params: ExpertParams) -> Tensor:
+    """``mhsa(corr @ lift_w + lift_b, params.attn)`` through rank factors.
+
+    Never forms an ``[N, d]`` projection; see :func:`run_expert`."""
+    n, r = corr.shape[0], corr.shape[1] + 1
+    attn = params.attn
+    d = params.d_model
+    dh = d // attn.heads
+    c1 = ad.concat([corr, constant(np.ones((n, 1)))], axis=1)  # C' [N, r]
+    c1_t = ad.transpose(c1)
+    bias_row = ad.add_rowvec(constant(np.zeros((1, d))), params.lift_b)
+    lift = ad.concat([params.lift_w, bias_row], axis=0)  # L' [r, d]
+    mixed, value_blocks = [], []
+    for h in range(attn.heads):
+        q = ad.matmul(lift, attn.wq[h])  # [r, dh]
+        k = ad.matmul(lift, attn.wk[h])
+        v = ad.matmul(lift, attn.wv[h])
+        core = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh))  # [r, r]
+        scores = ad.matmul(ad.matmul(c1, core), c1_t)  # [N, N]
+        mixed.append(ad.matmul(ad.softmax(scores, axis=1), c1))  # [N, r]
+        # Row block h of blockdiag(L'W_v,h): L'W_v,h in head h's columns.
+        value_blocks.append(ad.concat([constant(np.zeros((r, h * dh))), v,
+                                       constant(np.zeros((r, (attn.heads - 1 - h) * dh)))],
+                                      axis=1))
+    out_proj = ad.matmul(ad.concat(value_blocks, axis=0), attn.wo)  # [H*r, d]
+    return ad.matmul(ad.concat(mixed, axis=1), out_proj)
+
+
 def run_expert(corr: Tensor, params: ExpertParams) -> ExpertOutput:
-    """Refine one correlation matrix; output depends on that input alone."""
+    """Refine one correlation matrix; output depends on that input alone.
+
+    The lifted tokens ``h = C @ lift_w + 1 lift_b^T`` are ``C' @ L'`` with
+    ``C' = [C, 1]`` (``[N, n_way+2]``) and ``L' = [lift_w; lift_b^T]``
+    (``[n_way+2, d]``), so their rank is at most ``n_way+2`` however large
+    ``d`` is. Self-attention over them is therefore computed exactly,
+    without any ``[N, d]`` projection, from the identities
+
+        scores_h = C' (L' W_q,h)(L' W_k,h)^T C'^T / sqrt(d_h)
+        mhsa(h)  = sum_h (softmax(scores_h) C') (L' W_v,h W_o,h),
+
+    where ``W_o,h`` is the h-th row block of ``W_o``. The sum over heads is
+    one ``[N, H(n_way+2)] x [H(n_way+2), d]`` product whose right factor is
+    ``blockdiag(L' W_v,h) @ W_o``. That costs O(N^2 (n_way+2) + N H
+    (n_way+2) d) per expert instead of O(N^2 d + N d^2).
+    """
     if corr.shape[1] != params.lift_w.shape[0]:
         raise ShapeError(
             f"correlation has {corr.shape[1]} columns, lift expects {params.lift_w.shape[0]}"
         )
     h = ad.add_rowvec(ad.matmul(corr, params.lift_w), params.lift_b)
-    refined = ad.layer_norm(ad.add(h, mhsa(h, params.attn)), params.ln_gamma, params.ln_beta)
+    refined = ad.layer_norm(ad.add(h, _lifted_attention(corr, params)),
+                            params.ln_gamma, params.ln_beta)
     logits = ad.add_rowvec(ad.matmul(refined, params.cls_w), params.cls_b)
     return ExpertOutput(refined=refined, logits=logits, probs=ad.softmax(logits, axis=1))
 

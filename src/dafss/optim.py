@@ -25,7 +25,8 @@ class AdamW:
     The decay term never passes through the moment estimates: each step
     first shrinks the parameter by ``lr * weight_decay`` and then applies
     the bias-corrected moment update. Parameters whose ``grad`` is ``None``
-    are skipped entirely (they did not participate in the step).
+    are skipped entirely (they did not participate in the step). A step is
+    all or nothing: every gradient is checked before any parameter moves.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
@@ -47,12 +48,12 @@ class AdamW:
         }
 
     def step(self) -> None:
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
+        live = [(name, p) for name, p in self.params.items() if p.grad is not None]
+        for name, p in live:
+            if not np.all(np.isfinite(p.grad)):
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
+        for name, p in live:
+            g = p.grad
             st = self.state[name]
             st.step_count += 1
             t = st.step_count

@@ -116,26 +116,38 @@ def _quick_miou(preds: np.ndarray, labels: np.ndarray, n_way: int) -> float:
 
 def train_episode(model: SegModel, episode: Episode, optimizer: AdamW,
                   weights: LossWeights, step: int) -> TrainRecord:
-    """One optimization step; pathway gradient norms are read pre-step."""
-    out = model.forward(episode, train=True)
-    seg = seg_loss(out.logits, episode.query_labels)
-    base = base_loss(out.base_logits, episode.base_class_labels)
-    total = total_loss(seg, base, out.proto_loss, out.consist_loss, weights)
+    """One optimization step; pathway gradient norms are read pre-step.
 
-    components = {
-        "seg": seg.item(),
-        "base": base.item(),
-        "proto": out.proto_loss.item() if out.proto_loss is not None else 0.0,
-        "consistency": out.consist_loss.item() if out.consist_loss is not None else 0.0,
-    }
-    if not np.isfinite(total.item()):
-        raise NumericError(f"non-finite loss at step {step}: components {components}")
+    A step that raises ``NumericError`` leaves no trace: the parameters and
+    optimizer moments are untouched (``AdamW.step`` is all or nothing), the
+    batch-norm running statistics are restored, and the gradients are
+    cleared."""
+    bn = model.arb.bn_state
+    saved_stats = (bn.running_mean.copy(), bn.running_var.copy())
+    try:
+        out = model.forward(episode, train=True)
+        seg = seg_loss(out.logits, episode.query_labels)
+        base = base_loss(out.base_logits, episode.base_class_labels)
+        total = total_loss(seg, base, out.proto_loss, out.consist_loss, weights)
 
-    grad_map = backward(total)
-    gn_uf = grad_norm(grad_map, model.group_tensors("uf"))
-    gn_sem = grad_norm(grad_map, model.group_tensors("sem"))
-    optimizer.step()
-    optimizer.zero_grad()
+        components = {
+            "seg": seg.item(),
+            "base": base.item(),
+            "proto": out.proto_loss.item() if out.proto_loss is not None else 0.0,
+            "consistency": out.consist_loss.item() if out.consist_loss is not None else 0.0,
+        }
+        if not np.isfinite(total.item()):
+            raise NumericError(f"non-finite loss at step {step}: components {components}")
+
+        grad_map = backward(total)
+        gn_uf = grad_norm(grad_map, model.group_tensors("uf"))
+        gn_sem = grad_norm(grad_map, model.group_tensors("sem"))
+        optimizer.step()
+    except NumericError:
+        bn.running_mean, bn.running_var = saved_stats
+        raise
+    finally:
+        optimizer.zero_grad()
 
     preds = np.argmax(out.logits.data, axis=1)
     return TrainRecord(

@@ -280,6 +280,15 @@ class TestBackward:
         backward(ad.sum_all(x))
         np.testing.assert_array_equal(x.grad, np.ones(3))
 
+    def test_second_backward_through_shared_subgraph(self):
+        # d/dw sum(3w) + d/dw sum(1 * 3w) = 3 + 3; the first loss's
+        # gradient must not flow through the shared node h a second time.
+        w = parameter(np.array([1.0]))
+        h = ad.scale(w, 3)
+        backward(ad.sum_all(h))
+        backward(ad.sum_all(ad.scale(h, 1)))
+        np.testing.assert_array_equal(w.grad, [6.0])
+
     def test_determinism(self, rng):
         vals = rng.standard_normal((4, 4))
 

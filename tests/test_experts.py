@@ -114,6 +114,51 @@ class TestExperts:
         check_grads(lambda: ad.sum_all(ad.mul(run_expert(c, params).refined, w)), tensors, tol=1e-3)
 
 
+def dense_expert(corr, params):
+    """The expert with self-attention over the lifted [N, d] tokens."""
+    h = ad.add_rowvec(ad.matmul(corr, params.lift_w), params.lift_b)
+    refined = ad.layer_norm(ad.add(h, mhsa(h, params.attn)), params.ln_gamma, params.ln_beta)
+    return refined, ad.add_rowvec(ad.matmul(refined, params.cls_w), params.cls_b)
+
+
+class TestLowRankAttention:
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("n_way", [1, 2])
+    @pytest.mark.parametrize("d", [192, 512])
+    def test_matches_dense_attention(self, d, n_way, n):
+        rng = np.random.default_rng([d, n_way, n])
+        params = init_expert(rng, n_way + 1, d, n_classes=n_way + 1, heads=4, prefix="e")
+        tensors = expert_parameters(params)
+        for t in tensors.values():  # move biases and norms off their trivial init
+            t.data = t.data + rng.normal(0, 0.1, t.shape)
+        corr = parameter(rng.uniform(-1, 1, (n, n_way + 1)), name="corr")
+        tensors["corr"] = corr
+        w_ref = constant(rng.standard_normal((n, d)))
+        w_log = constant(rng.standard_normal((n, n_way + 1)))
+
+        def run(expert):
+            for t in tensors.values():
+                t.grad = None
+            refined, logits = expert(corr, params)
+            grads = backward(ad.add(ad.sum_all(ad.mul(refined, w_ref)),
+                                    ad.sum_all(ad.mul(logits, w_log))))
+            return refined.data, logits.data, {name: grads[t].copy() for name, t in tensors.items()}
+
+        def factored(c, p):
+            out = run_expert(c, p)
+            return out.refined, out.logits
+
+        ref_refined, ref_logits, ref_grads = run(dense_expert)
+        got_refined, got_logits, got_grads = run(factored)
+        pairs = {"refined": (got_refined, ref_refined), "logits": (got_logits, ref_logits)}
+        pairs.update({f"grad {k}": (got_grads[k], ref_grads[k]) for k in tensors})
+        for what, (got, ref) in pairs.items():
+            # relative to the largest reference entry; an all-zero reference
+            # (query/key weights when N=1) must be matched exactly
+            err = np.max(np.abs(got - ref))
+            assert err <= 1e-10 * np.max(np.abs(ref)), f"{what}: max abs error {err:.3e}"
+
+
 class TestExpertProbs:
     def test_zero_classifier_gives_uniform(self, rng):
         refined = constant(rng.standard_normal((5, 8)))

@@ -3,7 +3,7 @@ import pytest
 
 from dafss import autodiff as ad
 from dafss.autodiff import backward, constant
-from dafss.errors import ConfigurationError, MonitoringError
+from dafss.errors import ConfigurationError, MonitoringError, NumericError
 from dafss.experts import expert_parameters
 from dafss.model import ModelConfig, SegModel, build_variant
 from dafss.optim import AdamW
@@ -254,6 +254,16 @@ class TestTrainEpisode:
         grads = backward(out.consist_loss)
         assert np.linalg.norm(grads[model.sem_expert.cls_w]) > 0
         assert np.linalg.norm(grads[model.geo_expert.cls_w]) > 0
+
+    def test_nonfinite_loss_leaves_batch_norm_statistics_untouched(self, episode):
+        model = build_variant(tiny_config(), "decoupled")
+        opt = AdamW(model.parameters(), lr=1e-3)
+        model.base_w.data[0, 0] = np.nan
+        bn = model.arb.bn_state
+        before = (bn.running_mean.tobytes(), bn.running_var.tobytes())
+        with pytest.raises(NumericError):
+            train_episode(model, episode, opt, LossWeights(), step=0)
+        assert (bn.running_mean.tobytes(), bn.running_var.tobytes()) == before
 
     def test_loss_decreases_on_separable_fixture(self):
         # 1-way 1-shot, no texture confusion, tiny pool: the total loss

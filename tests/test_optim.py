@@ -65,6 +65,25 @@ def test_nonfinite_gradient_names_parameter():
         opt.step()
 
 
+def test_nonfinite_gradient_leaves_every_parameter_untouched():
+    a = parameter(np.array([1.0, 2.0]), name="a")
+    b = parameter(np.array([3.0, 4.0]), name="b")
+    opt = AdamW({"a": a, "b": b}, lr=0.1, weight_decay=0.01)
+
+    def snapshot():
+        return [(p.data.tobytes(), opt.state[n].first_moment.tobytes(),
+                 opt.state[n].second_moment.tobytes(), opt.state[n].step_count)
+                for n, p in opt.params.items()]
+
+    a.grad, b.grad = np.array([1.0, -1.0]), np.array([0.5, 0.5])
+    opt.step()
+    before = snapshot()
+    a.grad, b.grad = np.array([1.0, -1.0]), np.array([np.nan, 1.0])
+    with pytest.raises(NumericError, match="'b'"):
+        opt.step()
+    assert snapshot() == before
+
+
 def test_none_grad_is_skipped():
     p = parameter(np.array([1.0]), name="w")
     opt = AdamW({"w": p}, lr=0.1, weight_decay=0.01)

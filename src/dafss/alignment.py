@@ -5,7 +5,8 @@ geometric prototypes toward their frozen semantic counterparts, which act
 as fixed anchors: no gradient ever reaches them. The consistency term is a
 symmetric KL between the experts' per-point class distributions where each
 half only trains its own first argument, so the pathways teach each other
-without either being dragged through the other's graph.
+without either being dragged through the other's graph. Their weights
+live in ``training.LossWeights`` and are applied by ``training.total_loss``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dafss import autodiff as ad
-from dafss.autodiff import Tensor, constant, parameter
+from dafss.autodiff import Tensor, parameter
 from dafss.errors import ShapeError
 
 PROB_FLOOR = 1e-12
@@ -25,26 +26,13 @@ PROB_FLOOR = 1e-12
 class AlignmentParams:
     proj_w: Tensor  # [d_uf, d_if]
     proj_b: Tensor  # [d_if]
-    lambda_proto: float = 0.001
-    lambda_consistency: float = 0.5
-
-    def __post_init__(self):
-        if self.lambda_proto < 0 or self.lambda_consistency < 0:
-            raise ValueError("alignment weights must be non-negative")
 
 
-def init_alignment(rng: np.random.Generator, d_uf: int, d_if: int,
-                   lambda_proto: float = 0.001, lambda_consistency: float = 0.5) -> AlignmentParams:
+def init_alignment(rng: np.random.Generator, d_uf: int, d_if: int) -> AlignmentParams:
     return AlignmentParams(
         proj_w=parameter(rng.normal(0, 1.0 / np.sqrt(d_uf), (d_uf, d_if)), name="align.proj_w"),
         proj_b=parameter(np.zeros(d_if), name="align.proj_b"),
-        lambda_proto=lambda_proto,
-        lambda_consistency=lambda_consistency,
     )
-
-
-def alignment_parameters(p: AlignmentParams) -> dict[str, Tensor]:
-    return {p.proj_w.name: p.proj_w, p.proj_b.name: p.proj_b}
 
 
 def prototype_alignment_loss(geo_protos: Tensor, sem_protos: Tensor,
@@ -77,18 +65,3 @@ def consistency_loss(p_geo: Tensor, p_sem: Tensor) -> Tensor:
     half_fwd = ad.scale(_kl_vs_anchor(p_geo, p_sem), 0.5)
     half_rev = ad.scale(_kl_vs_anchor(p_sem, p_geo), 0.5)
     return ad.add(half_fwd, half_rev)
-
-
-def alignment_total(proto_loss: Tensor | None, consist_loss: Tensor | None,
-                    params: AlignmentParams) -> Tensor:
-    """Weighted sum of the two regularizers; an exact zero constant when
-    both weights are zero (the regularizer-off ablation)."""
-    if params.lambda_proto == 0.0 and params.lambda_consistency == 0.0:
-        return constant(0.0)
-    total = None
-    if params.lambda_proto > 0.0 and proto_loss is not None:
-        total = ad.scale(proto_loss, params.lambda_proto)
-    if params.lambda_consistency > 0.0 and consist_loss is not None:
-        term = ad.scale(consist_loss, params.lambda_consistency)
-        total = term if total is None else ad.add(total, term)
-    return total if total is not None else constant(0.0)

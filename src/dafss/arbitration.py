@@ -19,16 +19,16 @@ import numpy as np
 from dafss import autodiff as ad
 from dafss.autodiff import BatchNormState, Tensor, constant, parameter
 from dafss.errors import ConfigurationError, ShapeError
-from dafss.experts import AttentionParams, attention_parameters, init_attention, mhsa
+from dafss.experts import AttentionParams, init_attention, mhsa
 
 
 @dataclass
 class ArbitrationLayerParams:
     inject_w: Tensor  # [d_bg + d_guid, d_bg]
     inject_b: Tensor  # [d_bg]
-    attn: AttentionParams
     ln_gamma: Tensor
     ln_beta: Tensor
+    attn: AttentionParams  # last: parameter order follows field order
 
 
 @dataclass
@@ -38,19 +38,17 @@ class ArbitrationParams:
     bn_state: BatchNormState
     conv_w: Tensor  # [d_in, d_arb], the per-point 1x1 convolution
     conv_b: Tensor
-    layers: list
     gate_w: Tensor  # [d_guid, d_arb]
     gate_b: Tensor
+    layers: list  # after the tensors: parameter order follows field order
     d_arb: int
     d_bg: int
 
 
 def init_arbitration(rng: np.random.Generator, d_in: int, d_arb: int, d_guid: int,
-                     n_layers: int, heads: int, d_bg: int | None = None) -> ArbitrationParams:
+                     n_layers: int, heads: int, d_bg: int) -> ArbitrationParams:
     if n_layers < 1:
         raise ConfigurationError(f"need at least one arbitration layer, got {n_layers}")
-    if d_bg is None:
-        d_bg = d_arb // 4
     if not 0 < d_bg < d_arb:
         raise ConfigurationError(f"background partition {d_bg} must lie inside token dim {d_arb}")
     layers = []
@@ -75,19 +73,6 @@ def init_arbitration(rng: np.random.Generator, d_in: int, d_arb: int, d_guid: in
         d_arb=d_arb,
         d_bg=d_bg,
     )
-
-
-def arbitration_parameters(p: ArbitrationParams) -> dict[str, Tensor]:
-    out = {p.bn_gamma.name: p.bn_gamma, p.bn_beta.name: p.bn_beta,
-           p.conv_w.name: p.conv_w, p.conv_b.name: p.conv_b,
-           p.gate_w.name: p.gate_w, p.gate_b.name: p.gate_b}
-    for layer in p.layers:
-        out[layer.inject_w.name] = layer.inject_w
-        out[layer.inject_b.name] = layer.inject_b
-        out[layer.ln_gamma.name] = layer.ln_gamma
-        out[layer.ln_beta.name] = layer.ln_beta
-        out.update(attention_parameters(layer.attn))
-    return out
 
 
 def merge_features(r_geo: Tensor, r_sem: Tensor | None, params: ArbitrationParams,
@@ -150,8 +135,8 @@ class DecoderParams:
     conv_b: Tensor
     out_w: Tensor  # [d_arb, n_way+1]
     out_b: Tensor
-    k: int = 8
-    radius: float = 0.3
+    k: int
+    radius: float
 
     def __post_init__(self):
         if self.k < 1:
@@ -161,7 +146,7 @@ class DecoderParams:
 
 
 def init_decoder(rng: np.random.Generator, d_arb: int, n_classes: int,
-                 k: int = 8, radius: float = 0.3) -> DecoderParams:
+                 k: int, radius: float) -> DecoderParams:
     return DecoderParams(
         conv_w=parameter(rng.normal(0, 1.0 / np.sqrt(d_arb), (d_arb, d_arb)), name="dec.conv_w"),
         conv_b=parameter(np.zeros(d_arb), name="dec.conv_b"),
@@ -170,11 +155,6 @@ def init_decoder(rng: np.random.Generator, d_arb: int, n_classes: int,
         k=k,
         radius=radius,
     )
-
-
-def decoder_parameters(p: DecoderParams) -> dict[str, Tensor]:
-    return {p.conv_w.name: p.conv_w, p.conv_b.name: p.conv_b,
-            p.out_w.name: p.out_w, p.out_b.name: p.out_b}
 
 
 def knn_weights(points: np.ndarray, k: int, radius: float) -> np.ndarray:

@@ -15,16 +15,11 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from dafss.errors import (
-    DegenerateBatchError,
-    DomainError,
-    GraphError,
-    ShapeError,
-)
+from dafss.errors import DegenerateBatchError, GraphError, ShapeError
 
 
 class Tensor:
@@ -45,9 +40,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -56,19 +48,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-    # Small amount of operator sugar; the module-level functions do the work.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def parameter(data, name: Optional[str] = None) -> Tensor:
@@ -95,8 +74,9 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64, order="C")  # a copy: g may be shared
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -265,25 +245,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _node(s, (x,), backward)
 
 
-def exp(x: Tensor) -> Tensor:
-    e = np.exp(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(x, g * e)
-
-    return _node(e, (x,), backward)
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0):
-        raise DomainError("log of non-positive entry")
-
-    def backward(g: np.ndarray) -> None:
-        _accum(x, g / x.data)
-
-    return _node(np.log(x.data), (x,), backward)
-
-
 def safe_log(x: Tensor, floor: float = 1e-12) -> Tensor:
     """log(max(x, floor)); the gradient is zero wherever the floor binds."""
     clipped = np.maximum(x.data, floor)
@@ -428,10 +389,6 @@ def sum_rows(x: Tensor) -> Tensor:
     return _node(np.sum(x.data, axis=0), (x,), backward)
 
 
-def mean_all(x: Tensor) -> Tensor:
-    return scale(sum_all(x), 1.0 / x.data.size)
-
-
 # ---------------------------------------------------------------------------
 # similarity
 # ---------------------------------------------------------------------------
@@ -510,10 +467,11 @@ def backward(loss: Tensor) -> dict:
     Returns a map from every reachable leaf parameter (requires_grad, no
     parents) to its accumulated gradient array. Calling backward twice on
     the same loss tensor is an error; gradients from separate backward
-    calls on shared leaves accumulate unless explicitly zeroed. Each
-    intermediate node's gradient is dropped as soon as it has been pushed
-    to its parents, so a later backward through a shared subgraph starts
-    from zero there and counts only its own loss.
+    calls on shared leaves accumulate unless explicitly zeroed, also when
+    the loss is itself such a leaf. Each intermediate node's gradient is
+    dropped as soon as it has been pushed to its parents, so a later
+    backward through a shared subgraph starts from zero there and counts
+    only its own loss.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -524,15 +482,10 @@ def backward(loss: Tensor) -> dict:
         return {}
 
     order = _toposort(loss)
-    loss.grad = np.ones_like(loss.data)
+    _accum(loss, np.ones_like(loss.data))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
             node.grad = None
     loss._done = True
     return {n: n.grad for n in order if n._backward is None and n.grad is not None}
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None

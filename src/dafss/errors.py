@@ -9,10 +9,6 @@ class GraphError(RuntimeError):
     """The differentiation graph is in an invalid state (cycle, reuse)."""
 
 
-class DomainError(ValueError):
-    """An input lies outside the mathematical domain of the operation."""
-
-
 class NumericError(RuntimeError):
     """A non-finite value appeared where a finite one is required."""
 

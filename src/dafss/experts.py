@@ -41,15 +41,6 @@ def init_attention(rng: np.random.Generator, d: int, heads: int, prefix: str) ->
     return AttentionParams(wq=wq, wk=wk, wv=wv, wo=wo, heads=heads)
 
 
-def attention_parameters(attn: AttentionParams) -> dict[str, Tensor]:
-    out = {}
-    for group in (attn.wq, attn.wk, attn.wv):
-        for w in group:
-            out[w.name] = w
-    out[attn.wo.name] = attn.wo
-    return out
-
-
 def mhsa(x: Tensor, attn: AttentionParams) -> Tensor:
     """Scaled dot-product self-attention over token rows of [t, d]."""
     d = x.shape[1]
@@ -73,11 +64,11 @@ def mhsa(x: Tensor, attn: AttentionParams) -> Tensor:
 class ExpertParams:
     lift_w: Tensor  # [n_s, d_model]
     lift_b: Tensor  # [d_model]
-    attn: AttentionParams
     ln_gamma: Tensor
     ln_beta: Tensor
     cls_w: Tensor  # [d_model, n_way+1]
     cls_b: Tensor
+    attn: AttentionParams  # after the tensors: parameter order follows field order
     d_model: int
 
 
@@ -94,14 +85,6 @@ def init_expert(rng: np.random.Generator, n_s: int, d_model: int, n_classes: int
         cls_b=parameter(np.zeros(n_classes), name=f"{prefix}.cls_b"),
         d_model=d_model,
     )
-
-
-def expert_parameters(p: ExpertParams) -> dict[str, Tensor]:
-    out = {p.lift_w.name: p.lift_w, p.lift_b.name: p.lift_b,
-           p.ln_gamma.name: p.ln_gamma, p.ln_beta.name: p.ln_beta,
-           p.cls_w.name: p.cls_w, p.cls_b.name: p.cls_b}
-    out.update(attention_parameters(p.attn))
-    return out
 
 
 @dataclass
@@ -165,10 +148,3 @@ def run_expert(corr: Tensor, params: ExpertParams) -> ExpertOutput:
                             params.ln_gamma, params.ln_beta)
     logits = ad.add_rowvec(ad.matmul(refined, params.cls_w), params.cls_b)
     return ExpertOutput(refined=refined, logits=logits, probs=ad.softmax(logits, axis=1))
-
-
-def expert_probs(refined: Tensor, cls_w: Tensor, cls_b: Tensor) -> Tensor:
-    """Classifier head alone: per-point class distribution from features."""
-    if refined.shape[1] != cls_w.shape[0]:
-        raise ShapeError(f"classifier expects dim {cls_w.shape[0]}, got {refined.shape[1]}")
-    return ad.softmax(ad.add_rowvec(ad.matmul(refined, cls_w), cls_b), axis=1)

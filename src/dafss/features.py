@@ -41,18 +41,14 @@ class UFHead:
     """Pointwise two-layer MLP: (xyz, texture one-hot) -> geometric feature."""
 
     def __init__(self, rng: np.random.Generator, n_textures: int, d_out: int = 32,
-                 hidden: int = 64, init_scale: float = 1.0):
+                 hidden: int = 64):
         d_in = 3 + n_textures
-        s = init_scale
-        self.w1 = parameter(rng.normal(0, s / np.sqrt(d_in), (d_in, hidden)), name="uf.w1")
+        self.w1 = parameter(rng.normal(0, 1.0 / np.sqrt(d_in), (d_in, hidden)), name="uf.w1")
         self.b1 = parameter(np.zeros(hidden), name="uf.b1")
-        self.w2 = parameter(rng.normal(0, s / np.sqrt(hidden), (hidden, d_out)), name="uf.w2")
+        self.w2 = parameter(rng.normal(0, 1.0 / np.sqrt(hidden), (hidden, d_out)), name="uf.w2")
         self.b2 = parameter(np.zeros(d_out), name="uf.b2")
         self.n_textures = n_textures
         self.d_out = d_out
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"uf.w1": self.w1, "uf.b1": self.b1, "uf.w2": self.w2, "uf.b2": self.b2}
 
 
 def uf_encode(scene: Scene, head: UFHead) -> Tensor:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,18 +18,6 @@ class MetricsReport:
     miou: float
     macc: float
     episode_count: int
-    config_hash: str = ""
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "per_class_iou": {str(k): v for k, v in sorted(self.per_class_iou.items())},
-            "miou": self.miou,
-            "macc": self.macc,
-            "episode_count": self.episode_count,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-        }
 
 
 def confusion_matrix(preds: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -84,8 +72,7 @@ def macc(conf: np.ndarray, foreground_classes: Sequence[int]) -> float:
     return float(np.mean(recalls))
 
 
-def evaluate(model: SegModel, episodes: Iterable[Episode], config_hash: str = "",
-             seed: int = 0) -> MetricsReport:
+def evaluate(model: SegModel, episodes: Iterable[Episode]) -> MetricsReport:
     """Accumulate one confusion matrix over all episodes in the shared
     remapped label space {0..n_way}, then reduce to mIoU / mAcc."""
     n_classes = model.config.n_way + 1
@@ -100,5 +87,4 @@ def evaluate(model: SegModel, episodes: Iterable[Episode], config_hash: str = ""
     foreground = list(range(1, n_classes))
     per_class, mean_iou = miou(conf, foreground)
     return MetricsReport(per_class_iou=per_class, miou=mean_iou,
-                         macc=macc(conf, foreground), episode_count=count,
-                         config_hash=config_hash, seed=seed)
+                         macc=macc(conf, foreground), episode_count=count)

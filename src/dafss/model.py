@@ -2,33 +2,23 @@
 
 Two variants share every stage except the expert block. The decoupled
 variant refines the geometric and semantic correlations in separate experts
-and may train with the alignment regularizers; the fused baseline sums the
+and trains with the alignment regularizers; the fused baseline sums the
 two correlation matrices and refines them in a single expert, with no
 alignment graph at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from dafss import autodiff as ad
-from dafss.alignment import (
-    AlignmentParams,
-    alignment_parameters,
-    consistency_loss,
-    init_alignment,
-    prototype_alignment_loss,
-)
+from dafss.alignment import consistency_loss, init_alignment, prototype_alignment_loss
 from dafss.arbitration import (
-    ArbitrationParams,
-    DecoderParams,
     arbitrate,
-    arbitration_parameters,
     decode,
-    decoder_parameters,
     init_arbitration,
     init_decoder,
     merge_features,
@@ -36,7 +26,7 @@ from dafss.arbitration import (
 )
 from dafss.autodiff import Tensor, parameter
 from dafss.errors import ConfigurationError
-from dafss.experts import ExpertOutput, expert_parameters, init_expert, run_expert
+from dafss.experts import ExpertOutput, init_expert, run_expert
 from dafss.features import (
     CorrelationPair,
     IFHead,
@@ -46,11 +36,37 @@ from dafss.features import (
     confusion_matrix_uniform_offdiag,
     extract_prototypes,
     if_encode,
+    text_guidance,
     uf_encode,
 )
 from dafss.scenes import Episode
 
 MODES = ("decoupled", "fused")
+
+
+def named_parameters(obj) -> dict[str, Tensor]:
+    """Every trainable tensor under ``obj``, keyed by its name.
+
+    Walks tensors, lists, tuples and the attributes of plain objects and
+    dataclasses depth first, in attribute order, so a parameter's position
+    follows the order of the fields that hold it."""
+    out: dict[str, Tensor] = {}
+
+    def walk(x) -> None:
+        if isinstance(x, Tensor):
+            if x.requires_grad:
+                if x.name in out:
+                    raise ConfigurationError(f"two parameters are named {x.name!r}")
+                out[x.name] = x
+        elif isinstance(x, (list, tuple)):
+            for item in x:
+                walk(item)
+        elif hasattr(x, "__dict__"):
+            for value in vars(x).values():
+                walk(value)
+
+    walk(obj)
+    return out
 
 
 @dataclass
@@ -71,8 +87,6 @@ class ModelConfig:
     if_feature_norm: float = 4.0
     if_confusion: float = 0.1
     if_pos_gain: float = 0.25
-    lambda_proto: float = 0.001
-    lambda_consistency: float = 0.5
     seed: int = 0
 
     @property
@@ -116,8 +130,7 @@ class SegModel:
         if mode == "decoupled":
             self.geo_expert = init_expert(rng, n_s, config.d_geo, n_cls, config.heads, "geo")
             self.sem_expert = init_expert(rng, n_s, config.d_sem, n_cls, config.heads, "sem")
-            self.align = init_alignment(rng, config.d_uf, config.d_if,
-                                        config.lambda_proto, config.lambda_consistency)
+            self.align = init_alignment(rng, config.d_uf, config.d_if)
             merge_in = config.d_geo + config.d_sem
         else:
             self.geo_expert = init_expert(rng, n_s, config.d_geo, n_cls, config.heads, "fused")
@@ -138,18 +151,7 @@ class SegModel:
     # -- parameter bookkeeping ------------------------------------------------
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.uf.parameters())
-        out.update(expert_parameters(self.geo_expert))
-        if self.sem_expert is not None:
-            out.update(expert_parameters(self.sem_expert))
-        if self.align is not None:
-            out.update(alignment_parameters(self.align))
-        out.update(arbitration_parameters(self.arb))
-        out.update(decoder_parameters(self.decoder))
-        out["base.w"] = self.base_w
-        out["base.b"] = self.base_b
-        return out
+        return named_parameters(self)
 
     def parameter_groups(self) -> dict[str, list[str]]:
         """Disjoint name groups covering every trainable parameter.
@@ -157,9 +159,10 @@ class SegModel:
         'uf' is the geometric pathway (point encoder plus its expert, or the
         single expert in the fused variant); 'sem' is the semantic expert;
         'shared' is everything downstream of the experts."""
-        uf = list(self.uf.parameters()) + list(expert_parameters(self.geo_expert))
-        sem = list(expert_parameters(self.sem_expert)) if self.sem_expert is not None else []
-        shared = [n for n in self.parameters() if n not in set(uf) | set(sem)]
+        uf = list(named_parameters(self.uf)) + list(named_parameters(self.geo_expert))
+        sem = list(named_parameters(self.sem_expert))
+        taken = set(uf) | set(sem)
+        shared = [n for n in self.parameters() if n not in taken]
         return {"uf": uf, "sem": sem, "shared": shared}
 
     def group_tensors(self, group: str) -> list[Tensor]:
@@ -215,8 +218,8 @@ class SegModel:
     def forward(self, episode: Episode, train: bool) -> ForwardOutput:
         """One episode through the pipeline.
 
-        Alignment losses are built only in train mode, on the decoupled
-        variant, and only for the terms whose weight is nonzero."""
+        Both alignment losses are built in train mode on the decoupled
+        variant; ``training.total_loss`` weighs them."""
         if episode.n_way != self.config.n_way:
             raise ConfigurationError(
                 f"episode is {episode.n_way}-way, model built for {self.config.n_way}-way")
@@ -232,17 +235,15 @@ class SegModel:
             geo_out = run_expert(corr.geo, self.geo_expert)
             sem_out = run_expert(corr.sem, self.sem_expert)
             if train:
-                if self.align.lambda_proto > 0.0:
-                    proto_loss = prototype_alignment_loss(geo_protos, sem_protos, self.align)
-                if self.align.lambda_consistency > 0.0:
-                    consist_loss = consistency_loss(geo_out.probs, sem_out.probs)
+                proto_loss = prototype_alignment_loss(geo_protos, sem_protos, self.align)
+                consist_loss = consistency_loss(geo_out.probs, sem_out.probs)
             merged = merge_features(geo_out.refined, sem_out.refined, self.arb, train)
         else:
             geo_out = run_expert(ad.add(corr.geo, corr.sem), self.geo_expert)
             sem_out = None
             merged = merge_features(geo_out.refined, None, self.arb, train)
 
-        g_base, g_q = self._guidance(episode)
+        g_base, g_q = text_guidance(self.config.base_class_ids, episode.novel_classes, self.text)
         arb_out = arbitrate(merged, g_base, self.arb)
         gated = semantic_gate(arb_out, g_q, self.arb)
         logits = decode(gated, episode.query.points, self.decoder)
@@ -256,16 +257,7 @@ class SegModel:
                              correlations=corr, geo_out=geo_out, sem_out=sem_out,
                              merged=merged)
 
-    def _guidance(self, episode: Episode):
-        from dafss.features import text_guidance
-
-        return text_guidance(self.config.base_class_ids, episode.novel_classes, self.text)
-
     def predict(self, episode: Episode) -> np.ndarray:
         """Per-point class predictions in the episode's {0..n_way} space."""
         out = self.forward(episode, train=False)
         return np.argmax(out.logits.data, axis=1)
-
-
-def build_variant(config: ModelConfig, mode: str) -> SegModel:
-    return SegModel(config, mode)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from dafss import autodiff as ad
 from dafss.autodiff import Tensor, backward, constant
-from dafss.errors import MonitoringError, NumericError
+from dafss.errors import MonitoringError, NumericError, UndefinedMetricError
+from dafss.metrics import confusion_matrix, miou
 from dafss.model import SegModel
 from dafss.optim import AdamW
 from dafss.scenes import Episode
@@ -17,6 +18,8 @@ from dafss.scenes import Episode
 
 @dataclass
 class LossWeights:
+    """The one home of every loss weight; ``total_loss`` applies them."""
+
     lambda_base: float = 0.1
     lambda_proto: float = 0.001
     lambda_consistency: float = 0.5
@@ -37,9 +40,6 @@ class TrainRecord:
     grad_norm_uf: float
     grad_norm_sem: float
     miou_train: float
-
-    CSV_FIELDS = ("step", "loss_total", "loss_seg", "loss_base", "loss_proto",
-                  "loss_consistency", "grad_norm_uf", "grad_norm_sem", "miou_train")
 
 
 def seg_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -104,16 +104,6 @@ def grad_norm(grad_map: Optional[dict], group: Iterable[Tensor]) -> float:
     return float(np.sqrt(total))
 
 
-def _quick_miou(preds: np.ndarray, labels: np.ndarray, n_way: int) -> float:
-    ious = []
-    for c in range(1, n_way + 1):
-        inter = int(np.sum((preds == c) & (labels == c)))
-        union = int(np.sum((preds == c) | (labels == c)))
-        if union > 0:
-            ious.append(inter / union)
-    return float(np.mean(ious)) if ious else 0.0
-
-
 def train_episode(model: SegModel, episode: Episode, optimizer: AdamW,
                   weights: LossWeights, step: int) -> TrainRecord:
     """One optimization step; pathway gradient norms are read pre-step.
@@ -149,7 +139,12 @@ def train_episode(model: SegModel, episode: Episode, optimizer: AdamW,
     finally:
         optimizer.zero_grad()
 
-    preds = np.argmax(out.logits.data, axis=1)
+    n_classes = episode.n_way + 1
+    conf = confusion_matrix(np.argmax(out.logits.data, axis=1), episode.query_labels, n_classes)
+    try:
+        miou_train = miou(conf, range(1, n_classes))[1]
+    except UndefinedMetricError:  # no foreground point predicted or labelled
+        miou_train = 0.0
     return TrainRecord(
         step=step,
         loss_total=total.item(),
@@ -159,17 +154,11 @@ def train_episode(model: SegModel, episode: Episode, optimizer: AdamW,
         loss_consistency=components["consistency"],
         grad_norm_uf=gn_uf,
         grad_norm_sem=gn_sem,
-        miou_train=_quick_miou(preds, episode.query_labels, episode.n_way),
+        miou_train=miou_train,
     )
 
 
 def train_run(model: SegModel, episodes: Iterable[Episode], optimizer: AdamW,
-              weights: LossWeights,
-              on_record: Optional[Callable[[TrainRecord], None]] = None) -> list:
-    records = []
-    for step, episode in enumerate(episodes):
-        record = train_episode(model, episode, optimizer, weights, step)
-        records.append(record)
-        if on_record is not None:
-            on_record(record)
-    return records
+              weights: LossWeights) -> list:
+    return [train_episode(model, episode, optimizer, weights, step)
+            for step, episode in enumerate(episodes)]

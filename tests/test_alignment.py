@@ -4,13 +4,13 @@ import pytest
 from dafss import autodiff as ad
 from dafss.alignment import (
     AlignmentParams,
-    alignment_total,
     consistency_loss,
     init_alignment,
     prototype_alignment_loss,
 )
 from dafss.autodiff import backward, constant, parameter
 from dafss.errors import ShapeError
+from dafss.training import LossWeights, total_loss
 
 from conftest import check_grads, relative_error
 
@@ -154,27 +154,25 @@ class TestConsistency:
 
 
 class TestAlignmentTotal:
-    def test_both_weights_zero_gives_exact_zero(self, rng):
-        params = AlignmentParams(proj_w=constant(np.eye(2)), proj_b=constant(np.zeros(2)),
-                                 lambda_proto=0.0, lambda_consistency=0.0)
-        total = alignment_total(constant(5.0), constant(3.0), params)
-        assert total.item() == 0.0
-        assert not total.requires_grad
+    """The alignment terms of ``training.total_loss``, weighted by ``LossWeights``."""
+
+    def test_both_weights_zero_gives_exact_zero(self):
+        seg = constant(0.0)
+        w = LossWeights(lambda_proto=0.0, lambda_consistency=0.0)
+        total = total_loss(seg, None, parameter(5.0), parameter(3.0), w)
+        assert total is seg
+        assert total.item() == 0.0 and not total.requires_grad
 
     def test_default_weights_arithmetic(self):
-        params = AlignmentParams(proj_w=constant(np.eye(2)), proj_b=constant(np.zeros(2)),
-                                 lambda_proto=0.001, lambda_consistency=0.5)
-        total = alignment_total(constant(2.0), constant(0.4), params)
+        total = total_loss(constant(0.0), None, constant(2.0), constant(0.4), LossWeights())
         assert abs(total.item() - 0.202) < 1e-15
 
-    def test_linearity_in_each_component(self, rng):
-        params = AlignmentParams(proj_w=constant(np.eye(2)), proj_b=constant(np.zeros(2)),
-                                 lambda_proto=0.01, lambda_consistency=0.25)
-        base = alignment_total(constant(1.0), constant(1.0), params).item()
-        scaled = alignment_total(constant(3.0), constant(1.0), params).item()
+    def test_linearity_in_each_component(self):
+        w = LossWeights(lambda_proto=0.01, lambda_consistency=0.25)
+        base = total_loss(constant(0.0), None, constant(1.0), constant(1.0), w).item()
+        scaled = total_loss(constant(0.0), None, constant(3.0), constant(1.0), w).item()
         assert abs((scaled - base) - 0.01 * 2.0) < 1e-15
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            AlignmentParams(proj_w=constant(np.eye(2)), proj_b=constant(np.zeros(2)),
-                            lambda_proto=-0.1)
+            LossWeights(lambda_proto=-0.1)

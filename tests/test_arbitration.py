@@ -5,18 +5,17 @@ from dafss import autodiff as ad
 from dafss.arbitration import (
     arbitrate,
     arbitration_layer,
-    arbitration_parameters,
     init_arbitration,
     init_decoder,
     inject_background_guidance,
     knn_weights,
     merge_features,
     decode,
-    decoder_parameters,
     semantic_gate,
 )
 from dafss.autodiff import BatchNormState, constant, parameter
 from dafss.errors import ConfigurationError, DegenerateBatchError
+from dafss.model import named_parameters
 
 from conftest import check_grads, relative_error
 
@@ -209,7 +208,7 @@ class TestDecoder:
         logits = decode(r, points, dec)
         assert logits.shape == (5, 3)
         tensors = {"r": r}
-        tensors.update(decoder_parameters(dec))
+        tensors.update(named_parameters(dec))
         w = constant(rng.standard_normal((5, 3)))
         check_grads(lambda: ad.sum_all(ad.mul(decode(r, points, dec), w)), tensors, tol=1e-3)
 
@@ -234,6 +233,6 @@ class TestEndToEndGradient:
             return ad.sum_all(ad.mul(decode(gated, points, dec), w))
 
         tensors = {"r_geo": r_geo}
-        tensors.update(arbitration_parameters(p))
-        tensors.update(decoder_parameters(dec))
+        tensors.update(named_parameters(p))
+        tensors.update(named_parameters(dec))
         check_grads(make_loss, tensors, tol=1e-3)

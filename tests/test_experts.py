@@ -6,14 +6,12 @@ from dafss.autodiff import backward, constant, parameter
 from dafss.errors import ConfigurationError, ShapeError
 from dafss.experts import (
     ExpertOutput,
-    attention_parameters,
-    expert_parameters,
-    expert_probs,
     init_attention,
     init_expert,
     mhsa,
     run_expert,
 )
+from dafss.model import named_parameters
 
 from conftest import check_grads, relative_error
 
@@ -48,7 +46,7 @@ class TestMHSA:
         x = parameter(rng.standard_normal((3, d)))
         w = constant(rng.standard_normal((3, d)))
         tensors = {"x": x}
-        tensors.update(attention_parameters(attn))
+        tensors.update(named_parameters(attn))
         check_grads(lambda: ad.sum_all(ad.mul(mhsa(x, attn), w)), tensors, tol=1e-3)
 
 
@@ -99,10 +97,10 @@ class TestExperts:
         c = constant(rng.uniform(-1, 1, (4, 2)))
         out = run_expert(c, geo)
         grads = backward(ad.sum_all(out.refined))
-        geo_names = set(expert_parameters(geo))
+        geo_names = set(named_parameters(geo))
         touched = {t.name for t in grads}
         assert touched <= geo_names
-        for t in expert_parameters(sem).values():
+        for t in named_parameters(sem).values():
             assert t.grad is None
 
     def test_gradient_vs_finite_differences(self, rng):
@@ -110,7 +108,7 @@ class TestExperts:
         c = parameter(rng.uniform(-1, 1, (3, 2)))
         w = constant(rng.standard_normal((3, 8)))
         tensors = {"c": c}
-        tensors.update(expert_parameters(params))
+        tensors.update(named_parameters(params))
         check_grads(lambda: ad.sum_all(ad.mul(run_expert(c, params).refined, w)), tensors, tol=1e-3)
 
 
@@ -128,7 +126,7 @@ class TestLowRankAttention:
     def test_matches_dense_attention(self, d, n_way, n):
         rng = np.random.default_rng([d, n_way, n])
         params = init_expert(rng, n_way + 1, d, n_classes=n_way + 1, heads=4, prefix="e")
-        tensors = expert_parameters(params)
+        tensors = named_parameters(params)
         for t in tensors.values():  # move biases and norms off their trivial init
             t.data = t.data + rng.normal(0, 0.1, t.shape)
         corr = parameter(rng.uniform(-1, 1, (n, n_way + 1)), name="corr")
@@ -161,8 +159,9 @@ class TestLowRankAttention:
 
 class TestExpertProbs:
     def test_zero_classifier_gives_uniform(self, rng):
-        refined = constant(rng.standard_normal((5, 8)))
-        probs = expert_probs(refined, constant(np.zeros((8, 4))), constant(np.zeros(4))).data
+        params = init_expert(rng, 2, 8, n_classes=4, heads=2, prefix="e")
+        params.cls_w.data[:] = 0.0
+        probs = run_expert(constant(rng.uniform(-1, 1, (5, 2))), params).probs.data
         np.testing.assert_allclose(probs, 0.25, atol=1e-15)
 
     def test_rows_sum_to_one(self, rng):
@@ -171,10 +170,10 @@ class TestExpertProbs:
         np.testing.assert_allclose(out.probs.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_argmax_matches_bruteforce(self, rng):
-        refined = rng.standard_normal((10, 6))
-        w = rng.standard_normal((6, 3))
-        b = rng.standard_normal(3)
-        probs = expert_probs(constant(refined), constant(w), constant(b)).data
-        logits = refined @ w + b
+        params = init_expert(rng, 2, 6, n_classes=3, heads=2, prefix="e")
+        params.cls_b.data = rng.standard_normal(3)
+        out = run_expert(constant(rng.uniform(-1, 1, (10, 2))), params)
+        probs = out.probs.data
+        logits = out.refined.data @ params.cls_w.data + params.cls_b.data
         brute = np.array([int(np.argmax(row)) for row in logits])
         np.testing.assert_array_equal(np.argmax(probs, axis=1), brute)

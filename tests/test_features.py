@@ -16,6 +16,7 @@ from dafss.features import (
     text_guidance,
     uf_encode,
 )
+from dafss.model import named_parameters
 from dafss.scenes import Scene, SceneConfig, generate_scene
 
 from conftest import check_grads, relative_error
@@ -52,7 +53,7 @@ class TestUFHead:
         w = constant(rng.standard_normal((6, 4)))
         check_grads(
             lambda: ad.sum_all(ad.mul(uf_encode(scene, head), w)),
-            head.parameters(),
+            named_parameters(head),
             tol=1e-3,
         )
 

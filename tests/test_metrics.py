@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dafss.errors import UndefinedMetricError
 from dafss.metrics import confusion_matrix, evaluate, macc, miou
-from dafss.model import ModelConfig, build_variant
+from dafss.model import ModelConfig, SegModel
 from dafss.scenes import SceneConfig, build_pool, fold_classes, sample_episode
 
 
@@ -115,7 +115,7 @@ class TestEvaluate:
         cfg = ModelConfig(n_classes=10, base_class_ids=tuple(base), n_way=1,
                           d_uf=8, uf_hidden=10, d_if=12, d_geo=8, d_sem=12,
                           d_arb=8, heads=2, knn_k=3, seed=1)
-        model = build_variant(cfg, "decoupled")
+        model = SegModel(cfg, "decoupled")
         episodes = [sample_episode(pool, 1, 1, seed=s, candidate_classes=base)
                     for s in range(6)]
         return model, episodes

@@ -4,8 +4,7 @@ import pytest
 from dafss import autodiff as ad
 from dafss.autodiff import backward, constant
 from dafss.errors import ConfigurationError, MonitoringError, NumericError
-from dafss.experts import expert_parameters
-from dafss.model import ModelConfig, SegModel, build_variant
+from dafss.model import MODES, ModelConfig, SegModel, named_parameters
 from dafss.optim import AdamW
 from dafss.scenes import SceneConfig, build_pool, fold_classes, sample_episode
 from dafss.training import (
@@ -123,7 +122,7 @@ class TestGradNorm:
             grad_norm(None, [])
 
     def test_matches_flat_concatenation_oracle(self, episode):
-        model = build_variant(tiny_config(), "decoupled")
+        model = SegModel(tiny_config(), "decoupled")
         out = model.forward(episode, train=True)
         loss = seg_loss(out.logits, episode.query_labels)
         grad_map = backward(loss)
@@ -138,11 +137,38 @@ class TestGradNorm:
 class TestModelStructure:
     def test_unknown_mode(self):
         with pytest.raises(ConfigurationError):
-            build_variant(tiny_config(), "hybrid")
+            SegModel(tiny_config(), "hybrid")
+
+    def test_parameter_keys_are_tensor_names(self):
+        for mode in MODES:
+            params = SegModel(tiny_config(sam_layers=2), mode).parameters()
+            assert all(name == t.name for name, t in params.items())
+
+    def test_duplicate_parameter_name_rejected(self):
+        model = SegModel(tiny_config(), "fused")
+        model.base_b.name = model.base_w.name
+        with pytest.raises(ConfigurationError, match="base.w"):
+            model.parameters()
+
+    def test_state_dict_keys(self):
+        model = SegModel(tiny_config(), "decoupled")
+        expected = (["uf.w1", "uf.b1", "uf.w2", "uf.b2"]
+                    + [f"{e}.{n}" for e in ("geo", "sem") for n in
+                       ("lift_w", "lift_b", "ln_gamma", "ln_beta", "cls_w", "cls_b",
+                        "attn.wq0", "attn.wq1", "attn.wk0", "attn.wk1",
+                        "attn.wv0", "attn.wv1", "attn.wo")]
+                    + ["align.proj_w", "align.proj_b", "arb.bn_gamma", "arb.bn_beta",
+                       "arb.conv_w", "arb.conv_b", "arb.gate_w", "arb.gate_b"]
+                    + [f"arb.l0.{n}" for n in
+                       ("inject_w", "inject_b", "ln_gamma", "ln_beta", "attn.wq0", "attn.wq1",
+                        "attn.wk0", "attn.wk1", "attn.wv0", "attn.wv1", "attn.wo")]
+                    + ["dec.conv_w", "dec.conv_b", "dec.out_w", "dec.out_b", "base.w", "base.b",
+                       "arb.bn_state.running_mean", "arb.bn_state.running_var"])
+        assert list(model.state_dict()) == expected
 
     def test_groups_disjoint_and_cover(self):
         for mode in ("decoupled", "fused"):
-            model = build_variant(tiny_config(), mode)
+            model = SegModel(tiny_config(), mode)
             groups = model.parameter_groups()
             names = [n for g in groups.values() for n in g]
             assert len(names) == len(set(names))
@@ -151,13 +177,13 @@ class TestModelStructure:
     def test_variants_share_logit_interface(self, episode):
         cfg = tiny_config()
         for mode in ("decoupled", "fused"):
-            model = build_variant(cfg, mode)
+            model = SegModel(cfg, mode)
             out = model.forward(episode, train=False)
             assert out.logits.shape == (len(episode.query), 2)
 
     def test_fused_couples_semantic_input(self, episode):
         cfg = tiny_config()
-        model = build_variant(cfg, "fused")
+        model = SegModel(cfg, "fused")
         before = model.forward(episode, train=False).logits.data.copy()
         model.if_head.class_embed = model.if_head.class_embed[::-1].copy()
         after = model.forward(episode, train=False).logits.data
@@ -165,42 +191,46 @@ class TestModelStructure:
 
     def test_decoupled_geo_path_ignores_semantic_perturbation(self, episode):
         cfg = tiny_config()
-        model = build_variant(cfg, "decoupled")
+        model = SegModel(cfg, "decoupled")
         before = model.forward(episode, train=False).geo_out.refined.data
         model.if_head.class_embed = model.if_head.class_embed[::-1].copy()
         after = model.forward(episode, train=False).geo_out.refined.data
         assert before.tobytes() == after.tobytes()
 
     def test_cross_expert_gradients_zero_with_alignment_off(self, episode):
-        cfg = tiny_config(lambda_proto=0.0, lambda_consistency=0.0)
-        model = build_variant(cfg, "decoupled")
+        model = SegModel(tiny_config(), "decoupled")
         out = model.forward(episode, train=True)
         grads = backward(ad.sum_all(out.geo_out.refined))
-        sem_names = set(expert_parameters(model.sem_expert))
+        sem_names = set(named_parameters(model.sem_expert))
         assert all(t.name not in sem_names for t in grads)
-        for t in expert_parameters(model.sem_expert).values():
+        for t in named_parameters(model.sem_expert).values():
             assert t.grad is None
 
+    def test_decoupled_train_builds_both_alignment_losses(self, episode):
+        # The losses do not depend on the weights; total_loss alone applies them.
+        out = SegModel(tiny_config(), "decoupled").forward(episode, train=True)
+        assert out.proto_loss.item() > 0.0 and out.consist_loss.item() > 0.0
+
     def test_eval_builds_no_alignment_nodes(self, episode):
-        model = build_variant(tiny_config(), "decoupled")
+        model = SegModel(tiny_config(), "decoupled")
         out = model.forward(episode, train=False)
         assert out.proto_loss is None and out.consist_loss is None
 
     def test_fused_never_builds_alignment_nodes(self, episode):
-        model = build_variant(tiny_config(), "fused")
+        model = SegModel(tiny_config(), "fused")
         out = model.forward(episode, train=True)
         assert out.proto_loss is None and out.consist_loss is None
 
     def test_param_counts_reported(self):
-        dec = build_variant(tiny_config(), "decoupled")
-        fused = build_variant(tiny_config(), "fused")
+        dec = SegModel(tiny_config(), "decoupled")
+        fused = SegModel(tiny_config(), "fused")
         assert dec.trainable_param_count() > fused.trainable_param_count() > 0
 
     def test_state_dict_roundtrip(self, episode):
         cfg = tiny_config()
-        model = build_variant(cfg, "decoupled")
+        model = SegModel(cfg, "decoupled")
         state = model.state_dict()
-        clone = build_variant(cfg, "decoupled")
+        clone = SegModel(cfg, "decoupled")
         for p in clone.parameters().values():
             p.data = p.data + 0.1
         clone.load_state_dict(state)
@@ -213,7 +243,7 @@ class TestTrainEpisode:
         base, _ = fold_classes(0)
 
         def run():
-            model = build_variant(tiny_config(), "decoupled")
+            model = SegModel(tiny_config(), "decoupled")
             opt = AdamW(model.parameters(), lr=1e-3)
             eps = [sample_episode(pool, 1, 1, seed=s, base_classes=base, candidate_classes=base)
                    for s in range(5)]
@@ -224,7 +254,7 @@ class TestTrainEpisode:
 
     def test_frozen_heads_bit_identical_after_training(self, pool):
         base, _ = fold_classes(0)
-        model = build_variant(tiny_config(), "decoupled")
+        model = SegModel(tiny_config(), "decoupled")
         frozen_before = model.frozen_state()
         opt = AdamW(model.parameters(), lr=1e-3)
         eps = [sample_episode(pool, 1, 1, seed=s, base_classes=base, candidate_classes=base)
@@ -235,7 +265,7 @@ class TestTrainEpisode:
 
     def test_total_decomposition_matches_components(self, pool):
         base, _ = fold_classes(0)
-        model = build_variant(tiny_config(), "decoupled")
+        model = SegModel(tiny_config(), "decoupled")
         opt = AdamW(model.parameters(), lr=1e-3)
         w = LossWeights()
         eps = [sample_episode(pool, 1, 1, seed=s, base_classes=base, candidate_classes=base)
@@ -248,7 +278,7 @@ class TestTrainEpisode:
 
     def test_consistency_gradient_reaches_semantic_classifier(self, pool):
         base, _ = fold_classes(0)
-        model = build_variant(tiny_config(), "decoupled")
+        model = SegModel(tiny_config(), "decoupled")
         ep = sample_episode(pool, 1, 1, seed=2, base_classes=base, candidate_classes=base)
         out = model.forward(ep, train=True)
         grads = backward(out.consist_loss)
@@ -256,7 +286,7 @@ class TestTrainEpisode:
         assert np.linalg.norm(grads[model.geo_expert.cls_w]) > 0
 
     def test_nonfinite_loss_leaves_batch_norm_statistics_untouched(self, episode):
-        model = build_variant(tiny_config(), "decoupled")
+        model = SegModel(tiny_config(), "decoupled")
         opt = AdamW(model.parameters(), lr=1e-3)
         model.base_w.data[0, 0] = np.nan
         bn = model.arb.bn_state
@@ -274,7 +304,7 @@ class TestTrainEpisode:
         base, _ = fold_classes(0)
         wins = 0
         for seed in range(5):
-            model = build_variant(tiny_config(seed=seed), "decoupled")
+            model = SegModel(tiny_config(seed=seed), "decoupled")
             opt = AdamW(model.parameters(), lr=1e-3)
             eps = [sample_episode(pool, 1, 1, seed=100 * seed + s, base_classes=base,
                                   candidate_classes=base) for s in range(20)]
@@ -288,7 +318,7 @@ class TestTrainEpisode:
 
 class TestGradientFreezing:
     def test_no_parameter_named_frozen(self, episode):
-        model = build_variant(tiny_config(), "decoupled")
+        model = SegModel(tiny_config(), "decoupled")
         out = model.forward(episode, train=True)
         loss = seg_loss(out.logits, episode.query_labels)
         grads = backward(loss)

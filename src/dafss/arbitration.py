@@ -161,19 +161,28 @@ def knn_weights(points: np.ndarray, k: int, radius: float) -> np.ndarray:
     """Row-stochastic [N, N] smoothing matrix over the k nearest neighbors.
 
     Weights are inverse distances; neighbors beyond the radius are dropped
-    (a point always keeps itself). k = 1 reduces to the identity."""
+    (a point always keeps itself). k = 1 reduces to the identity. Ties at
+    the k-th distance go to the lower index, as in a stable sort."""
     n = len(points)
     if k > n:
         raise ConfigurationError(f"k = {k} exceeds the {n} available points")
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    d2 = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for c in range(points.shape[1]):
+        np.subtract(points[:, None, c], points[None, :, c], out=diff)
+        diff *= diff
+        d2 += diff
+    nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    kth = np.max(np.take_along_axis(d2, nearest, axis=1), axis=1)
+    # Rows with more than k candidates at or below the k-th distance have a
+    # tie on the boundary; only a stable sort picks the same k there.
+    for i in np.flatnonzero(np.count_nonzero(d2 <= kth[:, None], axis=1) > k):
+        nearest[i] = np.argsort(d2[i], kind="stable")[:k]
+    rows = np.arange(n)[:, None]
+    dist = np.sqrt(np.take_along_axis(d2, nearest, axis=1))
+    keep = (nearest == rows) | ~(dist > radius)
     weights = np.zeros((n, n))
-    for i in range(n):
-        for j in order[i]:
-            dist = np.sqrt(d2[i, j])
-            if j != i and dist > radius:
-                continue
-            weights[i, j] = 1.0 / (dist + 1e-3)
+    weights[rows, nearest] = np.where(keep, 1.0 / (dist + 1e-3), 0.0)
     weights /= weights.sum(axis=1, keepdims=True)
     return weights
 

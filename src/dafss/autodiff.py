@@ -10,7 +10,9 @@ Conventions:
   * leaf gradients are NOT cleared implicitly -- callers zero them between
     steps; the gradients of intermediate nodes live only during a sweep;
   * :func:`stop_gradient` is the identity on values and detaches the result
-    from the graph entirely.
+    from the graph entirely;
+  * inside a :class:`no_grad` block no op records a graph, so nothing is
+    kept alive for a backward pass that will never come.
 """
 
 from __future__ import annotations
@@ -60,10 +62,29 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
+_grad_enabled = True
+
+
+class no_grad:
+    """Context manager under which ops record no parents and no closure.
+
+    Results have ``requires_grad=False``. The previous state comes back on
+    exit, also when the block raises, so blocks nest."""
+
+    def __enter__(self) -> "no_grad":
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _grad_enabled
+        _grad_enabled = self._prev
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    live = tuple(p for p in parents if p.requires_grad)
-    if live:
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -116,13 +137,14 @@ def transpose(x: Tensor) -> Tensor:
 def softmax(x: Tensor, axis: int) -> Tensor:
     if axis >= x.data.ndim or axis < -x.data.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {x.shape}")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / np.sum(e, axis=axis, keepdims=True)
+    s = x.data - np.max(x.data, axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= np.sum(s, axis=axis, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
-        inner = np.sum(g * s, axis=axis, keepdims=True)
-        _accum(x, s * (g - inner))
+        t = g - np.sum(g * s, axis=axis, keepdims=True)
+        t *= s
+        _accum(x, t)
 
     return _node(s, (x,), backward)
 

@@ -183,20 +183,30 @@ class SegModel:
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load a full checkpoint, or raise before anything is written.
+
+        The keys must be exactly those of ``state_dict()``, each with the
+        shape it has there."""
         params = self.parameters()
-        for name, arr in state.items():
-            if name == "arb.bn_state.running_mean":
-                self.arb.bn_state.running_mean = arr.copy()
-            elif name == "arb.bn_state.running_var":
-                self.arb.bn_state.running_var = arr.copy()
-            elif name in params:
-                if params[name].data.shape != arr.shape:
-                    raise ConfigurationError(
-                        f"checkpoint shape {arr.shape} does not match parameter "
-                        f"{name!r} of shape {params[name].data.shape}")
-                params[name].data = arr.copy()
-            else:
-                raise ConfigurationError(f"checkpoint contains unknown parameter {name!r}")
+        bn = self.arb.bn_state
+        shapes = {name: p.data.shape for name, p in params.items()}
+        shapes["arb.bn_state.running_mean"] = bn.running_mean.shape
+        shapes["arb.bn_state.running_var"] = bn.running_var.shape
+        unknown = [name for name in state if name not in shapes]
+        if unknown:
+            raise ConfigurationError(f"checkpoint contains unknown entries {unknown}")
+        missing = [name for name in shapes if name not in state]
+        if missing:
+            raise ConfigurationError(f"checkpoint lacks entries {missing}")
+        for name, shape in shapes.items():
+            if np.shape(state[name]) != shape:
+                raise ConfigurationError(
+                    f"checkpoint shape {np.shape(state[name])} does not match "
+                    f"{name!r} of shape {shape}")
+        for name, p in params.items():
+            p.data = state[name].copy()
+        bn.running_mean = state["arb.bn_state.running_mean"].copy()
+        bn.running_var = state["arb.bn_state.running_var"].copy()
 
     # -- forward --------------------------------------------------------------
 
@@ -258,6 +268,9 @@ class SegModel:
                              merged=merged)
 
     def predict(self, episode: Episode) -> np.ndarray:
-        """Per-point class predictions in the episode's {0..n_way} space."""
-        out = self.forward(episode, train=False)
+        """Per-point class predictions in the episode's {0..n_way} space.
+
+        Runs ``forward(train=False)`` without recording an autodiff graph."""
+        with ad.no_grad():
+            out = self.forward(episode, train=False)
         return np.argmax(out.logits.data, axis=1)

@@ -46,23 +46,40 @@ class AdamW:
             name: OptimizerState(np.zeros_like(p.data), np.zeros_like(p.data))
             for name, p in self.params.items()
         }
+        # Two work buffers as large as the largest parameter: every step
+        # updates the moments and the parameters in place.
+        largest = max((p.data.size for p in self.params.values()), default=0)
+        self._work = np.empty((2, largest))
 
     def step(self) -> None:
         live = [(name, p) for name, p in self.params.items() if p.grad is not None]
         for name, p in live:
             if not np.all(np.isfinite(p.grad)):
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
+        b1, b2 = self.beta1, self.beta2
         for name, p in live:
             g = p.grad
             st = self.state[name]
             st.step_count += 1
             t = st.step_count
-            st.first_moment = self.beta1 * st.first_moment + (1.0 - self.beta1) * g
-            st.second_moment = self.beta2 * st.second_moment + (1.0 - self.beta2) * g * g
-            m_hat = st.first_moment / (1.0 - self.beta1**t)
-            v_hat = st.second_moment / (1.0 - self.beta2**t)
-            p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = st.first_moment, st.second_moment
+            a, b = (buf[:g.size].reshape(g.shape) for buf in self._work)
+            # In place, in the operation order of the plain expressions in these
+            # comments, so the result is bitwise the one they give.
+            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=a)
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            v += np.multiply(a, g, out=a)
+            # p -= (lr wd) p;  p -= (lr m_hat) / (sqrt(v_hat) + eps)
+            p.data -= np.multiply(p.data, self.lr * self.weight_decay, out=a)
+            np.divide(v, 1.0 - b2**t, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, 1.0 - b1**t, out=b)
+            b *= self.lr
+            p.data -= np.divide(b, a, out=b)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

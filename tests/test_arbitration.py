@@ -164,6 +164,49 @@ class TestSemanticGate:
         assert relative_error(out, manual) < 1e-12
 
 
+def knn_weights_loop(points, k, radius):
+    """The pre-vectorisation knn_weights: full stable argsort, one entry at a time."""
+    n = len(points)
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    weights = np.zeros((n, n))
+    for i in range(n):
+        for j in order[i]:
+            dist = np.sqrt(d2[i, j])
+            if j != i and dist > radius:
+                continue
+            weights[i, j] = 1.0 / (dist + 1e-3)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights
+
+
+class TestKnnBitIdentity:
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_uniform_points(self, rng, k):
+        points = rng.uniform(-1, 1, (40, 3))
+        np.testing.assert_array_equal(knn_weights(points, k, 0.5),
+                                      knn_weights_loop(points, k, 0.5))
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 30])
+    def test_duplicate_points(self, rng, k):
+        points = rng.uniform(-1, 1, (10, 3))[rng.integers(0, 10, 30)]
+        np.testing.assert_array_equal(knn_weights(points, k, 0.3),
+                                      knn_weights_loop(points, k, 0.3))
+
+    @pytest.mark.parametrize("k,radius", [(2, 0.5), (4, 0.6), (8, 1.0), (12, 0.1)])
+    def test_half_grid_ties_at_kth_distance(self, rng, k, radius):
+        points = np.round(rng.uniform(-1, 1, (50, 3)) * 2) / 2
+        np.testing.assert_array_equal(knn_weights(points, k, radius),
+                                      knn_weights_loop(points, k, radius))
+
+    def test_k_equals_n(self, rng):
+        for points in (rng.uniform(-1, 1, (9, 3)), np.round(rng.uniform(-1, 1, (9, 3))),
+                       np.zeros((1, 3))):
+            n = len(points)
+            np.testing.assert_array_equal(knn_weights(points, n, 0.7),
+                                          knn_weights_loop(points, n, 0.7))
+
+
 class TestDecoder:
     def test_k1_is_identity_aggregation(self, rng):
         points = rng.uniform(-1, 1, (6, 3))
@@ -192,7 +235,7 @@ class TestDecoder:
             assert relative_error(agg[i], manual) < 1e-10
 
     def test_k_exceeds_points(self, rng):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="k = 5 exceeds the 3"):
             knn_weights(rng.uniform(-1, 1, (3, 3)), k=5, radius=0.3)
 
     def test_radius_drops_far_neighbors(self):

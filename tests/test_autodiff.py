@@ -64,6 +64,19 @@ class TestSoftmax:
         w = constant(rng.standard_normal((3, 4)))
         check_grads(lambda: ad.sum_all(ad.mul(ad.softmax(x, axis=1), w)), {"x": x}, tol=1e-4)
 
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_bitwise_equal_to_textbook_formula(self, rng, axis):
+        # exp(x - max) / sum and s * (g - sum(g s)), one temporary each.
+        x = rng.standard_normal((6, 9)) * 20
+        g = rng.standard_normal((6, 9))
+        e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+        s = e / np.sum(e, axis=axis, keepdims=True)
+        p = parameter(x)
+        out = ad.softmax(p, axis=axis)
+        backward(ad.sum_all(ad.mul(out, constant(g))))
+        np.testing.assert_array_equal(out.data, s)
+        np.testing.assert_array_equal(p.grad, s * (g - np.sum(g * s, axis=axis, keepdims=True)))
+
 
 class TestLogSoftmax:
     def test_matches_log_of_softmax(self, rng):
@@ -236,6 +249,41 @@ class TestStopGradient:
         y.grad = None
         fd = central_difference(lambda: ad.sum_all(ad.mul(ad.stop_gradient(x), y)), y)
         assert relative_error(x.data, fd) < 1e-6
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self, rng):
+        a = parameter(rng.standard_normal((3, 4)))
+        b = parameter(rng.standard_normal((4, 2)))
+        with ad.no_grad():
+            out = ad.softmax(ad.matmul(a, b), axis=1)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        np.testing.assert_array_equal(out.data, ad.softmax(ad.matmul(a, b), axis=1).data)
+
+    def test_state_restored_after_nesting(self, rng):
+        a = parameter(rng.standard_normal(3))
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.scale(a, 2.0).requires_grad
+        assert ad.scale(a, 2.0).requires_grad
+
+    def test_state_restored_after_exception(self, rng):
+        a = parameter(rng.standard_normal(3))
+        with pytest.raises(ShapeError):
+            with ad.no_grad():
+                ad.add(a, constant(np.zeros(4)))
+        grads = backward(ad.sum_all(ad.scale(a, 2.0)))
+        np.testing.assert_array_equal(grads[a], np.full(3, 2.0))
+
+    def test_graph_built_outside_still_backpropagates(self, rng):
+        a = parameter(rng.standard_normal(3))
+        loss = ad.sum_all(ad.mul(a, a))
+        with ad.no_grad():
+            ad.sum_all(ad.mul(a, a))
+            grads = backward(loss)
+        np.testing.assert_array_equal(grads[a], 2 * a.data)
 
 
 class TestBackward:

@@ -237,6 +237,45 @@ class TestModelStructure:
         np.testing.assert_array_equal(clone.forward(episode, train=False).logits.data,
                                       model.forward(episode, train=False).logits.data)
 
+    def test_load_empty_checkpoint_rejected(self):
+        with pytest.raises(ConfigurationError, match="running_var"):
+            SegModel(tiny_config(), "fused").load_state_dict({})
+
+    @pytest.mark.parametrize("key", ["geo.lift_w", "arb.bn_state.running_mean"])
+    def test_load_checkpoint_missing_key_rejected(self, key):
+        model = SegModel(tiny_config(), "decoupled")
+        state = model.state_dict()
+        del state[key]
+        with pytest.raises(ConfigurationError, match=key):
+            model.load_state_dict(state)
+
+    def test_failed_load_writes_nothing(self):
+        cfg = tiny_config()
+        model = SegModel(cfg, "decoupled")
+        before = model.state_dict()
+        state = {name: arr + 1.0 for name, arr in SegModel(cfg, "decoupled").state_dict().items()}
+        last = list(model.parameters())[-1]
+        state[last] = np.zeros(state.pop(last).size + 1)  # now the last key
+        with pytest.raises(ConfigurationError, match=last):
+            model.load_state_dict(state)
+        after = model.state_dict()
+        assert list(after) == list(before)
+        assert all(np.array_equal(after[name], before[name]) for name in before)
+
+
+class TestPredict:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_argmax_of_forward(self, mode, pool):
+        model = SegModel(tiny_config(), mode)
+        _, novel = fold_classes(0)
+        for seed in range(3):
+            ep = sample_episode(pool, 1, 1, seed=seed, candidate_classes=novel)
+            logits = model.forward(ep, train=False).logits
+            assert logits.requires_grad
+            np.testing.assert_array_equal(model.predict(ep), np.argmax(logits.data, axis=1))
+        assert all(p.grad is None for p in model.parameters().values())
+        assert model.forward(ep, train=False).logits.requires_grad  # graph mode is back
+
 
 class TestTrainEpisode:
     def test_deterministic_records(self, pool):

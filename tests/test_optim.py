@@ -100,3 +100,35 @@ def test_descends_quadratic():
         opt.step()
         opt.zero_grad()
     assert abs(p.data[0]) < 0.05
+
+
+def test_in_place_step_matches_out_of_place_formula_bitwise():
+    # Tensors of several sizes share the work buffers; one sits out a step.
+    rng = np.random.default_rng(0)
+    shapes = {"big": (7, 5), "row": (5,), "scalar": ()}
+    params = {n: parameter(rng.standard_normal(s), name=n) for n, s in shapes.items()}
+    opt = AdamW(params, lr=0.01, weight_decay=0.1)
+    ref = {n: [p.data.copy(), np.zeros(shapes[n]), np.zeros(shapes[n]), 0] for n, p in params.items()}
+    for step in range(4):
+        for n, p in params.items():
+            p.grad = None if (n == "row" and step == 1) else rng.standard_normal(shapes[n])
+            if p.grad is None:
+                continue
+            x, m, v, t = ref[n]
+            t += 1
+            m = opt.beta1 * m + (1.0 - opt.beta1) * p.grad
+            v = opt.beta2 * v + (1.0 - opt.beta2) * p.grad * p.grad
+            x = x - opt.lr * opt.weight_decay * x
+            x = x - opt.lr * (m / (1.0 - opt.beta1**t)) / (np.sqrt(v / (1.0 - opt.beta2**t)) + opt.eps)
+            ref[n] = [x, m, v, t]
+        grads = {n: None if p.grad is None else p.grad.copy() for n, p in params.items()}
+        opt.step()
+        for n, p in params.items():
+            x, m, v, t = ref[n]
+            np.testing.assert_array_equal(p.data, x)
+            np.testing.assert_array_equal(opt.state[n].first_moment, m)
+            np.testing.assert_array_equal(opt.state[n].second_moment, v)
+            assert opt.state[n].step_count == t
+            if grads[n] is not None:
+                np.testing.assert_array_equal(p.grad, grads[n])
+        opt.zero_grad()

@@ -91,11 +91,21 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.nd
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.
+
+    A first gradient is copied, because ``g`` may be shared with another
+    parent or be a view, unless the caller passes ``owned=True`` for a
+    temporary nothing else holds; even then only a C-contiguous float64
+    array is kept as it is."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, order="C")  # a copy: g may be shared
+        if (owned and isinstance(g, np.ndarray) and g.dtype == np.float64
+                and g.flags.c_contiguous):
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=np.float64, order="C")
     else:
         t.grad += g
 
@@ -112,9 +122,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, g @ b.data.T)
+            _accum(a, g @ b.data.T, owned=True)
         if b.requires_grad:
-            _accum(b, a.data.T @ g)
+            _accum(b, a.data.T @ g, owned=True)
 
     return _node(out_data, (a, b), backward)
 
@@ -144,9 +154,81 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     def backward(g: np.ndarray) -> None:
         t = g - np.sum(g * s, axis=axis, keepdims=True)
         t *= s
-        _accum(x, t)
+        _accum(x, t, owned=True)
 
     return _node(s, (x,), backward)
+
+
+ATTENTION_TILE_ROWS = 320
+
+
+def attention(q: Tensor, k_t: Tensor, v: Tensor, c: float = 1.0) -> Tensor:
+    """``softmax(c * q @ k_t, axis=1) @ v``, ``ATTENTION_TILE_ROWS`` query rows at a time.
+
+    The ``[n, m]`` score matrix is never held whole: each tile of rows is
+    scored, normalised and mixed on its own, and a recorded graph keeps only
+    the softmax tiles. Every tile repeats the operations of the chain
+    ``matmul, scale, softmax, matmul`` in that chain's order, so a query of
+    at most ``ATTENTION_TILE_ROWS`` rows gets that chain's exact bits, in the
+    forward pass and in every gradient.
+    """
+    if (q.data.ndim != 2 or k_t.data.ndim != 2 or v.data.ndim != 2
+            or q.shape[1] != k_t.shape[0] or k_t.shape[1] != v.shape[0]):
+        raise ShapeError(f"attention requires [n,k] x [k,m] x [m,d], got "
+                         f"{q.shape} x {k_t.shape} x {v.shape}")
+    c = float(c)
+    n = q.shape[0]
+    rows = [slice(lo, lo + ATTENTION_TILE_ROWS) for lo in range(0, n, ATTENTION_TILE_ROWS)]
+    # Tiles are kept only for a graph that will be recorded, so a forward pass
+    # without one holds a single tile at a time.
+    record = _grad_enabled and (q.requires_grad or k_t.requires_grad or v.requires_grad)
+    tiles = []
+    out_data = np.empty((n, v.shape[1]))
+    for r in rows:
+        s = q.data[r] @ k_t.data
+        if c != 1.0:
+            s *= c
+        s -= np.max(s, axis=1, keepdims=True)
+        np.exp(s, out=s)
+        s /= np.sum(s, axis=1, keepdims=True)
+        np.matmul(s, v.data, out=out_data[r])
+        if record:
+            tiles.append(s)
+
+    def backward(g: np.ndarray) -> None:
+        gq = np.empty_like(q.data) if q.requires_grad else None
+        gk = gv = None
+        for r, s in zip(rows, tiles):
+            gr = g[r]
+            if v.requires_grad:
+                p = s.T @ gr
+                if gv is None:
+                    gv = p
+                else:
+                    gv += p
+            if not (q.requires_grad or k_t.requires_grad):
+                continue
+            t = gr @ v.data.T  # the gradient of this tile's softmax output
+            t -= np.sum(t * s, axis=1, keepdims=True)
+            t *= s
+            if c != 1.0:
+                t *= c
+            if gq is not None:
+                np.matmul(t, k_t.data.T, out=gq[r])
+            if k_t.requires_grad:
+                p = q.data[r].T @ t
+                if gk is None:
+                    gk = p
+                else:
+                    gk += p
+        if gv is not None:
+            _accum(v, gv, owned=True)
+        if gq is not None:
+            _accum(q, gq, owned=True)
+        if gk is not None:
+            _accum(k_t, gk, owned=True)
+
+    return _node(out_data, (q, k_t, v), backward)
 
 
 def log_softmax(x: Tensor, axis: int) -> Tensor:
@@ -158,7 +240,7 @@ def log_softmax(x: Tensor, axis: int) -> Tensor:
     s = np.exp(out_data)
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, g - s * np.sum(g, axis=axis, keepdims=True))
+        _accum(x, g - s * np.sum(g, axis=axis, keepdims=True), owned=True)
 
     return _node(out_data, (x,), backward)
 
@@ -172,20 +254,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     d = x.shape[1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match d={d}")
-    mu = np.mean(x.data, axis=1, keepdims=True)
-    var = np.var(x.data, axis=1, keepdims=True)
+    # np.var's own steps on the one centred copy, so the bits are np.var's.
+    xhat = x.data - np.mean(x.data, axis=1, keepdims=True)
+    var = np.sum(xhat * xhat, axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * gamma.data + beta.data
+    xhat *= inv
+    out_data = xhat * gamma.data
+    out_data += beta.data
 
     def backward(g: np.ndarray) -> None:
-        _accum(gamma, np.sum(g * xhat, axis=0))
-        _accum(beta, np.sum(g, axis=0))
+        _accum(gamma, np.sum(g * xhat, axis=0), owned=True)
+        _accum(beta, np.sum(g, axis=0), owned=True)
         if x.requires_grad:
             dxhat = g * gamma.data
             m1 = np.mean(dxhat, axis=1, keepdims=True)
             m2 = np.mean(dxhat * xhat, axis=1, keepdims=True)
-            _accum(x, inv * (dxhat - m1 - xhat * m2))
+            _accum(x, inv * (dxhat - m1 - xhat * m2), owned=True)
 
     return _node(out_data, (x, gamma, beta), backward)
 
@@ -215,29 +299,31 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mo
         if t < 2:
             raise DegenerateBatchError(f"batch_norm train mode needs >= 2 rows, got {t}")
         mu = np.mean(x.data, axis=0)
-        var = np.var(x.data, axis=0)
+        xhat = x.data - mu
+        var = np.sum(xhat * xhat, axis=0) / t  # np.var's steps, as in layer_norm
         m = state.momentum
         state.running_mean = (1.0 - m) * state.running_mean + m * mu
         state.running_var = (1.0 - m) * state.running_var + m * var
     else:
-        mu = state.running_mean
+        xhat = x.data - state.running_mean
         var = state.running_var
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * gamma.data + beta.data
+    xhat *= inv
+    out_data = xhat * gamma.data
+    out_data += beta.data
 
     def backward(g: np.ndarray) -> None:
-        _accum(gamma, np.sum(g * xhat, axis=0))
-        _accum(beta, np.sum(g, axis=0))
+        _accum(gamma, np.sum(g * xhat, axis=0), owned=True)
+        _accum(beta, np.sum(g, axis=0), owned=True)
         if x.requires_grad:
             dxhat = g * gamma.data
             if mode == "train":
                 m1 = np.mean(dxhat, axis=0)
                 m2 = np.mean(dxhat * xhat, axis=0)
-                _accum(x, inv * (dxhat - m1 - xhat * m2))
+                _accum(x, inv * (dxhat - m1 - xhat * m2), owned=True)
             else:
-                _accum(x, dxhat * inv)
+                _accum(x, dxhat * inv, owned=True)
 
     return _node(out_data, (x, gamma, beta), backward)
 
@@ -251,7 +337,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, g * mask)
+        _accum(x, g * mask, owned=True)
 
     return _node(np.where(mask, x.data, 0.0), (x,), backward)
 
@@ -262,7 +348,7 @@ def sigmoid(x: Tensor) -> Tensor:
                  np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, g * s * (1.0 - s))
+        _accum(x, g * s * (1.0 - s), owned=True)
 
     return _node(s, (x,), backward)
 
@@ -273,7 +359,7 @@ def safe_log(x: Tensor, floor: float = 1e-12) -> Tensor:
     above = x.data > floor
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, np.where(above, g / clipped, 0.0))
+        _accum(x, np.where(above, g / clipped, 0.0), owned=True)
 
     return _node(np.log(clipped), (x,), backward)
 
@@ -298,7 +384,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         _accum(a, g)
-        _accum(b, -g)
+        _accum(b, -g, owned=True)
 
     return _node(a.data - b.data, (a, b), backward)
 
@@ -308,9 +394,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, g * b.data)
+            _accum(a, g * b.data, owned=True)
         if b.requires_grad:
-            _accum(b, g * a.data)
+            _accum(b, g * a.data, owned=True)
 
     return _node(a.data * b.data, (a, b), backward)
 
@@ -319,7 +405,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, g * c)
+        _accum(x, g * c, owned=True)
 
     return _node(x.data * c, (x,), backward)
 
@@ -331,7 +417,7 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         _accum(x, g)
-        _accum(v, np.sum(g, axis=0))
+        _accum(v, np.sum(g, axis=0), owned=True)
 
     return _node(x.data + v.data, (x, v), backward)
 
@@ -342,8 +428,8 @@ def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"mul_rowvec requires [t,d] * [d], got {x.shape} and {v.shape}")
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, g * v.data)
-        _accum(v, np.sum(g * x.data, axis=0))
+        _accum(x, g * v.data, owned=True)
+        _accum(v, np.sum(g * x.data, axis=0), owned=True)
 
     return _node(x.data * v.data, (x, v), backward)
 
@@ -388,14 +474,14 @@ def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
     def backward(g: np.ndarray) -> None:
         full = np.zeros_like(x.data)
         full[:, lo:hi] = g
-        _accum(x, full)
+        _accum(x, full, owned=True)
 
     return _node(x.data[:, lo:hi].copy(), (x,), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
-        _accum(x, np.full_like(x.data, float(g)))
+        _accum(x, np.full_like(x.data, float(g)), owned=True)
 
     return _node(np.asarray(np.sum(x.data)), (x,), backward)
 
@@ -406,7 +492,7 @@ def sum_rows(x: Tensor) -> Tensor:
         raise ShapeError(f"sum_rows expects a matrix, got shape {x.shape}")
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, np.broadcast_to(g, x.shape).copy())
+        _accum(x, np.broadcast_to(g, x.shape).copy(), owned=True)
 
     return _node(np.sum(x.data, axis=0), (x,), backward)
 
@@ -437,12 +523,12 @@ def cosine_rows(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
             da = gd @ b.data
             corr = np.sum(g * c, axis=1, keepdims=True) * a.data / (ca**2)[:, None]
             da -= np.where((na > eps)[:, None], corr, 0.0)
-            _accum(a, da)
+            _accum(a, da, owned=True)
         if b.requires_grad:
             db = gd.T @ a.data
             corr = np.sum(g * c, axis=0)[:, None] * b.data / (cb**2)[:, None]
             db -= np.where((nb > eps)[:, None], corr, 0.0)
-            _accum(b, db)
+            _accum(b, db, owned=True)
 
     return _node(c, (a, b), backward)
 

@@ -53,9 +53,7 @@ def mhsa(x: Tensor, attn: AttentionParams) -> Tensor:
         q = ad.matmul(x, attn.wq[h])
         k = ad.matmul(x, attn.wk[h])
         v = ad.matmul(x, attn.wv[h])
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt)
-        weights = ad.softmax(scores, axis=1)
-        heads.append(ad.matmul(weights, v))
+        heads.append(ad.attention(q, ad.transpose(k), v, inv_sqrt))
     stacked = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
     return ad.matmul(stacked, attn.wo)
 
@@ -112,8 +110,7 @@ def _lifted_attention(corr: Tensor, params: ExpertParams) -> Tensor:
         k = ad.matmul(lift, attn.wk[h])
         v = ad.matmul(lift, attn.wv[h])
         core = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh))  # [r, r]
-        scores = ad.matmul(ad.matmul(c1, core), c1_t)  # [N, N]
-        mixed.append(ad.matmul(ad.softmax(scores, axis=1), c1))  # [N, r]
+        mixed.append(ad.attention(ad.matmul(c1, core), c1_t, c1))  # [N, r]
         # Row block h of blockdiag(L'W_v,h): L'W_v,h in head h's columns.
         value_blocks.append(ad.concat([constant(np.zeros((r, h * dh))), v,
                                        constant(np.zeros((r, (attn.heads - 1 - h) * dh)))],

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dafss import autodiff as ad
 from dafss.autodiff import BatchNormState, Tensor, backward, constant, parameter
 from dafss.errors import DegenerateBatchError, GraphError, ShapeError
+from dafss.scenes import SceneConfig
 
 from conftest import central_difference, check_grads, relative_error
 
@@ -76,6 +77,87 @@ class TestSoftmax:
         backward(ad.sum_all(ad.mul(out, constant(g))))
         np.testing.assert_array_equal(out.data, s)
         np.testing.assert_array_equal(p.grad, s * (g - np.sum(g * s, axis=axis, keepdims=True)))
+
+
+def attention_chain(q, k_t, v, c):
+    """The per-head chain that ``attention`` replaces, op by op."""
+    scores = ad.matmul(q, k_t)
+    if c != 1.0:
+        scores = ad.scale(scores, c)
+    return ad.matmul(ad.softmax(scores, axis=1), v)
+
+
+class TestAttention:
+    @staticmethod
+    def run(op, tensors, w, *args):
+        for t in tensors:
+            t.grad = None
+        out = op(*args)
+        backward(ad.sum_all(ad.mul(out, w)))
+        return [out.data] + [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("c", [1.0, 0.25, 1.0 / np.sqrt(3)])
+    @pytest.mark.parametrize("n", [1, 17, ad.ATTENTION_TILE_ROWS])
+    def test_one_tile_bitwise_equal_to_chain(self, n, c):
+        rng = np.random.default_rng([n, int(1000 * c)])
+        q = parameter(rng.standard_normal((n, 5)) * 3)
+        k_t = parameter(rng.standard_normal((5, n)) * 3)
+        v = parameter(rng.standard_normal((n, 4)))
+        w = constant(rng.standard_normal((n, 4)))
+        got = self.run(ad.attention, (q, k_t, v), w, q, k_t, v, c)
+        ref = self.run(attention_chain, (q, k_t, v), w, q, k_t, v, c)
+        for what, a, b in zip(("out", "q", "k_t", "v"), got, ref):
+            assert a.tobytes() == b.tobytes(), what
+
+    @pytest.mark.parametrize("c", [1.0, 0.7])
+    @pytest.mark.parametrize("n", [1, 7, 10])
+    def test_several_tiles_match_chain_and_finite_differences(self, monkeypatch, n, c):
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ROWS", 3)
+        rng = np.random.default_rng([n, int(10 * c)])
+        # k_t and v from one shared tensor, as the experts' factored attention builds them.
+        x = parameter(rng.standard_normal((n, 3)))
+        core = parameter(rng.standard_normal((3, 3)))
+        w = constant(rng.standard_normal((n, 3)))
+
+        def loss(op):
+            return ad.sum_all(ad.mul(op(ad.matmul(x, core), ad.transpose(x), x, c), w))
+
+        def run(op):
+            x.grad = core.grad = None
+            value = loss(op)
+            backward(value)
+            return value.data, x.grad, core.grad
+
+        for what, a, b in zip(("loss", "x", "core"), run(ad.attention), run(attention_chain)):
+            assert relative_error(a, b) <= 1e-12, what
+        check_grads(lambda: loss(ad.attention), {"x": x, "core": core}, tol=1e-6)
+
+    def test_recorded_graph_keeps_only_softmax_tiles(self, monkeypatch, rng):
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ROWS", 3)
+        q = parameter(rng.standard_normal((7, 2)))
+        k_t = constant(rng.standard_normal((2, 5)))
+        v = constant(rng.standard_normal((5, 4)))
+        out = ad.attention(q, k_t, v)
+        cells = dict(zip(out._backward.__code__.co_freevars,
+                         (cell.cell_contents for cell in out._backward.__closure__)))
+        assert [s.shape for s in cells["tiles"]] == [(3, 5), (3, 5), (1, 5)]
+        np.testing.assert_allclose(np.sum(np.vstack(cells["tiles"]), axis=1), 1.0, atol=1e-15)
+        with ad.no_grad():
+            out = ad.attention(q, k_t, v)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\) x \(2, 4\)"):
+            ad.attention(constant(np.zeros((2, 3))), constant(np.zeros((2, 4))),
+                         constant(np.zeros((4, 1))))
+
+    def test_default_scenes_fit_one_tile(self):
+        # Every query of the default scene size runs as one tile, so training
+        # keeps the exact arithmetic of the unfused chain.
+        cfg = SceneConfig()
+        most_objects = cfg.plane_count[1] + cfg.box_count[1] + cfg.cylinder_count[1]
+        assert most_objects * cfg.points_per_object[1] <= ad.ATTENTION_TILE_ROWS
 
 
 class TestLogSoftmax:
@@ -156,6 +238,50 @@ class TestBatchNorm:
             return ad.sum_all(ad.mul(ad.batch_norm(x, gamma, beta, state, "train"), w))
 
         check_grads(make_loss, {"x": x, "gamma": gamma, "beta": beta}, tol=1e-4)
+
+
+def norm_reference(x, gamma, beta, g, axis, stats=None):
+    """Forward and gradients by the np.var formula, stats from ``x`` unless given."""
+    mu, var = stats if stats is not None else (np.mean(x, axis=axis, keepdims=True),
+                                               np.var(x, axis=axis, keepdims=True))
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mu) * inv
+    dxhat = g * gamma
+    if stats is None:
+        m1 = np.mean(dxhat, axis=axis, keepdims=True)
+        m2 = np.mean(dxhat * xhat, axis=axis, keepdims=True)
+        gx = inv * (dxhat - m1 - xhat * m2)
+    else:
+        gx = dxhat * inv
+    return xhat * gamma + beta, gx, np.sum(g * xhat, axis=0), np.sum(g, axis=0)
+
+
+class TestNormsBitwise:
+    @pytest.mark.parametrize("shape", [(2, 5), (4, 3), (9, 16), (37, 64)])
+    @pytest.mark.parametrize("kind", ["layer", "batch_train", "batch_eval"])
+    def test_forward_and_gradients_equal_np_var_formula(self, kind, shape):
+        rng = np.random.default_rng(list(shape))
+        x0 = rng.standard_normal(shape) * 3 + 1
+        g0, b0, up = (rng.standard_normal(shape[1]), rng.standard_normal(shape[1]),
+                      rng.standard_normal(shape))
+        x, gamma, beta = parameter(x0), parameter(g0), parameter(b0)
+        if kind == "layer":
+            out = ad.layer_norm(x, gamma, beta)
+            ref = norm_reference(x0, g0, b0, up, axis=1)
+        else:
+            state = BatchNormState(shape[1])
+            state.running_mean = rng.standard_normal(shape[1])
+            state.running_var = rng.uniform(0.5, 2.0, shape[1])
+            stats = (state.running_mean, state.running_var) if kind == "batch_eval" else None
+            ref = norm_reference(x0, g0, b0, up, axis=0, stats=stats)
+            running_var = 0.9 * state.running_var + 0.1 * np.var(x0, axis=0)
+            out = ad.batch_norm(x, gamma, beta, state, kind.split("_")[1])
+            if kind == "batch_train":
+                assert state.running_var.tobytes() == running_var.tobytes()
+        backward(ad.sum_all(ad.mul(out, constant(up))))
+        for what, a, b in zip(("out", "x", "gamma", "beta"),
+                              (out.data, x.grad, gamma.grad, beta.grad), ref):
+            assert a.tobytes() == b.tobytes(), what
 
 
 class TestElementwise:
@@ -342,6 +468,22 @@ class TestBackward:
         s = parameter(1.0)  # g * c of a 0-d g is a numpy scalar, not an array
         backward(ad.scale(s, 2.0))
         assert isinstance(s.grad, np.ndarray) and s.grad.shape == () and s.grad == 2.0
+
+    def test_add_gives_each_leaf_its_own_gradient(self, rng):
+        a = parameter(rng.standard_normal((2, 3)))
+        b = parameter(rng.standard_normal((2, 3)))
+        w = rng.standard_normal((2, 3))
+        backward(ad.sum_all(ad.mul(ad.add(a, b), constant(w))))
+        assert a.grad is not b.grad
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, w)
+        np.testing.assert_array_equal(a.grad, w + 1.0)
+
+    def test_add_of_one_leaf_twice_gives_twice_the_gradient(self, rng):
+        x = parameter(rng.standard_normal((2, 3)))
+        w = rng.standard_normal((2, 3))
+        backward(ad.sum_all(ad.mul(ad.add(x, x), constant(w))))
+        np.testing.assert_array_equal(x.grad, 2 * w)
 
     def test_second_backward_through_shared_subgraph(self):
         # d/dw sum(3w) + d/dw sum(1 * 3w) = 3 + 3; the first loss's

@@ -3,7 +3,7 @@ import pytest
 
 from dafss.autodiff import parameter
 from dafss.errors import NumericError
-from dafss.optim import AdamW
+from dafss.optim import ADAMW_BLOCK, AdamW
 
 
 def test_zero_grad_zero_decay_is_fixed_point():
@@ -103,9 +103,10 @@ def test_descends_quadratic():
 
 
 def test_in_place_step_matches_out_of_place_formula_bitwise():
-    # Tensors of several sizes share the work buffers; one sits out a step.
+    # Tensors of several sizes share the work buffers; one sits out a step,
+    # and one spans four blocks, the last of them partly filled.
     rng = np.random.default_rng(0)
-    shapes = {"big": (7, 5), "row": (5,), "scalar": ()}
+    shapes = {"blocks": (3, ADAMW_BLOCK // 2 + 7, 2), "big": (7, 5), "row": (5,), "scalar": ()}
     params = {n: parameter(rng.standard_normal(s), name=n) for n, s in shapes.items()}
     opt = AdamW(params, lr=0.01, weight_decay=0.1)
     ref = {n: [p.data.copy(), np.zeros(shapes[n]), np.zeros(shapes[n]), 0] for n, p in params.items()}

@@ -41,16 +41,10 @@ class ArbitrationParams:
     gate_w: Tensor  # [d_guid, d_arb]
     gate_b: Tensor
     layers: list  # after the tensors: parameter order follows field order
-    d_arb: int
-    d_bg: int
 
 
 def init_arbitration(rng: np.random.Generator, d_in: int, d_arb: int, d_guid: int,
                      n_layers: int, heads: int, d_bg: int) -> ArbitrationParams:
-    if n_layers < 1:
-        raise ConfigurationError(f"need at least one arbitration layer, got {n_layers}")
-    if not 0 < d_bg < d_arb:
-        raise ConfigurationError(f"background partition {d_bg} must lie inside token dim {d_arb}")
     layers = []
     for i in range(n_layers):
         layers.append(ArbitrationLayerParams(
@@ -70,8 +64,6 @@ def init_arbitration(rng: np.random.Generator, d_in: int, d_arb: int, d_guid: in
         layers=layers,
         gate_w=parameter(rng.normal(0, 1.0 / np.sqrt(d_guid), (d_guid, d_arb)), name="arb.gate_w"),
         gate_b=parameter(np.zeros(d_arb), name="arb.gate_b"),
-        d_arb=d_arb,
-        d_bg=d_bg,
     )
 
 
@@ -88,12 +80,13 @@ def merge_features(r_geo: Tensor, r_sem: Tensor | None, params: ArbitrationParam
     return ad.relu(ad.add_rowvec(ad.matmul(normed, params.conv_w), params.conv_b))
 
 
-def inject_background_guidance(r: Tensor, g_base: Tensor,
-                               layer: ArbitrationLayerParams, d_bg: int) -> Tensor:
+def inject_background_guidance(r: Tensor, g_base: Tensor, layer: ArbitrationLayerParams) -> Tensor:
     """Rewrite the background channel partition from base-class guidance.
 
-    The foreground partition is copied through bitwise unchanged."""
+    The partition is the first ``len(layer.inject_b)`` channels; the
+    foreground partition is copied through bitwise unchanged."""
     n, d = r.shape
+    d_bg = layer.inject_b.shape[0]
     bg = ad.slice_cols(r, 0, d_bg)
     fg = ad.slice_cols(r, d_bg, d)
     guid = constant(np.tile(g_base.data, (n, 1)))
@@ -110,7 +103,7 @@ def arbitration_layer(r_in: Tensor, layer: ArbitrationLayerParams) -> Tensor:
 def arbitrate(r: Tensor, g_base: Tensor, params: ArbitrationParams) -> Tensor:
     """Guidance injection followed by attention, repeated per stacked layer."""
     for layer in params.layers:
-        r = arbitration_layer(inject_background_guidance(r, g_base, layer, params.d_bg), layer)
+        r = arbitration_layer(inject_background_guidance(r, g_base, layer), layer)
     return r
 
 
@@ -120,7 +113,7 @@ def semantic_gate(r_arb: Tensor, g_q: Tensor, params: ArbitrationParams) -> Tens
     A pure magnitude modulation: every channel grows by a factor in (1, 2)."""
     z = ad.sigmoid(ad.add_rowvec(ad.matmul(g_q, params.gate_w), params.gate_b))
     gate = ad.scale(ad.sum_rows(z), 1.0 / g_q.shape[0])
-    multiplier = ad.add(gate, constant(np.ones(params.d_arb)))
+    multiplier = ad.add(gate, constant(np.ones(params.gate_b.shape[0])))
     return ad.mul_rowvec(r_arb, multiplier)
 
 
@@ -137,12 +130,6 @@ class DecoderParams:
     out_b: Tensor
     k: int
     radius: float
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {self.k}")
-        if self.radius <= 0:
-            raise ConfigurationError(f"radius must be positive, got {self.radius}")
 
 
 def init_decoder(rng: np.random.Generator, d_arb: int, n_classes: int,

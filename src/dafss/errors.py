@@ -41,9 +41,5 @@ class ConfigurationError(ValueError):
     """A structural hyperparameter is inconsistent."""
 
 
-class MonitoringError(RuntimeError):
-    """Gradient norms were requested before gradients exist."""
-
-
 class UndefinedMetricError(ValueError):
     """No foreground class is present, so the metric is undefined."""

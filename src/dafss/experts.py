@@ -17,7 +17,7 @@ import numpy as np
 
 from dafss import autodiff as ad
 from dafss.autodiff import Tensor, constant, parameter
-from dafss.errors import ConfigurationError, ShapeError
+from dafss.errors import ShapeError
 
 
 @dataclass
@@ -26,33 +26,26 @@ class AttentionParams:
     wk: list
     wv: list
     wo: Tensor  # [d, d]
-    heads: int
 
 
 def init_attention(rng: np.random.Generator, d: int, heads: int, prefix: str) -> AttentionParams:
-    if d % heads != 0:
-        raise ConfigurationError(f"model dim {d} not divisible by {heads} heads")
     dh = d // heads
     s = 1.0 / np.sqrt(d)
     wq = [parameter(rng.normal(0, s, (d, dh)), name=f"{prefix}.wq{h}") for h in range(heads)]
     wk = [parameter(rng.normal(0, s, (d, dh)), name=f"{prefix}.wk{h}") for h in range(heads)]
     wv = [parameter(rng.normal(0, s, (d, dh)), name=f"{prefix}.wv{h}") for h in range(heads)]
     wo = parameter(rng.normal(0, s, (d, d)), name=f"{prefix}.wo")
-    return AttentionParams(wq=wq, wk=wk, wv=wv, wo=wo, heads=heads)
+    return AttentionParams(wq=wq, wk=wk, wv=wv, wo=wo)
 
 
 def mhsa(x: Tensor, attn: AttentionParams) -> Tensor:
     """Scaled dot-product self-attention over token rows of [t, d]."""
-    d = x.shape[1]
-    if d % attn.heads != 0:
-        raise ConfigurationError(f"token dim {d} not divisible by {attn.heads} heads")
-    dh = d // attn.heads
-    inv_sqrt = 1.0 / np.sqrt(dh)
+    inv_sqrt = 1.0 / np.sqrt(attn.wq[0].shape[1])
     heads = []
-    for h in range(attn.heads):
-        q = ad.matmul(x, attn.wq[h])
-        k = ad.matmul(x, attn.wk[h])
-        v = ad.matmul(x, attn.wv[h])
+    for wq, wk, wv in zip(attn.wq, attn.wk, attn.wv):
+        q = ad.matmul(x, wq)
+        k = ad.matmul(x, wk)
+        v = ad.matmul(x, wv)
         heads.append(ad.attention(q, ad.transpose(k), v, inv_sqrt))
     stacked = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
     return ad.matmul(stacked, attn.wo)
@@ -67,7 +60,6 @@ class ExpertParams:
     cls_w: Tensor  # [d_model, n_way+1]
     cls_b: Tensor
     attn: AttentionParams  # after the tensors: parameter order follows field order
-    d_model: int
 
 
 def init_expert(rng: np.random.Generator, n_s: int, d_model: int, n_classes: int,
@@ -81,7 +73,6 @@ def init_expert(rng: np.random.Generator, n_s: int, d_model: int, n_classes: int
         ln_beta=parameter(np.zeros(d_model), name=f"{prefix}.ln_beta"),
         cls_w=parameter(rng.normal(0, 1.0 / np.sqrt(d_model), (d_model, n_classes)), name=f"{prefix}.cls_w"),
         cls_b=parameter(np.zeros(n_classes), name=f"{prefix}.cls_b"),
-        d_model=d_model,
     )
 
 
@@ -98,14 +89,13 @@ def _lifted_attention(corr: Tensor, params: ExpertParams) -> Tensor:
     Never forms an ``[N, d]`` projection; see :func:`run_expert`."""
     n, r = corr.shape[0], corr.shape[1] + 1
     attn = params.attn
-    d = params.d_model
-    dh = d // attn.heads
+    heads, d, dh = len(attn.wq), params.lift_w.shape[1], attn.wq[0].shape[1]
     c1 = ad.concat([corr, constant(np.ones((n, 1)))], axis=1)  # C' [N, r]
     c1_t = ad.transpose(c1)
     bias_row = ad.add_rowvec(constant(np.zeros((1, d))), params.lift_b)
     lift = ad.concat([params.lift_w, bias_row], axis=0)  # L' [r, d]
     mixed, value_blocks = [], []
-    for h in range(attn.heads):
+    for h in range(heads):
         q = ad.matmul(lift, attn.wq[h])  # [r, dh]
         k = ad.matmul(lift, attn.wk[h])
         v = ad.matmul(lift, attn.wv[h])
@@ -113,7 +103,7 @@ def _lifted_attention(corr: Tensor, params: ExpertParams) -> Tensor:
         mixed.append(ad.attention(ad.matmul(c1, core), c1_t, c1))  # [N, r]
         # Row block h of blockdiag(L'W_v,h): L'W_v,h in head h's columns.
         value_blocks.append(ad.concat([constant(np.zeros((r, h * dh))), v,
-                                       constant(np.zeros((r, (attn.heads - 1 - h) * dh)))],
+                                       constant(np.zeros((r, (heads - 1 - h) * dh)))],
                                       axis=1))
     out_proj = ad.matmul(ad.concat(value_blocks, axis=0), attn.wo)  # [H*r, d]
     return ad.matmul(ad.concat(mixed, axis=1), out_proj)

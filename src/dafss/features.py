@@ -26,6 +26,10 @@ from dafss.errors import DegenerateSupportError, ShapeError
 from dafss.scenes import Scene
 
 
+IF_CELLS = 64  # rows of the semantic head's positional table
+IF_CELL_SIZE = 2.0  # metres per grid cell hashed into that table
+
+
 @dataclass
 class CorrelationPair:
     geo: Tensor  # [N_q, n_way+1] cosine similarities in the geometric space
@@ -40,21 +44,18 @@ class CorrelationPair:
 class UFHead:
     """Pointwise two-layer MLP: (xyz, texture one-hot) -> geometric feature."""
 
-    def __init__(self, rng: np.random.Generator, n_textures: int, d_out: int = 32,
-                 hidden: int = 64):
+    def __init__(self, rng: np.random.Generator, n_textures: int, d_out: int, hidden: int):
         d_in = 3 + n_textures
         self.w1 = parameter(rng.normal(0, 1.0 / np.sqrt(d_in), (d_in, hidden)), name="uf.w1")
         self.b1 = parameter(np.zeros(hidden), name="uf.b1")
         self.w2 = parameter(rng.normal(0, 1.0 / np.sqrt(hidden), (hidden, d_out)), name="uf.w2")
         self.b2 = parameter(np.zeros(d_out), name="uf.b2")
-        self.n_textures = n_textures
-        self.d_out = d_out
 
 
 def uf_encode(scene: Scene, head: UFHead) -> Tensor:
     """Per-point geometric features, differentiable w.r.t. the head."""
     n = len(scene)
-    onehot = np.zeros((n, head.n_textures))
+    onehot = np.zeros((n, head.w1.shape[0] - 3))  # w1 rows: xyz, then one per texture id
     onehot[np.arange(n), scene.texture] = 1.0
     x = constant(np.hstack([scene.points, onehot]))
     h = ad.relu(ad.add_rowvec(ad.matmul(x, head.w1), head.b1))
@@ -80,34 +81,31 @@ class IFHead:
 
     feature(point) = feature_norm * unit( confusion[texture] @ class_embed
                                           + pos_gain * pos_table[cell(xyz)] )
+
+    ``cell`` hashes the ``IF_CELL_SIZE``-metre grid cell of a point into one
+    of the ``IF_CELLS`` rows of ``pos_table``.
     """
 
-    def __init__(self, rng: np.random.Generator, n_classes: int, d_out: int = 64,
-                 confusion: np.ndarray | None = None, feature_norm: float = 4.0,
-                 pos_gain: float = 0.25, n_cells: int = 64, cell_size: float = 2.0):
+    def __init__(self, rng: np.random.Generator, n_classes: int, d_out: int,
+                 confusion: np.ndarray, feature_norm: float, pos_gain: float):
         self.class_embed = rng.normal(0, 1.0, (n_classes, d_out))
         self.class_embed /= np.linalg.norm(self.class_embed, axis=1, keepdims=True)
-        if confusion is None:
-            confusion = np.eye(n_classes)
         confusion = np.asarray(confusion, dtype=np.float64)
         if confusion.shape != (n_classes, n_classes):
             raise ShapeError(f"confusion matrix shape {confusion.shape} != ({n_classes},{n_classes})")
         if np.max(np.abs(confusion.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("confusion matrix rows must sum to 1 within 1e-9")
         self.confusion = confusion
-        self.pos_table = rng.normal(0, 1.0, (n_cells, d_out))
+        self.pos_table = rng.normal(0, 1.0, (IF_CELLS, d_out))
         self.pos_table /= np.linalg.norm(self.pos_table, axis=1, keepdims=True)
         self.pos_gain = float(pos_gain)
-        self.cell_size = float(cell_size)
         self.feature_norm = float(feature_norm)
-        self.n_classes = n_classes
-        self.d_out = d_out
 
     def state_arrays(self) -> list[np.ndarray]:
         return [self.class_embed, self.confusion, self.pos_table]
 
     def _cells(self, points: np.ndarray) -> np.ndarray:
-        cells = np.floor(points / self.cell_size).astype(np.int64)
+        cells = np.floor(points / IF_CELL_SIZE).astype(np.int64)
         mixed = cells[:, 0] * 73856093 ^ cells[:, 1] * 19349663 ^ cells[:, 2] * 83492791
         return np.abs(mixed) % len(self.pos_table)
 
@@ -115,12 +113,12 @@ class IFHead:
 def if_encode(scene: Scene, head: IFHead) -> Tensor:
     """Per-point semantic features as a detached constant tensor."""
     t = scene.texture
-    if np.any(t < 0) or np.any(t >= head.n_classes):
-        bad = int(t[(t < 0) | (t >= head.n_classes)][0])
-        raise KeyError(f"texture id {bad} outside the semantic table (0..{head.n_classes - 1})")
+    n_classes = len(head.class_embed)
+    if np.any(t < 0) or np.any(t >= n_classes):
+        bad = int(t[(t < 0) | (t >= n_classes)][0])
+        raise KeyError(f"texture id {bad} outside the semantic table (0..{n_classes - 1})")
     mixed = head.confusion[t] @ head.class_embed
-    if head.pos_gain != 0.0:
-        mixed = mixed + head.pos_gain * head.pos_table[head._cells(scene.points)]
+    mixed = mixed + head.pos_gain * head.pos_table[head._cells(scene.points)]
     norms = np.maximum(np.linalg.norm(mixed, axis=1, keepdims=True), 1e-12)
     return constant(head.feature_norm * mixed / norms)
 
@@ -133,17 +131,16 @@ def if_encode(scene: Scene, head: IFHead) -> Tensor:
 class TextStub:
     """Seeded class-id -> embedding table standing in for a text encoder."""
 
-    def __init__(self, rng: np.random.Generator, n_classes: int, d_out: int = 64):
+    def __init__(self, rng: np.random.Generator, n_classes: int, d_out: int):
         self.table = rng.normal(0, 1.0, (n_classes, d_out))
         self.table /= np.linalg.norm(self.table, axis=1, keepdims=True)
-        self.n_classes = n_classes
 
     def state_arrays(self) -> list[np.ndarray]:
         return [self.table]
 
     def lookup(self, class_id: int) -> np.ndarray:
-        if not 0 <= class_id < self.n_classes:
-            raise KeyError(f"class id {class_id} outside the embedding table (0..{self.n_classes - 1})")
+        if not 0 <= class_id < len(self.table):
+            raise KeyError(f"class id {class_id} outside the embedding table (0..{len(self.table) - 1})")
         return self.table[class_id]
 
 

@@ -28,7 +28,6 @@ from dafss.autodiff import Tensor, parameter
 from dafss.errors import ConfigurationError
 from dafss.experts import ExpertOutput, init_expert, run_expert
 from dafss.features import (
-    CorrelationPair,
     IFHead,
     TextStub,
     UFHead,
@@ -69,8 +68,12 @@ def named_parameters(obj) -> dict[str, Tensor]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """Every structural hyperparameter, validated once at construction.
+
+    Frozen, so a built config cannot be changed past its checks."""
+
     n_classes: int = 10
     base_class_ids: tuple = tuple(range(6))
     n_way: int = 1
@@ -89,6 +92,28 @@ class ModelConfig:
     if_pos_gain: float = 0.25
     seed: int = 0
 
+    def __post_init__(self):
+        """Reject an inconsistent structure before any parameter is drawn."""
+
+        def need(ok: bool, field: str, rule: str) -> None:
+            if not ok:
+                raise ConfigurationError(f"{field} = {getattr(self, field)!r}: {rule}")
+
+        need(self.heads >= 1, "heads", "need at least one attention head")
+        for field in ("d_geo", "d_sem", "d_arb"):
+            need(getattr(self, field) % self.heads == 0, field,
+                 f"must be divisible by heads = {self.heads}")
+        need(self.sam_layers >= 1, "sam_layers", "need at least one arbitration layer")
+        need(self.d_arb >= 2, "d_arb", "the background partition d_bg needs 0 < d_bg < d_arb")
+        need(self.knn_k >= 1, "knn_k", "need at least one neighbour")
+        need(self.knn_radius > 0, "knn_radius", "must be positive")
+        need(self.n_way >= 1, "n_way", "need at least one way")
+        ids = [int(c) for c in self.base_class_ids]
+        need(len(ids) >= 1, "base_class_ids", "need at least one base class")
+        need(len(set(ids)) == len(ids), "base_class_ids", "must be unique")
+        need(all(0 <= c < self.n_classes for c in ids), "base_class_ids",
+             f"must lie in [0, n_classes = {self.n_classes})")
+
     @property
     def d_bg(self) -> int:
         return max(self.d_arb // 4, 1)
@@ -100,10 +125,7 @@ class ForwardOutput:
     base_logits: Optional[Tensor]  # [N_q, n_base] or None
     proto_loss: Optional[Tensor]
     consist_loss: Optional[Tensor]
-    correlations: CorrelationPair
     geo_out: ExpertOutput
-    sem_out: Optional[ExpertOutput]
-    merged: Tensor
 
 
 class SegModel:
@@ -116,8 +138,7 @@ class SegModel:
         self.mode = mode
         rng = np.random.default_rng([config.seed, MODES.index(mode)])
 
-        n_s = config.n_way + 1
-        n_cls = config.n_way + 1
+        n_out = config.n_way + 1  # background plus one class per way
         self.uf = UFHead(rng, n_textures=config.n_classes, d_out=config.d_uf,
                          hidden=config.uf_hidden)
         self.if_head = IFHead(
@@ -128,12 +149,12 @@ class SegModel:
         self.text = TextStub(rng, n_classes=config.n_classes, d_out=config.d_if)
 
         if mode == "decoupled":
-            self.geo_expert = init_expert(rng, n_s, config.d_geo, n_cls, config.heads, "geo")
-            self.sem_expert = init_expert(rng, n_s, config.d_sem, n_cls, config.heads, "sem")
+            self.geo_expert = init_expert(rng, n_out, config.d_geo, n_out, config.heads, "geo")
+            self.sem_expert = init_expert(rng, n_out, config.d_sem, n_out, config.heads, "sem")
             self.align = init_alignment(rng, config.d_uf, config.d_if)
             merge_in = config.d_geo + config.d_sem
         else:
-            self.geo_expert = init_expert(rng, n_s, config.d_geo, n_cls, config.heads, "fused")
+            self.geo_expert = init_expert(rng, n_out, config.d_geo, n_out, config.heads, "fused")
             self.sem_expert = None
             self.align = None
             merge_in = config.d_geo
@@ -141,7 +162,7 @@ class SegModel:
         self.arb = init_arbitration(rng, d_in=merge_in, d_arb=config.d_arb,
                                     d_guid=config.d_if, n_layers=config.sam_layers,
                                     heads=config.heads, d_bg=config.d_bg)
-        self.decoder = init_decoder(rng, config.d_arb, n_cls,
+        self.decoder = init_decoder(rng, config.d_arb, n_out,
                                     k=config.knn_k, radius=config.knn_radius)
         n_base = len(config.base_class_ids)
         self.base_w = parameter(rng.normal(0, 1.0 / np.sqrt(config.d_arb),
@@ -168,9 +189,6 @@ class SegModel:
     def group_tensors(self, group: str) -> list[Tensor]:
         params = self.parameters()
         return [params[n] for n in self.parameter_groups()[group]]
-
-    def trainable_param_count(self) -> int:
-        return int(sum(p.data.size for p in self.parameters().values()))
 
     def frozen_state(self) -> list[np.ndarray]:
         """Copies of every frozen array, for bit-identity audits."""
@@ -250,7 +268,6 @@ class SegModel:
             merged = merge_features(geo_out.refined, sem_out.refined, self.arb, train)
         else:
             geo_out = run_expert(ad.add(corr.geo, corr.sem), self.geo_expert)
-            sem_out = None
             merged = merge_features(geo_out.refined, None, self.arb, train)
 
         g_base, g_q = text_guidance(self.config.base_class_ids, episode.novel_classes, self.text)
@@ -263,9 +280,7 @@ class SegModel:
             base_logits = ad.add_rowvec(ad.matmul(merged, self.base_w), self.base_b)
 
         return ForwardOutput(logits=logits, base_logits=base_logits,
-                             proto_loss=proto_loss, consist_loss=consist_loss,
-                             correlations=corr, geo_out=geo_out, sem_out=sem_out,
-                             merged=merged)
+                             proto_loss=proto_loss, consist_loss=consist_loss, geo_out=geo_out)
 
     def predict(self, episode: Episode) -> np.ndarray:
         """Per-point class predictions in the episode's {0..n_way} space.

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dafss.autodiff import Tensor
-from dafss.errors import NumericError
+from dafss.errors import ConfigurationError, NumericError
 
 # Elements per block of an update: six blocks of float64 (gradient, two
 # moments, parameter, two work buffers) fit a 2 MB L2 cache.
@@ -37,9 +37,9 @@ class AdamW:
                  weight_decay: float = 0.01, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+            raise ConfigurationError(f"learning rate must be positive, got {lr}")
         if weight_decay < 0:
-            raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
+            raise ConfigurationError(f"weight decay must be non-negative, got {weight_decay}")
         self.params = dict(params)
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)

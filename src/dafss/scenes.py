@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from dafss.errors import CapacityError, SamplingError, SceneParseError
+from dafss.errors import CapacityError, ConfigurationError, SamplingError, SceneParseError
 
 ROOM_HALF = 2.8  # lateral placement bound, meters
 
@@ -44,7 +44,7 @@ def fold_classes(fold: int) -> tuple[list[int], list[int]]:
     elif fold == 1:
         novel = [0, 1, 2, 3]
     else:
-        raise ValueError(f"fold must be 0 or 1, got {fold}")
+        raise ConfigurationError(f"fold must be 0 or 1, got {fold}")
     base = [c for c in range(N_CLASSES) if c not in novel]
     return base, novel
 
@@ -63,9 +63,9 @@ class SceneConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.texture_confusion <= 1.0:
-            raise ValueError(f"texture_confusion must be in [0,1], got {self.texture_confusion}")
+            raise ConfigurationError(f"texture_confusion must be in [0,1], got {self.texture_confusion}")
         if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+            raise ConfigurationError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
 
 
 @dataclass(eq=False)
@@ -142,14 +142,12 @@ def _sample_box(rng, spec, n):
     faces = rng.choice(6, size=n, p=areas / areas.sum())
     u = rng.uniform(-0.5, 0.5, size=n)
     v = rng.uniform(-0.5, 0.5, size=n)
+    sign = 1 - 2 * (faces % 2)  # (-1) ** face
+    x, y, z = faces < 2, (faces >= 2) & (faces < 4), faces >= 4
     pts = np.empty((n, 3))
-    for i, f in enumerate(faces):
-        if f < 2:  # +-x faces
-            pts[i] = ((-1) ** f * ex / 2, u[i] * ey, (v[i] + 0.5) * ez)
-        elif f < 4:  # +-y faces
-            pts[i] = (u[i] * ex, (-1) ** f * ey / 2, (v[i] + 0.5) * ez)
-        else:  # bottom/top
-            pts[i] = (u[i] * ex, v[i] * ey, (f - 4) * ez)
+    pts[x] = np.column_stack([sign[x] * ex / 2, u[x] * ey, (v[x] + 0.5) * ez])  # +-x faces
+    pts[y] = np.column_stack([u[y] * ex, sign[y] * ey / 2, (v[y] + 0.5) * ez])  # +-y faces
+    pts[z] = np.column_stack([u[z] * ex, v[z] * ey, (faces[z] - 4) * ez])  # bottom/top
     pts[:, 0] += cx
     pts[:, 1] += cy
     pts[:, 2] += z0
@@ -335,6 +333,11 @@ def read_scene(path) -> Scene:
             labels[i] = int(parts[4])
         except ValueError:
             raise SceneParseError(3 + i, f"malformed row {row!r}") from None
+        if not np.all(np.isfinite(points[i])):
+            raise SceneParseError(3 + i, f"non-finite coordinate in row {row!r}")
+        for what, value in (("texture", texture[i]), ("label", labels[i])):
+            if not 0 <= value < N_CLASSES:
+                raise SceneParseError(3 + i, f"{what} id {value} outside [0, {N_CLASSES})")
 
     class_set = sorted(set(int(c) for c in labels))
     if len(class_set) != n_classes:

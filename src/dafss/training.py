@@ -9,7 +9,7 @@ import numpy as np
 
 from dafss import autodiff as ad
 from dafss.autodiff import Tensor, backward, constant
-from dafss.errors import MonitoringError, NumericError, UndefinedMetricError
+from dafss.errors import ConfigurationError, NumericError, UndefinedMetricError
 from dafss.metrics import confusion_matrix, miou
 from dafss.model import SegModel
 from dafss.optim import AdamW
@@ -26,7 +26,7 @@ class LossWeights:
 
     def __post_init__(self):
         if min(self.lambda_base, self.lambda_proto, self.lambda_consistency) < 0:
-            raise ValueError("loss weights must be non-negative")
+            raise ConfigurationError("loss weights must be non-negative")
 
 
 @dataclass
@@ -42,17 +42,30 @@ class TrainRecord:
     miou_train: float
 
 
+def _masked_cross_entropy(logits: Tensor, labels: np.ndarray, keep: np.ndarray,
+                          what: str) -> Tensor:
+    """Mean softmax cross-entropy over the points where ``keep`` holds.
+
+    Their labels must lie in ``[0, c)``; with no such point the loss is an
+    exact zero constant."""
+    n, c = logits.shape
+    bad = keep & ((labels < 0) | (labels >= c))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"{what} {int(labels[i])} out of range [0,{c}) at point {i}")
+    m = int(keep.sum())
+    if m == 0:
+        return constant(0.0)
+    onehot = np.zeros((n, c))
+    onehot[keep, labels[keep]] = 1.0
+    picked = ad.mul(ad.log_softmax(logits, axis=1), constant(onehot))
+    return ad.scale(ad.sum_all(picked), -1.0 / m)
+
+
 def seg_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy over query points."""
-    n, c = logits.shape
     labels = np.asarray(labels)
-    for i, v in enumerate(labels):
-        if not 0 <= v < c:
-            raise ValueError(f"label {int(v)} out of range [0,{c}) at point {i}")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    picked = ad.mul(ad.log_softmax(logits, axis=1), constant(onehot))
-    return ad.scale(ad.sum_all(picked), -1.0 / n)
+    return _masked_cross_entropy(logits, labels, np.ones(len(labels), dtype=bool), "label")
 
 
 def base_loss(aux_logits: Optional[Tensor], base_labels: Optional[np.ndarray]) -> Tensor:
@@ -63,18 +76,7 @@ def base_loss(aux_logits: Optional[Tensor], base_labels: Optional[np.ndarray]) -
     if aux_logits is None or base_labels is None:
         return constant(0.0)
     base_labels = np.asarray(base_labels)
-    keep = base_labels >= 0
-    m = int(keep.sum())
-    if m == 0:
-        return constant(0.0)
-    n, c = aux_logits.shape
-    if np.any(base_labels >= c):
-        bad = int(np.argmax(base_labels >= c))
-        raise ValueError(f"base label {int(base_labels[bad])} out of range [0,{c}) at point {bad}")
-    onehot = np.zeros((n, c))
-    onehot[keep, base_labels[keep]] = 1.0
-    picked = ad.mul(ad.log_softmax(aux_logits, axis=1), constant(onehot))
-    return ad.scale(ad.sum_all(picked), -1.0 / m)
+    return _masked_cross_entropy(aux_logits, base_labels, base_labels >= 0, "base label")
 
 
 def total_loss(seg: Tensor, base: Optional[Tensor], proto: Optional[Tensor],
@@ -89,18 +91,15 @@ def total_loss(seg: Tensor, base: Optional[Tensor], proto: Optional[Tensor],
     return total
 
 
-def grad_norm(grad_map: Optional[dict], group: Iterable[Tensor]) -> float:
-    """L2 norm over one parameter group's gradients.
+def grad_norm(tensors: Iterable[Tensor]) -> float:
+    """L2 norm over the ``.grad`` of a parameter group's tensors.
 
-    Parameters the graph never reached contribute zero; calling before any
-    backward pass is an error."""
-    if grad_map is None:
-        raise MonitoringError("gradient norms requested before backward")
+    Tensors the last backward pass never reached hold no gradient and
+    contribute zero."""
     total = 0.0
-    for t in group:
-        g = grad_map.get(t)
-        if g is not None:
-            total += float(np.sum(g * g))
+    for t in tensors:
+        if t.grad is not None:
+            total += float(np.sum(t.grad * t.grad))
     return float(np.sqrt(total))
 
 
@@ -129,9 +128,9 @@ def train_episode(model: SegModel, episode: Episode, optimizer: AdamW,
         if not np.isfinite(total.item()):
             raise NumericError(f"non-finite loss at step {step}: components {components}")
 
-        grad_map = backward(total)
-        gn_uf = grad_norm(grad_map, model.group_tensors("uf"))
-        gn_sem = grad_norm(grad_map, model.group_tensors("sem"))
+        backward(total)
+        gn_uf = grad_norm(model.group_tensors("uf"))
+        gn_sem = grad_norm(model.group_tensors("sem"))
         optimizer.step()
     except NumericError:
         bn.running_mean, bn.running_var = saved_stats

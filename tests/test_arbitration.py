@@ -71,7 +71,7 @@ class TestInjection:
     def test_foreground_untouched_bitwise(self, rng, params):
         r = constant(rng.standard_normal((6, 8)))
         g = constant(rng.standard_normal(6))
-        out = inject_background_guidance(r, g, params.layers[0], d_bg=2)
+        out = inject_background_guidance(r, g, params.layers[0])
         assert out.data[:, 2:].tobytes() == r.data[:, 2:].tobytes()
 
     def test_identity_embedding_is_noop(self, rng, params):
@@ -81,14 +81,14 @@ class TestInjection:
         layer.inject_b.data[:] = 0.0
         r = constant(rng.standard_normal((4, 8)))
         g = constant(rng.standard_normal(6))
-        out = inject_background_guidance(r, g, layer, d_bg=2)
+        out = inject_background_guidance(r, g, layer)
         np.testing.assert_array_equal(out.data, r.data)
 
     def test_matches_concat_matmul_oracle(self, rng, params):
         layer = params.layers[0]
         r = rng.standard_normal((5, 8))
         g = rng.standard_normal(6)
-        out = inject_background_guidance(constant(r), constant(g), layer, d_bg=2).data
+        out = inject_background_guidance(constant(r), constant(g), layer).data
         concat_in = np.hstack([r[:, :2], np.tile(g, (5, 1))])
         manual_bg = concat_in @ layer.inject_w.data + layer.inject_b.data
         manual = np.hstack([manual_bg, r[:, 2:]])
@@ -99,7 +99,7 @@ class TestInjection:
         g = constant(rng.standard_normal(4))
         r = constant(rng.standard_normal((5, 8)))
         for layer in p.layers:
-            injected = inject_background_guidance(r, g, layer, p.d_bg)
+            injected = inject_background_guidance(r, g, layer)
             assert injected.data[:, 2:].tobytes() == r.data[:, 2:].tobytes()
             r = arbitration_layer(injected, layer)
 
@@ -129,7 +129,7 @@ class TestArbitrationLayer:
         stacked = arbitrate(r, g, p).data
         manual = r
         for layer in p.layers:
-            manual = arbitration_layer(inject_background_guidance(manual, g, layer, p.d_bg), layer)
+            manual = arbitration_layer(inject_background_guidance(manual, g, layer), layer)
         np.testing.assert_array_equal(stacked, manual.data)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from dafss import autodiff as ad
 from dafss.autodiff import backward, constant, parameter
-from dafss.errors import ConfigurationError, ShapeError
+from dafss.errors import ShapeError
 from dafss.experts import (
     ExpertOutput,
     init_attention,
@@ -35,10 +35,6 @@ class TestMHSA:
         perm = rng.permutation(5)
         out_p = mhsa(constant(x[perm]), attn).data
         np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
-
-    def test_indivisible_heads_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            init_attention(rng, 6, 4, "t")
 
     def test_gradient(self, rng):
         d, h = 8, 2

@@ -16,7 +16,7 @@ from dafss.features import (
     text_guidance,
     uf_encode,
 )
-from dafss.model import named_parameters
+from dafss.model import ModelConfig, named_parameters
 from dafss.scenes import Scene, SceneConfig, generate_scene
 
 from conftest import check_grads, relative_error
@@ -29,13 +29,21 @@ def make_scene(rng, n=40, n_classes=4):
                  class_set=sorted(set(int(c) for c in labels)), seed=0)
 
 
+def make_if_head(rng, n_classes, d_out, confusion=None, feature_norm=4.0, pos_gain=0.25):
+    """A semantic head with identity confusion unless one is given."""
+    if confusion is None:
+        confusion = np.eye(n_classes)
+    return IFHead(rng, n_classes, d_out, confusion, feature_norm, pos_gain)
+
+
 class TestUFHead:
     def test_output_shape_at_defaults(self, rng):
         scene = generate_scene(SceneConfig(points_per_object=(86, 86), plane_count=(2, 2),
                                            box_count=(2, 2), cylinder_count=(2, 2), seed=1), 0)
-        head = UFHead(rng, n_textures=10)
+        cfg = ModelConfig()
+        head = UFHead(rng, n_textures=cfg.n_classes, d_out=cfg.d_uf, hidden=cfg.uf_hidden)
         out = uf_encode(scene, head)
-        assert out.shape == (len(scene), 32)
+        assert out.shape == (len(scene), cfg.d_uf)
 
     def test_permutation_equivariance(self, rng):
         scene = make_scene(rng)
@@ -61,7 +69,7 @@ class TestUFHead:
 class TestIFHead:
     def test_frozen_no_gradient_path(self, rng):
         scene = make_scene(rng)
-        head = IFHead(rng, n_classes=4, d_out=8)
+        head = make_if_head(rng, n_classes=4, d_out=8)
         feats = if_encode(scene, head)
         assert not feats.requires_grad
         y = parameter(rng.standard_normal(feats.shape))
@@ -70,13 +78,13 @@ class TestIFHead:
 
     def test_feature_norms_scaled(self, rng):
         scene = make_scene(rng)
-        head = IFHead(rng, n_classes=4, d_out=8, feature_norm=4.0)
+        head = make_if_head(rng, n_classes=4, d_out=8, feature_norm=4.0)
         feats = if_encode(scene, head).data
         np.testing.assert_allclose(np.linalg.norm(feats, axis=1), 4.0, atol=1e-9)
 
     def test_identity_confusion_separates_classes(self, rng):
         scene = make_scene(rng, n=60)
-        head = IFHead(rng, n_classes=4, d_out=16, pos_gain=0.25)
+        head = make_if_head(rng, n_classes=4, d_out=16, pos_gain=0.25)
         feats = if_encode(scene, head).data
         unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
         labels = scene.labels
@@ -91,7 +99,7 @@ class TestIFHead:
         scene = make_scene(rng, n=80)
         conf = confusion_matrix_uniform_offdiag(4, off_mass=0.75)  # uniform rows
         np.testing.assert_allclose(conf, np.full((4, 4), 0.25))
-        head = IFHead(rng, n_classes=4, d_out=8, confusion=conf, pos_gain=0.0)
+        head = make_if_head(rng, n_classes=4, d_out=8, confusion=conf, pos_gain=0.0)
         feats = if_encode(scene, head).data
         means = [feats[scene.labels == c].mean(axis=0) for c in range(4)]
         for m in means[1:]:
@@ -100,7 +108,7 @@ class TestIFHead:
     def test_texture_out_of_table(self, rng):
         scene = make_scene(rng)
         scene.texture[0] = 99
-        head = IFHead(rng, n_classes=4, d_out=8)
+        head = make_if_head(rng, n_classes=4, d_out=8)
         with pytest.raises(KeyError, match="99"):
             if_encode(scene, head)
 
@@ -108,12 +116,12 @@ class TestIFHead:
         bad = np.eye(4)
         bad[0, 0] = 0.5
         with pytest.raises(ValueError, match="sum to 1"):
-            IFHead(rng, n_classes=4, confusion=bad)
+            make_if_head(rng, n_classes=4, d_out=8, confusion=bad)
 
     def test_scale_invariance_of_correlations(self, rng):
         # scaling semantic features by a positive constant leaves cosines unchanged
         scene = make_scene(rng, n=10)
-        head = IFHead(rng, n_classes=4, d_out=8)
+        head = make_if_head(rng, n_classes=4, d_out=8)
         feats = if_encode(scene, head).data
         protos = rng.standard_normal((3, 8))
         c1 = ad.cosine_rows(constant(feats), constant(protos)).data
@@ -232,7 +240,7 @@ class TestCorrelations:
     def test_support_points_score_own_class_highest(self, rng):
         # with confusion off, each support point argmaxes on its own class column
         scene = make_scene(rng, n=30, n_classes=3)
-        if_head = IFHead(rng, n_classes=3, d_out=16, pos_gain=0.0)
+        if_head = make_if_head(rng, n_classes=3, d_out=16, pos_gain=0.0)
         feats = if_encode(scene, if_head)
         masks = [scene.labels == 1, scene.labels == 2]
         geo, sem = extract_prototypes(feats, feats, masks)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dafss import autodiff as ad
 from dafss.autodiff import backward, constant
-from dafss.errors import ConfigurationError, MonitoringError, NumericError
+from dafss.errors import ConfigurationError, NumericError
 from dafss.model import MODES, ModelConfig, SegModel, named_parameters
 from dafss.optim import AdamW
 from dafss.scenes import SceneConfig, build_pool, fold_classes, sample_episode
@@ -106,20 +108,69 @@ class TestLosses:
         assert abs((t2 - t1) - 0.2 * 2.0) < 1e-12
 
 
+def seg_loss_reference(logits, labels):
+    """seg_loss as its own formula, before it shared one cross-entropy with base_loss."""
+    n, c = logits.shape
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), labels] = 1.0
+    return ad.scale(ad.sum_all(ad.mul(ad.log_softmax(logits, axis=1), constant(onehot))), -1.0 / n)
+
+
+def base_loss_reference(aux_logits, base_labels):
+    """base_loss as its own formula, before it shared one cross-entropy with seg_loss."""
+    keep = base_labels >= 0
+    n, c = aux_logits.shape
+    onehot = np.zeros((n, c))
+    onehot[keep, base_labels[keep]] = 1.0
+    picked = ad.mul(ad.log_softmax(aux_logits, axis=1), constant(onehot))
+    return ad.scale(ad.sum_all(picked), -1.0 / int(keep.sum()))
+
+
+class TestSharedCrossEntropy:
+    @pytest.mark.parametrize("loss, reference, low", [(seg_loss, seg_loss_reference, 0),
+                                                      (base_loss, base_loss_reference, -1)],
+                             ids=["seg", "base"])
+    @pytest.mark.parametrize("n, c", [(1, 2), (9, 3), (40, 7)])
+    def test_bitwise_equal_to_own_formula(self, loss, reference, low, n, c):
+        rng = np.random.default_rng([n, c, -low])
+        data = rng.standard_normal((n, c)) * 3
+        labels = rng.integers(low, c, n)
+        labels[0] = c - 1  # at least one labelled point
+        results = []
+        for fn in (loss, reference):
+            logits = ad.parameter(data.copy())
+            value = fn(logits, labels)
+            grads = backward(value)
+            results.append((value.data.tobytes(), grads[logits].tobytes()))
+        assert results[0] == results[1]
+
+    def test_base_out_of_range_label_names_point(self):
+        with pytest.raises(ValueError, match="base label 3 out of range \\[0,3\\) at point 2"):
+            base_loss(constant(np.zeros((3, 3))), np.array([-1, 0, 3]))
+
+    def test_negative_seg_label_rejected(self):
+        with pytest.raises(ValueError, match="label -1 out of range \\[0,2\\) at point 0"):
+            seg_loss(constant(np.zeros((2, 2))), np.array([-1, 0]))
+
+
 class TestGradNorm:
     def test_three_four_five(self):
         a = ad.parameter(np.array([0.0]))
         b = ad.parameter(np.array([0.0]))
-        grad_map = {a: np.array([3.0]), b: np.array([4.0])}
-        assert grad_norm(grad_map, [a, b]) == 5.0
+        a.grad, b.grad = np.array([3.0]), np.array([4.0])
+        assert grad_norm([a, b]) == 5.0
 
     def test_all_zero(self):
         a = ad.parameter(np.zeros(3))
-        assert grad_norm({a: np.zeros(3)}, [a]) == 0.0
+        a.grad = np.zeros(3)
+        assert grad_norm([a]) == 0.0
 
-    def test_missing_map_is_error(self):
-        with pytest.raises(MonitoringError):
-            grad_norm(None, [])
+    def test_tensor_without_gradient_adds_zero(self):
+        a = ad.parameter(np.zeros(2))
+        b = ad.parameter(np.zeros(1))
+        b.grad = np.array([2.0])
+        assert grad_norm([a, b]) == 2.0
+        assert grad_norm([a]) == 0.0
 
     def test_matches_flat_concatenation_oracle(self, episode):
         model = SegModel(tiny_config(), "decoupled")
@@ -131,7 +182,58 @@ class TestGradNorm:
             flat = np.concatenate([
                 grad_map.get(t, np.zeros_like(t.data)).ravel() for t in tensors
             ]) if tensors else np.zeros(1)
-            assert abs(grad_norm(grad_map, tensors) - np.linalg.norm(flat)) < 1e-12
+            assert abs(grad_norm(tensors) - np.linalg.norm(flat)) < 1e-12
+
+
+class TestConfigurationErrors:
+    @pytest.mark.parametrize("field, kwargs", [
+        ("heads", dict(heads=0)),
+        ("d_geo", dict(d_geo=13)),
+        ("d_sem", dict(heads=3, d_geo=12, d_sem=16, d_arb=9)),
+        ("d_arb", dict(d_arb=9)),
+        ("d_arb", dict(heads=1, d_arb=1)),
+        ("sam_layers", dict(sam_layers=0)),
+        ("knn_k", dict(knn_k=0)),
+        ("knn_radius", dict(knn_radius=0.0)),
+        ("knn_radius", dict(knn_radius=-0.5)),
+        ("n_way", dict(n_way=0)),
+        ("base_class_ids", dict(base_class_ids=())),
+        ("base_class_ids", dict(base_class_ids=(0, 1, 1))),
+        ("base_class_ids", dict(base_class_ids=(0, 10))),
+        ("base_class_ids", dict(base_class_ids=(-1, 2))),
+    ], ids=["no_heads", "heads_split_d_geo", "heads_split_d_sem", "heads_split_d_arb",
+            "no_background_partition", "no_sam_layer", "no_neighbour", "zero_radius",
+            "negative_radius", "no_way", "no_base_class", "repeated_base_class",
+            "base_class_past_table", "negative_base_class"])
+    def test_invalid_model_config_names_field(self, field, kwargs):
+        with pytest.raises(ConfigurationError, match=f"^{field} = "):
+            tiny_config(**kwargs)
+
+    def test_model_config_cannot_be_changed_past_its_checks(self):
+        cfg = tiny_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.heads = 5
+        with pytest.raises(ConfigurationError, match="^d_geo = "):
+            dataclasses.replace(cfg, heads=5)
+
+    def test_smallest_valid_model_config_builds(self, episode):
+        cfg = tiny_config(heads=1, d_geo=1, d_sem=1, d_arb=2, knn_k=1, knn_radius=1e-9,
+                          base_class_ids=(0, 9))
+        assert cfg.d_bg == 1
+        for mode in MODES:
+            assert SegModel(cfg, mode).forward(episode, train=True).logits.shape[1] == 2
+
+    @pytest.mark.parametrize("make", [
+        lambda: LossWeights(lambda_proto=-1.0),
+        lambda: SceneConfig(texture_confusion=1.5),
+        lambda: SceneConfig(noise_sigma=-0.1),
+        lambda: AdamW({}, lr=0.0),
+        lambda: AdamW({}, weight_decay=-1.0),
+        lambda: fold_classes(2),
+    ], ids=["loss_weight", "texture_confusion", "noise_sigma", "lr", "weight_decay", "fold"])
+    def test_other_configs_raise_configuration_error(self, make):
+        with pytest.raises(ConfigurationError):
+            make()
 
 
 class TestModelStructure:
@@ -222,9 +324,9 @@ class TestModelStructure:
         assert out.proto_loss is None and out.consist_loss is None
 
     def test_param_counts_reported(self):
-        dec = SegModel(tiny_config(), "decoupled")
-        fused = SegModel(tiny_config(), "fused")
-        assert dec.trainable_param_count() > fused.trainable_param_count() > 0
+        counts = {mode: sum(p.data.size for p in SegModel(tiny_config(), mode).parameters().values())
+                  for mode in MODES}
+        assert counts["decoupled"] > counts["fused"] > 0
 
     def test_state_dict_roundtrip(self, episode):
         cfg = tiny_config()

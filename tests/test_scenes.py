@@ -3,7 +3,9 @@ import pytest
 
 from dafss.errors import CapacityError, SamplingError, SceneParseError
 from dafss.scenes import (
+    CLASS_CATALOG,
     N_CLASSES,
+    ROOM_HALF,
     Scene,
     SceneConfig,
     build_pool,
@@ -13,6 +15,7 @@ from dafss.scenes import (
     sample_episode,
     scenes_equal,
     write_scene,
+    _sample_box,
 )
 
 
@@ -78,6 +81,43 @@ class TestGeneration:
         assert len(base1) == 6 and len(novel1) == 4
         assert set(novel0).isdisjoint(novel1)
         assert set(base0) | set(novel0) == set(range(N_CLASSES))
+
+
+def sample_box_loop(rng, spec, n):
+    """The pre-vectorisation _sample_box: one point at a time."""
+    ex = rng.uniform(*spec["footprint"])
+    ey = rng.uniform(*spec["footprint"])
+    ez = rng.uniform(*spec["height"])
+    z0 = rng.uniform(*spec["z"]) if "z" in spec else 0.0
+    cx, cy = rng.uniform(-ROOM_HALF, ROOM_HALF, size=2)
+    areas = np.array([ey * ez, ey * ez, ex * ez, ex * ez, ex * ey, ex * ey])
+    faces = rng.choice(6, size=n, p=areas / areas.sum())
+    u = rng.uniform(-0.5, 0.5, size=n)
+    v = rng.uniform(-0.5, 0.5, size=n)
+    pts = np.empty((n, 3))
+    for i, f in enumerate(faces):
+        if f < 2:  # +-x faces
+            pts[i] = ((-1) ** f * ex / 2, u[i] * ey, (v[i] + 0.5) * ez)
+        elif f < 4:  # +-y faces
+            pts[i] = (u[i] * ex, (-1) ** f * ey / 2, (v[i] + 0.5) * ez)
+        else:  # bottom/top
+            pts[i] = (u[i] * ex, v[i] * ey, (f - 4) * ez)
+    pts[:, 0] += cx
+    pts[:, 1] += cy
+    pts[:, 2] += z0
+    return pts
+
+
+class TestSampleBoxBitIdentity:
+    @pytest.mark.parametrize("cls", [c for c, entry in enumerate(CLASS_CATALOG) if entry[1] == "box"])
+    @pytest.mark.parametrize("n", [1, 2, 48, 400])
+    def test_matches_point_loop(self, cls, n):
+        spec = CLASS_CATALOG[cls][2]
+        for seed in range(5):
+            rng_vec, rng_loop = np.random.default_rng([cls, n, seed]), np.random.default_rng([cls, n, seed])
+            np.testing.assert_array_equal(_sample_box(rng_vec, spec, n),
+                                          sample_box_loop(rng_loop, spec, n))
+            assert rng_vec.random() == rng_loop.random()  # same draws, in the same order
 
 
 class TestEpisodes:
@@ -197,3 +237,18 @@ class TestSceneIO:
         path.write_text("DAFS 1\n1 3\n0 0 0 1 1\n")
         with pytest.raises(SceneParseError, match="line 2"):
             read_scene(path)
+
+    @pytest.mark.parametrize("row, problem", [
+        ("nan 0 0 -3 2", "non-finite"),
+        ("0 -inf 0 1 2", "non-finite"),
+        ("0 0 0 -3 2", "texture id -3"),
+        ("0 0 0 10 2", "texture id 10"),
+        ("0 0 0 1 -1", "label id -1"),
+        ("0 0 0 1 10", "label id 10"),
+    ])
+    def test_invalid_row_values_name_line(self, tmp_path, row, problem):
+        path = tmp_path / "bad.dafs"
+        path.write_text(f"DAFS 1\n2 2\n0 0 0 1 1\n{row}\n")
+        with pytest.raises(SceneParseError, match=f"line 4: {problem}") as exc:
+            read_scene(path)
+        assert exc.value.line == 4

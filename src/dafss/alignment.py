@@ -1,12 +1,12 @@
 """Stop-gradient regularizers coordinating the two expert pathways.
 
-Both losses exist only during training. The prototype term pulls projected
-geometric prototypes toward their frozen semantic counterparts, which act
-as fixed anchors: no gradient ever reaches them. The consistency term is a
-symmetric KL between the experts' per-point class distributions where each
-half only trains its own first argument, so the pathways teach each other
-without either being dragged through the other's graph. Their weights
-live in ``training.LossWeights`` and are applied by ``training.total_loss``.
+Both losses exist only while the decoupled variant trains. The prototype
+term pulls projected geometric prototypes toward their frozen semantic
+anchors, which no gradient ever reaches. The consistency term, the only
+reader of the experts' classifier heads, is a symmetric KL between their
+per-point class distributions where each half only trains its own first
+argument. Their weights live in ``training.LossWeights`` and are applied
+by ``training.total_loss``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,24 @@ from dafss import autodiff as ad
 from dafss.autodiff import Tensor, parameter
 from dafss.errors import ShapeError
 
-PROB_FLOOR = 1e-12
+
+@dataclass
+class HeadParams:
+    cls_w: Tensor  # [d_model, n_way+1]
+    cls_b: Tensor
+
+
+def init_head(rng: np.random.Generator, d_model: int, n_classes: int, prefix: str) -> HeadParams:
+    return HeadParams(
+        cls_w=parameter(rng.normal(0, 1.0 / np.sqrt(d_model), (d_model, n_classes)),
+                        name=f"{prefix}.cls_w"),
+        cls_b=parameter(np.zeros(n_classes), name=f"{prefix}.cls_b"),
+    )
+
+
+def head_probs(refined: Tensor, head: HeadParams) -> Tensor:
+    """Per-point class distribution ``softmax(refined @ cls_w + cls_b)``."""
+    return ad.softmax(ad.add_rowvec(ad.matmul(refined, head.cls_w), head.cls_b), axis=1)
 
 
 @dataclass
@@ -54,7 +71,7 @@ def prototype_alignment_loss(geo_protos: Tensor, sem_protos: Tensor,
 def _kl_vs_anchor(p: Tensor, q: Tensor) -> Tensor:
     """Mean per-row KL(p || sg(q)); gradient flows into p only."""
     anchor = ad.stop_gradient(q)
-    log_ratio = ad.sub(ad.safe_log(p, PROB_FLOOR), ad.safe_log(anchor, PROB_FLOOR))
+    log_ratio = ad.sub(ad.safe_log(p), ad.safe_log(anchor))
     return ad.scale(ad.sum_all(ad.mul(p, log_ratio)), 1.0 / p.shape[0])
 
 

@@ -1,6 +1,6 @@
 """Arbitration stack: fusion, guidance injection, attention layers, gating.
 
-The expert outputs are concatenated, batch-normalized to reconcile their
+The (concatenated) expert features are batch-normalized to reconcile their
 scales, projected per point and rectified. Each arbitration layer first
 rewrites the background channel partition of every token from base-class
 guidance (foreground channels pass through bitwise untouched), then applies
@@ -67,12 +67,8 @@ def init_arbitration(rng: np.random.Generator, d_in: int, d_arb: int, d_guid: in
     )
 
 
-def merge_features(r_geo: Tensor, r_sem: Tensor | None, params: ArbitrationParams,
-                   train: bool) -> Tensor:
-    """Concat -> batch norm -> per-point linear -> ReLU. Outputs are >= 0.
-
-    r_sem may be None (single-pathway variants feed one refined block)."""
-    x = r_geo if r_sem is None else ad.concat([r_geo, r_sem], axis=1)
+def merge_features(x: Tensor, params: ArbitrationParams, train: bool) -> Tensor:
+    """Batch norm -> per-point linear -> ReLU over expert features. Outputs are >= 0."""
     if x.shape[1] != params.conv_w.shape[0]:
         raise ShapeError(f"merge input dim {x.shape[1]} != conv dim {params.conv_w.shape[0]}")
     normed = ad.batch_norm(x, params.bn_gamma, params.bn_beta, params.bn_state,

@@ -23,6 +23,10 @@ import numpy as np
 
 from dafss.errors import DegenerateBatchError, GraphError, ShapeError
 
+LAYER_NORM_EPS = 1e-5  # added to each row's variance
+LOG_FLOOR = 1e-12  # safe_log clips its input here
+COSINE_EPS = 1e-12  # smallest row norm cosine_rows divides by
+
 
 class Tensor:
     """A dense array plus the bookkeeping needed for reverse-mode autodiff."""
@@ -245,10 +249,8 @@ def log_softmax(x: Tensor, axis: int) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each row of ``x`` to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ValueError(f"layer_norm eps must be positive, got {eps}")
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm expects [t,d], got shape {x.shape}")
     d = x.shape[1]
@@ -257,7 +259,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     # np.var's own steps on the one centred copy, so the bits are np.var's.
     xhat = x.data - np.mean(x.data, axis=1, keepdims=True)
     var = np.sum(xhat * xhat, axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     out_data = xhat * gamma.data
     out_data += beta.data
@@ -353,10 +355,10 @@ def sigmoid(x: Tensor) -> Tensor:
     return _node(s, (x,), backward)
 
 
-def safe_log(x: Tensor, floor: float = 1e-12) -> Tensor:
-    """log(max(x, floor)); the gradient is zero wherever the floor binds."""
-    clipped = np.maximum(x.data, floor)
-    above = x.data > floor
+def safe_log(x: Tensor) -> Tensor:
+    """log(max(x, LOG_FLOOR)); the gradient is zero wherever the floor binds."""
+    clipped = np.maximum(x.data, LOG_FLOOR)
+    above = x.data > LOG_FLOOR
 
     def backward(g: np.ndarray) -> None:
         _accum(x, np.where(above, g / clipped, 0.0), owned=True)
@@ -502,18 +504,18 @@ def sum_rows(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def cosine_rows(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
+def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     """Cosine similarity between every row of ``a`` and every row of ``b``.
 
-    Zero-norm rows are guarded at ``eps``: their similarities come out 0 and
-    the norm factor is treated as a constant there.
+    Zero-norm rows are guarded at ``COSINE_EPS``: their similarities come
+    out 0 and the norm factor is treated as a constant there.
     """
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"cosine_rows requires [m,d] and [n,d], got {a.shape} and {b.shape}")
     na = np.linalg.norm(a.data, axis=1)
     nb = np.linalg.norm(b.data, axis=1)
-    ca = np.maximum(na, eps)
-    cb = np.maximum(nb, eps)
+    ca = np.maximum(na, COSINE_EPS)
+    cb = np.maximum(nb, COSINE_EPS)
     denom = np.outer(ca, cb)
     c = (a.data @ b.data.T) / denom
 
@@ -522,12 +524,12 @@ def cosine_rows(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
         if a.requires_grad:
             da = gd @ b.data
             corr = np.sum(g * c, axis=1, keepdims=True) * a.data / (ca**2)[:, None]
-            da -= np.where((na > eps)[:, None], corr, 0.0)
+            da -= np.where((na > COSINE_EPS)[:, None], corr, 0.0)
             _accum(a, da, owned=True)
         if b.requires_grad:
             db = gd.T @ a.data
             corr = np.sum(g * c, axis=0)[:, None] * b.data / (cb**2)[:, None]
-            db -= np.where((nb > eps)[:, None], corr, 0.0)
+            db -= np.where((nb > COSINE_EPS)[:, None], corr, 0.0)
             _accum(b, db, owned=True)
 
     return _node(c, (a, b), backward)

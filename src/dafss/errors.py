@@ -1,6 +1,10 @@
 """Exception types shared across the package."""
 
 
+class InputError(ValueError):
+    """A label, prediction, texture or class id lies outside its valid range."""
+
+
 class ShapeError(ValueError):
     """Tensor shapes are incompatible for the requested operation."""
 

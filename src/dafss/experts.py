@@ -2,11 +2,11 @@
 
 Each expert consumes exactly one correlation matrix and never sees the
 other modality; the geometric expert adapts while the semantic expert
-refines frozen priors. Both carry a small linear classifier head whose
-softmax output feeds the consistency regularizer. The experts' attention
-works through the low-rank factors of the lifted tokens (see
-:func:`run_expert`); :func:`mhsa` is the dense form over arbitrary token
-rows, used by the arbitration layers.
+refines frozen priors. An expert returns its refined features only; the
+classifier heads of the consistency regularizer live in
+:mod:`dafss.alignment`. The experts' attention works through the low-rank
+factors of the lifted tokens (see :func:`run_expert`); :func:`mhsa` is the
+dense form over arbitrary token rows, used by the arbitration layers.
 """
 
 from __future__ import annotations
@@ -57,13 +57,11 @@ class ExpertParams:
     lift_b: Tensor  # [d_model]
     ln_gamma: Tensor
     ln_beta: Tensor
-    cls_w: Tensor  # [d_model, n_way+1]
-    cls_b: Tensor
     attn: AttentionParams  # after the tensors: parameter order follows field order
 
 
-def init_expert(rng: np.random.Generator, n_s: int, d_model: int, n_classes: int,
-                heads: int, prefix: str) -> ExpertParams:
+def init_expert(rng: np.random.Generator, n_s: int, d_model: int, heads: int,
+                prefix: str) -> ExpertParams:
     s = 1.0 / np.sqrt(n_s)
     return ExpertParams(
         lift_w=parameter(rng.normal(0, s, (n_s, d_model)), name=f"{prefix}.lift_w"),
@@ -71,16 +69,7 @@ def init_expert(rng: np.random.Generator, n_s: int, d_model: int, n_classes: int
         attn=init_attention(rng, d_model, heads, prefix=f"{prefix}.attn"),
         ln_gamma=parameter(np.ones(d_model), name=f"{prefix}.ln_gamma"),
         ln_beta=parameter(np.zeros(d_model), name=f"{prefix}.ln_beta"),
-        cls_w=parameter(rng.normal(0, 1.0 / np.sqrt(d_model), (d_model, n_classes)), name=f"{prefix}.cls_w"),
-        cls_b=parameter(np.zeros(n_classes), name=f"{prefix}.cls_b"),
     )
-
-
-@dataclass
-class ExpertOutput:
-    refined: Tensor  # [N_q, d_model]
-    logits: Tensor  # [N_q, n_way+1]
-    probs: Tensor  # softmax of logits
 
 
 def _lifted_attention(corr: Tensor, params: ExpertParams) -> Tensor:
@@ -109,8 +98,9 @@ def _lifted_attention(corr: Tensor, params: ExpertParams) -> Tensor:
     return ad.matmul(ad.concat(mixed, axis=1), out_proj)
 
 
-def run_expert(corr: Tensor, params: ExpertParams) -> ExpertOutput:
-    """Refine one correlation matrix; output depends on that input alone.
+def run_expert(corr: Tensor, params: ExpertParams) -> Tensor:
+    """Refine one correlation matrix into ``[N, d]`` features that depend on
+    that input alone.
 
     The lifted tokens ``h = C @ lift_w + 1 lift_b^T`` are ``C' @ L'`` with
     ``C' = [C, 1]`` (``[N, n_way+2]``) and ``L' = [lift_w; lift_b^T]``
@@ -131,7 +121,5 @@ def run_expert(corr: Tensor, params: ExpertParams) -> ExpertOutput:
             f"correlation has {corr.shape[1]} columns, lift expects {params.lift_w.shape[0]}"
         )
     h = ad.add_rowvec(ad.matmul(corr, params.lift_w), params.lift_b)
-    refined = ad.layer_norm(ad.add(h, _lifted_attention(corr, params)),
-                            params.ln_gamma, params.ln_beta)
-    logits = ad.add_rowvec(ad.matmul(refined, params.cls_w), params.cls_b)
-    return ExpertOutput(refined=refined, logits=logits, probs=ad.softmax(logits, axis=1))
+    return ad.layer_norm(ad.add(h, _lifted_attention(corr, params)),
+                         params.ln_gamma, params.ln_beta)

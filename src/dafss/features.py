@@ -22,7 +22,7 @@ import numpy as np
 
 from dafss import autodiff as ad
 from dafss.autodiff import Tensor, constant, parameter
-from dafss.errors import DegenerateSupportError, ShapeError
+from dafss.errors import DegenerateSupportError, InputError, ShapeError
 from dafss.scenes import Scene
 
 
@@ -69,8 +69,6 @@ def uf_encode(scene: Scene, head: UFHead) -> Tensor:
 
 def confusion_matrix_uniform_offdiag(n_classes: int, off_mass: float) -> np.ndarray:
     """Row-stochastic matrix: 1 - off_mass on the diagonal, rest spread evenly."""
-    if not 0.0 <= off_mass <= 1.0:
-        raise ValueError(f"off-diagonal mass must be in [0,1], got {off_mass}")
     m = np.full((n_classes, n_classes), off_mass / max(n_classes - 1, 1))
     np.fill_diagonal(m, 1.0 - off_mass)
     return m
@@ -87,15 +85,10 @@ class IFHead:
     """
 
     def __init__(self, rng: np.random.Generator, n_classes: int, d_out: int,
-                 confusion: np.ndarray, feature_norm: float, pos_gain: float):
+                 off_mass: float, feature_norm: float, pos_gain: float):
         self.class_embed = rng.normal(0, 1.0, (n_classes, d_out))
         self.class_embed /= np.linalg.norm(self.class_embed, axis=1, keepdims=True)
-        confusion = np.asarray(confusion, dtype=np.float64)
-        if confusion.shape != (n_classes, n_classes):
-            raise ShapeError(f"confusion matrix shape {confusion.shape} != ({n_classes},{n_classes})")
-        if np.max(np.abs(confusion.sum(axis=1) - 1.0)) > 1e-9:
-            raise ValueError("confusion matrix rows must sum to 1 within 1e-9")
-        self.confusion = confusion
+        self.confusion = confusion_matrix_uniform_offdiag(n_classes, off_mass)
         self.pos_table = rng.normal(0, 1.0, (IF_CELLS, d_out))
         self.pos_table /= np.linalg.norm(self.pos_table, axis=1, keepdims=True)
         self.pos_gain = float(pos_gain)
@@ -116,7 +109,7 @@ def if_encode(scene: Scene, head: IFHead) -> Tensor:
     n_classes = len(head.class_embed)
     if np.any(t < 0) or np.any(t >= n_classes):
         bad = int(t[(t < 0) | (t >= n_classes)][0])
-        raise KeyError(f"texture id {bad} outside the semantic table (0..{n_classes - 1})")
+        raise InputError(f"texture id {bad} outside the semantic table (0..{n_classes - 1})")
     mixed = head.confusion[t] @ head.class_embed
     mixed = mixed + head.pos_gain * head.pos_table[head._cells(scene.points)]
     norms = np.maximum(np.linalg.norm(mixed, axis=1, keepdims=True), 1e-12)
@@ -140,7 +133,7 @@ class TextStub:
 
     def lookup(self, class_id: int) -> np.ndarray:
         if not 0 <= class_id < len(self.table):
-            raise KeyError(f"class id {class_id} outside the embedding table (0..{len(self.table) - 1})")
+            raise InputError(f"class id {class_id} outside the embedding table (0..{len(self.table) - 1})")
         return self.table[class_id]
 
 

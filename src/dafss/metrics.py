@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from dafss.errors import UndefinedMetricError
+from dafss.errors import InputError, UndefinedMetricError
 from dafss.model import SegModel
 from dafss.scenes import Episode
 
@@ -29,7 +29,7 @@ def confusion_matrix(preds: np.ndarray, labels: np.ndarray, n_classes: int) -> n
     for name, arr in (("prediction", preds), ("label", labels)):
         if np.any(arr < 0) or np.any(arr >= n_classes):
             bad = arr[(arr < 0) | (arr >= n_classes)][0]
-            raise IndexError(f"{name} value {int(bad)} outside [0,{n_classes})")
+            raise InputError(f"{name} value {int(bad)} outside [0,{n_classes})")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (labels, preds), 1)
     return counts

@@ -2,9 +2,9 @@
 
 Two variants share every stage except the expert block. The decoupled
 variant refines the geometric and semantic correlations in separate experts
-and trains with the alignment regularizers; the fused baseline sums the
-two correlation matrices and refines them in a single expert, with no
-alignment graph at all.
+and trains with the alignment regularizers and their two classifier heads;
+the fused baseline sums the two correlation matrices and refines them in a
+single expert, with no heads and no alignment graph at all.
 """
 
 from __future__ import annotations
@@ -15,7 +15,13 @@ from typing import Optional
 import numpy as np
 
 from dafss import autodiff as ad
-from dafss.alignment import consistency_loss, init_alignment, prototype_alignment_loss
+from dafss.alignment import (
+    consistency_loss,
+    head_probs,
+    init_alignment,
+    init_head,
+    prototype_alignment_loss,
+)
 from dafss.arbitration import (
     arbitrate,
     decode,
@@ -26,13 +32,12 @@ from dafss.arbitration import (
 )
 from dafss.autodiff import Tensor, parameter
 from dafss.errors import ConfigurationError
-from dafss.experts import ExpertOutput, init_expert, run_expert
+from dafss.experts import init_expert, run_expert
 from dafss.features import (
     IFHead,
     TextStub,
     UFHead,
     compute_correlations,
-    confusion_matrix_uniform_offdiag,
     extract_prototypes,
     if_encode,
     text_guidance,
@@ -113,6 +118,11 @@ class ModelConfig:
         need(len(set(ids)) == len(ids), "base_class_ids", "must be unique")
         need(all(0 <= c < self.n_classes for c in ids), "base_class_ids",
              f"must lie in [0, n_classes = {self.n_classes})")
+        need(0.0 <= self.if_confusion <= 1.0, "if_confusion", "must lie in [0, 1]")
+        need(np.isfinite(self.if_feature_norm) and self.if_feature_norm > 0, "if_feature_norm",
+             "must be finite and positive")
+        need(np.isfinite(self.if_pos_gain) and self.if_pos_gain >= 0, "if_pos_gain",
+             "must be finite and non-negative")
 
     @property
     def d_bg(self) -> int:
@@ -125,7 +135,6 @@ class ForwardOutput:
     base_logits: Optional[Tensor]  # [N_q, n_base] or None
     proto_loss: Optional[Tensor]
     consist_loss: Optional[Tensor]
-    geo_out: ExpertOutput
 
 
 class SegModel:
@@ -141,22 +150,21 @@ class SegModel:
         n_out = config.n_way + 1  # background plus one class per way
         self.uf = UFHead(rng, n_textures=config.n_classes, d_out=config.d_uf,
                          hidden=config.uf_hidden)
-        self.if_head = IFHead(
-            rng, n_classes=config.n_classes, d_out=config.d_if,
-            confusion=confusion_matrix_uniform_offdiag(config.n_classes, config.if_confusion),
-            feature_norm=config.if_feature_norm, pos_gain=config.if_pos_gain,
-        )
+        self.if_head = IFHead(rng, n_classes=config.n_classes, d_out=config.d_if,
+                              off_mass=config.if_confusion,
+                              feature_norm=config.if_feature_norm, pos_gain=config.if_pos_gain)
         self.text = TextStub(rng, n_classes=config.n_classes, d_out=config.d_if)
 
         if mode == "decoupled":
-            self.geo_expert = init_expert(rng, n_out, config.d_geo, n_out, config.heads, "geo")
-            self.sem_expert = init_expert(rng, n_out, config.d_sem, n_out, config.heads, "sem")
+            self.geo_expert = init_expert(rng, n_out, config.d_geo, config.heads, "geo")
+            self.geo_head = init_head(rng, config.d_geo, n_out, "geo")
+            self.sem_expert = init_expert(rng, n_out, config.d_sem, config.heads, "sem")
+            self.sem_head = init_head(rng, config.d_sem, n_out, "sem")
             self.align = init_alignment(rng, config.d_uf, config.d_if)
             merge_in = config.d_geo + config.d_sem
         else:
-            self.geo_expert = init_expert(rng, n_out, config.d_geo, n_out, config.heads, "fused")
-            self.sem_expert = None
-            self.align = None
+            self.geo_expert = init_expert(rng, n_out, config.d_geo, config.heads, "fused")
+            self.geo_head = self.sem_expert = self.sem_head = self.align = None
             merge_in = config.d_geo
 
         self.arb = init_arbitration(rng, d_in=merge_in, d_arb=config.d_arb,
@@ -174,21 +182,11 @@ class SegModel:
     def parameters(self) -> dict[str, Tensor]:
         return named_parameters(self)
 
-    def parameter_groups(self) -> dict[str, list[str]]:
-        """Disjoint name groups covering every trainable parameter.
-
-        'uf' is the geometric pathway (point encoder plus its expert, or the
-        single expert in the fused variant); 'sem' is the semantic expert;
-        'shared' is everything downstream of the experts."""
-        uf = list(named_parameters(self.uf)) + list(named_parameters(self.geo_expert))
-        sem = list(named_parameters(self.sem_expert))
-        taken = set(uf) | set(sem)
-        shared = [n for n in self.parameters() if n not in taken]
-        return {"uf": uf, "sem": sem, "shared": shared}
-
-    def group_tensors(self, group: str) -> list[Tensor]:
-        params = self.parameters()
-        return [params[n] for n in self.parameter_groups()[group]]
+    def pathway_tensors(self) -> tuple[list[Tensor], list[Tensor]]:
+        """Trainable tensors of the geometric pathway (point encoder, its expert
+        and head) and of the semantic one (expert and head; none if fused)."""
+        return (list(named_parameters((self.uf, self.geo_expert, self.geo_head)).values()),
+                list(named_parameters((self.sem_expert, self.sem_head)).values()))
 
     def frozen_state(self) -> list[np.ndarray]:
         """Copies of every frozen array, for bit-identity audits."""
@@ -260,15 +258,16 @@ class SegModel:
 
         proto_loss = consist_loss = None
         if self.mode == "decoupled":
-            geo_out = run_expert(corr.geo, self.geo_expert)
-            sem_out = run_expert(corr.sem, self.sem_expert)
+            r_geo = run_expert(corr.geo, self.geo_expert)
+            r_sem = run_expert(corr.sem, self.sem_expert)
             if train:
                 proto_loss = prototype_alignment_loss(geo_protos, sem_protos, self.align)
-                consist_loss = consistency_loss(geo_out.probs, sem_out.probs)
-            merged = merge_features(geo_out.refined, sem_out.refined, self.arb, train)
+                consist_loss = consistency_loss(head_probs(r_geo, self.geo_head),
+                                                head_probs(r_sem, self.sem_head))
+            refined = ad.concat([r_geo, r_sem], axis=1)
         else:
-            geo_out = run_expert(ad.add(corr.geo, corr.sem), self.geo_expert)
-            merged = merge_features(geo_out.refined, None, self.arb, train)
+            refined = run_expert(ad.add(corr.geo, corr.sem), self.geo_expert)
+        merged = merge_features(refined, self.arb, train)
 
         g_base, g_q = text_guidance(self.config.base_class_ids, episode.novel_classes, self.text)
         arb_out = arbitrate(merged, g_base, self.arb)
@@ -280,7 +279,7 @@ class SegModel:
             base_logits = ad.add_rowvec(ad.matmul(merged, self.base_w), self.base_b)
 
         return ForwardOutput(logits=logits, base_logits=base_logits,
-                             proto_loss=proto_loss, consist_loss=consist_loss, geo_out=geo_out)
+                             proto_loss=proto_loss, consist_loss=consist_loss)
 
     def predict(self, episode: Episode) -> np.ndarray:
         """Per-point class predictions in the episode's {0..n_way} space.

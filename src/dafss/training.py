@@ -9,7 +9,7 @@ import numpy as np
 
 from dafss import autodiff as ad
 from dafss.autodiff import Tensor, backward, constant
-from dafss.errors import ConfigurationError, NumericError, UndefinedMetricError
+from dafss.errors import ConfigurationError, InputError, NumericError, UndefinedMetricError
 from dafss.metrics import confusion_matrix, miou
 from dafss.model import SegModel
 from dafss.optim import AdamW
@@ -52,7 +52,7 @@ def _masked_cross_entropy(logits: Tensor, labels: np.ndarray, keep: np.ndarray,
     bad = keep & ((labels < 0) | (labels >= c))
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise ValueError(f"{what} {int(labels[i])} out of range [0,{c}) at point {i}")
+        raise InputError(f"{what} {int(labels[i])} out of range [0,{c}) at point {i}")
     m = int(keep.sum())
     if m == 0:
         return constant(0.0)
@@ -129,8 +129,7 @@ def train_episode(model: SegModel, episode: Episode, optimizer: AdamW,
             raise NumericError(f"non-finite loss at step {step}: components {components}")
 
         backward(total)
-        gn_uf = grad_norm(model.group_tensors("uf"))
-        gn_sem = grad_norm(model.group_tensors("sem"))
+        gn_uf, gn_sem = (grad_norm(tensors) for tensors in model.pathway_tensors())
         optimizer.step()
     except NumericError:
         bn.running_mean, bn.running_var = saved_stats

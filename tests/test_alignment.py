@@ -5,7 +5,9 @@ from dafss import autodiff as ad
 from dafss.alignment import (
     AlignmentParams,
     consistency_loss,
+    head_probs,
     init_alignment,
+    init_head,
     prototype_alignment_loss,
 )
 from dafss.autodiff import backward, constant, parameter
@@ -128,15 +130,13 @@ class TestConsistency:
         # Finite differences through a stop-gradient anchor would see the
         # anchor move; the correct oracle freezes both anchors at their
         # base values, which is exactly what the loss claims to compute.
-        from dafss.alignment import PROB_FLOOR
-
         a = parameter(rng.standard_normal((3, 4)))
         b = parameter(rng.standard_normal((3, 4)))
         p0 = ad.softmax(a, axis=1).data.copy()
         q0 = ad.softmax(b, axis=1).data.copy()
 
         def kl_rows(p, anchor_vals):
-            log_ratio = ad.sub(ad.safe_log(p, PROB_FLOOR), constant(np.log(anchor_vals)))
+            log_ratio = ad.sub(ad.safe_log(p), constant(np.log(anchor_vals)))
             return ad.scale(ad.sum_all(ad.mul(p, log_ratio)), 1.0 / p.shape[0])
 
         def surrogate():
@@ -151,6 +151,28 @@ class TestConsistency:
         for t in (a, b):
             fd = central_difference(surrogate, t).reshape(t.shape)
             assert relative_error(grads[t], fd) < 1e-4
+
+
+class TestHeadProbs:
+    def test_zero_classifier_gives_uniform(self, rng):
+        head = init_head(rng, 8, 4, prefix="e")
+        head.cls_w.data[:] = 0.0
+        probs = head_probs(constant(rng.standard_normal((5, 8))), head).data
+        np.testing.assert_allclose(probs, 0.25, atol=1e-15)
+
+    def test_rows_sum_to_one(self, rng):
+        head = init_head(rng, 8, 3, prefix="e")
+        probs = head_probs(constant(rng.standard_normal((6, 8))), head).data
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_argmax_matches_bruteforce(self, rng):
+        head = init_head(rng, 6, 3, prefix="e")
+        head.cls_b.data = rng.standard_normal(3)
+        refined = rng.standard_normal((10, 6))
+        probs = head_probs(constant(refined), head).data
+        logits = refined @ head.cls_w.data + head.cls_b.data
+        brute = np.array([int(np.argmax(row)) for row in logits])
+        np.testing.assert_array_equal(np.argmax(probs, axis=1), brute)
 
 
 class TestAlignmentTotal:

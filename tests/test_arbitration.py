@@ -29,21 +29,19 @@ class TestMerge:
     def test_outputs_nonnegative(self, rng, params):
         r_geo = constant(rng.standard_normal((5, 4)))
         r_sem = constant(rng.standard_normal((5, 8)) * 4)
-        out = merge_features(r_geo, r_sem, params, train=True)
+        out = merge_features(ad.concat([r_geo, r_sem], axis=1), params, train=True)
         assert np.all(out.data >= 0)
         assert out.shape == (5, 8)
 
     def test_zero_weights_zero_output_in_eval(self, rng, params):
         params.conv_w.data[:] = 0.0
         params.conv_b.data[:] = 0.0
-        out = merge_features(constant(rng.standard_normal((3, 4))),
-                             constant(rng.standard_normal((3, 8))), params, train=False)
+        out = merge_features(constant(rng.standard_normal((3, 12))), params, train=False)
         np.testing.assert_array_equal(out.data, np.zeros((3, 8)))
 
     def test_degenerate_batch_in_train(self, rng, params):
         with pytest.raises(DegenerateBatchError):
-            merge_features(constant(rng.standard_normal((1, 4))),
-                           constant(rng.standard_normal((1, 8))), params, train=True)
+            merge_features(constant(rng.standard_normal((1, 12))), params, train=True)
 
     def test_hand_composed_fixture(self, rng):
         # 2 points, hand-set BN/conv parameters, eval mode with known stats
@@ -55,13 +53,10 @@ class TestMerge:
         p.bn_beta.data[:] = [0.0, 0.5, 0.0]
         p.conv_w.data[:] = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
         p.conv_b.data[:] = [0.1, -0.2]
-        x = np.array([[3.0, 1.0], [0.0, -2.0]])  # r_geo two cols? use 2+1 split
-        r_geo = constant(np.array([[3.0, 1.0], [0.0, -2.0]]))
-        r_sem = constant(np.array([[0.0], [2.0]]))
-        out = merge_features(r_geo, r_sem, p, train=False).data
+        x = np.array([[3.0, 1.0, 0.0], [0.0, -2.0, 2.0]])
+        out = merge_features(constant(x), p, train=False).data
 
-        joined = np.hstack([r_geo.data, r_sem.data])
-        normed = (joined - p.bn_state.running_mean) / np.sqrt(p.bn_state.running_var)
+        normed = (x - p.bn_state.running_mean) / np.sqrt(p.bn_state.running_var)
         normed = normed * p.bn_gamma.data + p.bn_beta.data
         manual = np.maximum(normed @ p.conv_w.data + p.conv_b.data, 0.0)
         assert relative_error(out, manual) < 1e-10
@@ -270,7 +265,7 @@ class TestEndToEndGradient:
         w = constant(rng.standard_normal((4, 2)))
 
         def make_loss():
-            merged = merge_features(r_geo, r_sem, p, train=True)
+            merged = merge_features(ad.concat([r_geo, r_sem], axis=1), p, train=True)
             arb = arbitrate(merged, g_base, p)
             gated = semantic_gate(arb, g_q, p)
             return ad.sum_all(ad.mul(decode(gated, points, dec), w))

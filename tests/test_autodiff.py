@@ -184,10 +184,6 @@ class TestLayerNorm:
         out = ad.layer_norm(x, constant(np.ones(5)), constant(np.zeros(5)))
         np.testing.assert_allclose(np.mean(out.data, axis=1), 0.0, atol=1e-10)
 
-    def test_eps_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ad.layer_norm(constant(np.zeros((2, 3))), constant(np.ones(3)), constant(np.zeros(3)), eps=0.0)
-
     def test_gradient(self, rng):
         x = parameter(rng.standard_normal((2, 5)))
         gamma = parameter(rng.standard_normal(5))
@@ -309,10 +305,10 @@ class TestElementwise:
 
     def test_safe_log_floor_blocks_gradient(self):
         x = parameter([1e-30, 2.0])
-        loss = ad.sum_all(ad.safe_log(x, floor=1e-12))
+        loss = ad.sum_all(ad.safe_log(x))
         grads = backward(loss)
         np.testing.assert_allclose(grads[x], [0.0, 0.5])
-        assert ad.safe_log(constant([1e-30]), floor=1e-12).data[0] == np.log(1e-12)
+        assert ad.safe_log(constant([1e-30])).data[0] == np.log(1e-12)
 
     def test_rowvec_ops(self, rng):
         x = parameter(rng.standard_normal((4, 3)))

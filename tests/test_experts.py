@@ -4,13 +4,7 @@ import pytest
 from dafss import autodiff as ad
 from dafss.autodiff import backward, constant, parameter
 from dafss.errors import ShapeError
-from dafss.experts import (
-    ExpertOutput,
-    init_attention,
-    init_expert,
-    mhsa,
-    run_expert,
-)
+from dafss.experts import init_attention, init_expert, mhsa, run_expert
 from dafss.model import named_parameters
 
 from conftest import check_grads, relative_error
@@ -49,31 +43,28 @@ class TestMHSA:
 class TestExperts:
     def test_output_shapes_at_paper_defaults(self, rng):
         n_s, n_q = 2, 7
-        geo = init_expert(rng, n_s, 192, n_classes=2, heads=4, prefix="geo")
-        sem = init_expert(rng, n_s, 512, n_classes=2, heads=4, prefix="sem")
+        geo = init_expert(rng, n_s, 192, heads=4, prefix="geo")
+        sem = init_expert(rng, n_s, 512, heads=4, prefix="sem")
         c = constant(rng.uniform(-1, 1, (n_q, n_s)))
-        out_geo = run_expert(c, geo)
-        out_sem = run_expert(c, sem)
-        assert out_geo.refined.shape == (n_q, 192)
-        assert out_sem.refined.shape == (n_q, 512)
-        assert out_geo.logits.shape == (n_q, 2)
+        assert run_expert(c, geo).shape == (n_q, 192)
+        assert run_expert(c, sem).shape == (n_q, 512)
 
     def test_decoupling_by_construction(self, rng):
         # the geometric output is a function of its own correlation only
         n_s, n_q = 3, 5
-        geo = init_expert(rng, n_s, 16, n_classes=3, heads=2, prefix="geo")
+        geo = init_expert(rng, n_s, 16, heads=2, prefix="geo")
         c_geo = rng.uniform(-1, 1, (n_q, n_s))
         c_sem = rng.uniform(-1, 1, (n_q, n_s))
-        before = run_expert(constant(c_geo), geo).refined.data
+        before = run_expert(constant(c_geo), geo).data
         c_sem += rng.standard_normal(c_sem.shape)  # perturb the other modality
-        after = run_expert(constant(c_geo), geo).refined.data
+        after = run_expert(constant(c_geo), geo).data
         assert before.tobytes() == after.tobytes()
 
     def test_single_token_hand_oracle(self, rng):
         n_s = 2
-        params = init_expert(rng, n_s, 8, n_classes=2, heads=2, prefix="e")
+        params = init_expert(rng, n_s, 8, heads=2, prefix="e")
         c = rng.uniform(-1, 1, (1, n_s))
-        out = run_expert(constant(c), params).refined.data
+        out = run_expert(constant(c), params).data
 
         h = c @ params.lift_w.data + params.lift_b.data
         att = np.hstack([h @ params.attn.wv[i].data for i in range(2)]) @ params.attn.wo.data
@@ -83,16 +74,15 @@ class TestExperts:
         assert relative_error(out, manual) < 1e-10
 
     def test_shape_mismatch(self, rng):
-        params = init_expert(rng, 3, 8, n_classes=2, heads=2, prefix="e")
+        params = init_expert(rng, 3, 8, heads=2, prefix="e")
         with pytest.raises(ShapeError):
             run_expert(constant(np.zeros((4, 2))), params)
 
     def test_gradient_isolation_between_experts(self, rng):
-        geo = init_expert(rng, 2, 8, n_classes=2, heads=2, prefix="geo")
-        sem = init_expert(rng, 2, 12, n_classes=2, heads=2, prefix="sem")
+        geo = init_expert(rng, 2, 8, heads=2, prefix="geo")
+        sem = init_expert(rng, 2, 12, heads=2, prefix="sem")
         c = constant(rng.uniform(-1, 1, (4, 2)))
-        out = run_expert(c, geo)
-        grads = backward(ad.sum_all(out.refined))
+        grads = backward(ad.sum_all(run_expert(c, geo)))
         geo_names = set(named_parameters(geo))
         touched = {t.name for t in grads}
         assert touched <= geo_names
@@ -100,19 +90,18 @@ class TestExperts:
             assert t.grad is None
 
     def test_gradient_vs_finite_differences(self, rng):
-        params = init_expert(rng, 2, 8, n_classes=3, heads=2, prefix="e")
+        params = init_expert(rng, 2, 8, heads=2, prefix="e")
         c = parameter(rng.uniform(-1, 1, (3, 2)))
         w = constant(rng.standard_normal((3, 8)))
         tensors = {"c": c}
         tensors.update(named_parameters(params))
-        check_grads(lambda: ad.sum_all(ad.mul(run_expert(c, params).refined, w)), tensors, tol=1e-3)
+        check_grads(lambda: ad.sum_all(ad.mul(run_expert(c, params), w)), tensors, tol=1e-3)
 
 
 def dense_expert(corr, params):
     """The expert with self-attention over the lifted [N, d] tokens."""
     h = ad.add_rowvec(ad.matmul(corr, params.lift_w), params.lift_b)
-    refined = ad.layer_norm(ad.add(h, mhsa(h, params.attn)), params.ln_gamma, params.ln_beta)
-    return refined, ad.add_rowvec(ad.matmul(refined, params.cls_w), params.cls_b)
+    return ad.layer_norm(ad.add(h, mhsa(h, params.attn)), params.ln_gamma, params.ln_beta)
 
 
 class TestLowRankAttention:
@@ -121,30 +110,24 @@ class TestLowRankAttention:
     @pytest.mark.parametrize("d", [192, 512])
     def test_matches_dense_attention(self, d, n_way, n):
         rng = np.random.default_rng([d, n_way, n])
-        params = init_expert(rng, n_way + 1, d, n_classes=n_way + 1, heads=4, prefix="e")
+        params = init_expert(rng, n_way + 1, d, heads=4, prefix="e")
         tensors = named_parameters(params)
         for t in tensors.values():  # move biases and norms off their trivial init
             t.data = t.data + rng.normal(0, 0.1, t.shape)
         corr = parameter(rng.uniform(-1, 1, (n, n_way + 1)), name="corr")
         tensors["corr"] = corr
         w_ref = constant(rng.standard_normal((n, d)))
-        w_log = constant(rng.standard_normal((n, n_way + 1)))
 
         def run(expert):
             for t in tensors.values():
                 t.grad = None
-            refined, logits = expert(corr, params)
-            grads = backward(ad.add(ad.sum_all(ad.mul(refined, w_ref)),
-                                    ad.sum_all(ad.mul(logits, w_log))))
-            return refined.data, logits.data, {name: grads[t].copy() for name, t in tensors.items()}
+            refined = expert(corr, params)
+            grads = backward(ad.sum_all(ad.mul(refined, w_ref)))
+            return refined.data, {name: grads[t].copy() for name, t in tensors.items()}
 
-        def factored(c, p):
-            out = run_expert(c, p)
-            return out.refined, out.logits
-
-        ref_refined, ref_logits, ref_grads = run(dense_expert)
-        got_refined, got_logits, got_grads = run(factored)
-        pairs = {"refined": (got_refined, ref_refined), "logits": (got_logits, ref_logits)}
+        ref_refined, ref_grads = run(dense_expert)
+        got_refined, got_grads = run(run_expert)
+        pairs = {"refined": (got_refined, ref_refined)}
         pairs.update({f"grad {k}": (got_grads[k], ref_grads[k]) for k in tensors})
         for what, (got, ref) in pairs.items():
             # relative to the largest reference entry; an all-zero reference
@@ -152,24 +135,3 @@ class TestLowRankAttention:
             err = np.max(np.abs(got - ref))
             assert err <= 1e-10 * np.max(np.abs(ref)), f"{what}: max abs error {err:.3e}"
 
-
-class TestExpertProbs:
-    def test_zero_classifier_gives_uniform(self, rng):
-        params = init_expert(rng, 2, 8, n_classes=4, heads=2, prefix="e")
-        params.cls_w.data[:] = 0.0
-        probs = run_expert(constant(rng.uniform(-1, 1, (5, 2))), params).probs.data
-        np.testing.assert_allclose(probs, 0.25, atol=1e-15)
-
-    def test_rows_sum_to_one(self, rng):
-        params = init_expert(rng, 2, 8, n_classes=3, heads=2, prefix="e")
-        out = run_expert(constant(rng.uniform(-1, 1, (6, 2))), params)
-        np.testing.assert_allclose(out.probs.data.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_argmax_matches_bruteforce(self, rng):
-        params = init_expert(rng, 2, 6, n_classes=3, heads=2, prefix="e")
-        params.cls_b.data = rng.standard_normal(3)
-        out = run_expert(constant(rng.uniform(-1, 1, (10, 2))), params)
-        probs = out.probs.data
-        logits = out.refined.data @ params.cls_w.data + params.cls_b.data
-        brute = np.array([int(np.argmax(row)) for row in logits])
-        np.testing.assert_array_equal(np.argmax(probs, axis=1), brute)

@@ -3,13 +3,12 @@ import pytest
 
 from dafss import autodiff as ad
 from dafss.autodiff import backward, constant, parameter
-from dafss.errors import DegenerateSupportError
+from dafss.errors import DegenerateSupportError, InputError
 from dafss.features import (
     IFHead,
     TextStub,
     UFHead,
     compute_correlations,
-    confusion_matrix_uniform_offdiag,
     extract_prototypes,
     if_encode,
     pooling_matrix,
@@ -29,11 +28,9 @@ def make_scene(rng, n=40, n_classes=4):
                  class_set=sorted(set(int(c) for c in labels)), seed=0)
 
 
-def make_if_head(rng, n_classes, d_out, confusion=None, feature_norm=4.0, pos_gain=0.25):
-    """A semantic head with identity confusion unless one is given."""
-    if confusion is None:
-        confusion = np.eye(n_classes)
-    return IFHead(rng, n_classes, d_out, confusion, feature_norm, pos_gain)
+def make_if_head(rng, n_classes, d_out, off_mass=0.0, feature_norm=4.0, pos_gain=0.25):
+    """A semantic head with identity confusion unless an off-diagonal mass is given."""
+    return IFHead(rng, n_classes, d_out, off_mass, feature_norm, pos_gain)
 
 
 class TestUFHead:
@@ -82,6 +79,10 @@ class TestIFHead:
         feats = if_encode(scene, head).data
         np.testing.assert_allclose(np.linalg.norm(feats, axis=1), 4.0, atol=1e-9)
 
+    def test_zero_off_mass_is_identity(self, rng):
+        head = make_if_head(rng, n_classes=4, d_out=8)
+        assert head.confusion.tobytes() == np.eye(4).tobytes()
+
     def test_identity_confusion_separates_classes(self, rng):
         scene = make_scene(rng, n=60)
         head = make_if_head(rng, n_classes=4, d_out=16, pos_gain=0.25)
@@ -97,9 +98,8 @@ class TestIFHead:
 
     def test_uniform_confusion_collapses_class_means(self, rng):
         scene = make_scene(rng, n=80)
-        conf = confusion_matrix_uniform_offdiag(4, off_mass=0.75)  # uniform rows
-        np.testing.assert_allclose(conf, np.full((4, 4), 0.25))
-        head = make_if_head(rng, n_classes=4, d_out=8, confusion=conf, pos_gain=0.0)
+        head = make_if_head(rng, n_classes=4, d_out=8, off_mass=0.75, pos_gain=0.0)
+        np.testing.assert_allclose(head.confusion, np.full((4, 4), 0.25))  # uniform rows
         feats = if_encode(scene, head).data
         means = [feats[scene.labels == c].mean(axis=0) for c in range(4)]
         for m in means[1:]:
@@ -109,14 +109,8 @@ class TestIFHead:
         scene = make_scene(rng)
         scene.texture[0] = 99
         head = make_if_head(rng, n_classes=4, d_out=8)
-        with pytest.raises(KeyError, match="99"):
+        with pytest.raises(InputError, match="texture id 99 outside"):
             if_encode(scene, head)
-
-    def test_confusion_rows_validated(self, rng):
-        bad = np.eye(4)
-        bad[0, 0] = 0.5
-        with pytest.raises(ValueError, match="sum to 1"):
-            make_if_head(rng, n_classes=4, d_out=8, confusion=bad)
 
     def test_scale_invariance_of_correlations(self, rng):
         # scaling semantic features by a positive constant leaves cosines unchanged
@@ -150,7 +144,7 @@ class TestTextStub:
 
     def test_unknown_id(self, rng):
         stub = TextStub(rng, n_classes=3, d_out=4)
-        with pytest.raises(KeyError):
+        with pytest.raises(InputError, match="class id 7 outside"):
             text_guidance([7], [0], stub)
         assert not text_guidance([0], [1], stub)[1].requires_grad
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dafss.errors import UndefinedMetricError
+from dafss.errors import InputError, UndefinedMetricError
 from dafss.metrics import confusion_matrix, evaluate, macc, miou
 from dafss.model import ModelConfig, SegModel
 from dafss.scenes import SceneConfig, build_pool, fold_classes, sample_episode
@@ -34,7 +34,7 @@ class TestConfusionMatrix:
                                       brute_force_counts(preds, labels, 3))
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(InputError, match="prediction value 5 outside"):
             confusion_matrix(np.array([0, 5]), np.array([0, 1]), 3)
 
     @given(st.integers(2, 5), st.integers(1, 60), st.integers(0, 2**31 - 1))

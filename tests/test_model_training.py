@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from dafss import autodiff as ad
+from dafss import model as model_module
 from dafss.autodiff import backward, constant
-from dafss.errors import ConfigurationError, NumericError
+from dafss.errors import ConfigurationError, InputError, NumericError
+from dafss.experts import run_expert
 from dafss.model import MODES, ModelConfig, SegModel, named_parameters
 from dafss.optim import AdamW
 from dafss.scenes import SceneConfig, build_pool, fold_classes, sample_episode
@@ -35,6 +37,21 @@ def pool():
     cfg = SceneConfig(points_per_object=(12, 20), plane_count=(2, 3), box_count=(1, 2),
                       cylinder_count=(1, 2), seed=5)
     return build_pool(cfg, 25)
+
+
+def expert_features(monkeypatch, model, episode, train):
+    """``model.forward`` once, returning the features each expert produced,
+    keyed by its parameter prefix ("geo", "sem" or "fused")."""
+    seen = {}
+
+    def recording_expert(corr, params):
+        seen[params.lift_w.name.split(".")[0]] = out = run_expert(corr, params)
+        return out
+
+    monkeypatch.setattr(model_module, "run_expert", recording_expert)
+    model.forward(episode, train=train)
+    monkeypatch.undo()
+    return seen
 
 
 @pytest.fixture
@@ -70,7 +87,7 @@ class TestLosses:
         assert abs(got - expected) < 1e-12
 
     def test_seg_out_of_range_label_names_point(self):
-        with pytest.raises(ValueError, match="point 1"):
+        with pytest.raises(InputError, match="point 1"):
             seg_loss(constant(np.zeros((2, 2))), np.array([0, 5]))
 
     def test_base_loss_empty_is_exact_zero(self):
@@ -145,11 +162,11 @@ class TestSharedCrossEntropy:
         assert results[0] == results[1]
 
     def test_base_out_of_range_label_names_point(self):
-        with pytest.raises(ValueError, match="base label 3 out of range \\[0,3\\) at point 2"):
+        with pytest.raises(InputError, match="base label 3 out of range \\[0,3\\) at point 2"):
             base_loss(constant(np.zeros((3, 3))), np.array([-1, 0, 3]))
 
     def test_negative_seg_label_rejected(self):
-        with pytest.raises(ValueError, match="label -1 out of range \\[0,2\\) at point 0"):
+        with pytest.raises(InputError, match="label -1 out of range \\[0,2\\) at point 0"):
             seg_loss(constant(np.zeros((2, 2))), np.array([-1, 0]))
 
 
@@ -177,8 +194,7 @@ class TestGradNorm:
         out = model.forward(episode, train=True)
         loss = seg_loss(out.logits, episode.query_labels)
         grad_map = backward(loss)
-        for group in ("uf", "sem", "shared"):
-            tensors = model.group_tensors(group)
+        for tensors in model.pathway_tensors():
             flat = np.concatenate([
                 grad_map.get(t, np.zeros_like(t.data)).ravel() for t in tensors
             ]) if tensors else np.zeros(1)
@@ -201,10 +217,23 @@ class TestConfigurationErrors:
         ("base_class_ids", dict(base_class_ids=(0, 1, 1))),
         ("base_class_ids", dict(base_class_ids=(0, 10))),
         ("base_class_ids", dict(base_class_ids=(-1, 2))),
+        ("if_confusion", dict(if_confusion=1.5)),
+        ("if_confusion", dict(if_confusion=-0.1)),
+        ("if_confusion", dict(if_confusion=float("nan"))),
+        ("if_feature_norm", dict(if_feature_norm=0.0)),
+        ("if_feature_norm", dict(if_feature_norm=-4.0)),
+        ("if_feature_norm", dict(if_feature_norm=float("nan"))),
+        ("if_feature_norm", dict(if_feature_norm=float("inf"))),
+        ("if_pos_gain", dict(if_pos_gain=-0.25)),
+        ("if_pos_gain", dict(if_pos_gain=float("nan"))),
+        ("if_pos_gain", dict(if_pos_gain=float("inf"))),
     ], ids=["no_heads", "heads_split_d_geo", "heads_split_d_sem", "heads_split_d_arb",
             "no_background_partition", "no_sam_layer", "no_neighbour", "zero_radius",
             "negative_radius", "no_way", "no_base_class", "repeated_base_class",
-            "base_class_past_table", "negative_base_class"])
+            "base_class_past_table", "negative_base_class", "confusion_above_one",
+            "negative_confusion", "nan_confusion", "zero_feature_norm",
+            "negative_feature_norm", "nan_feature_norm", "infinite_feature_norm",
+            "negative_pos_gain", "nan_pos_gain", "infinite_pos_gain"])
     def test_invalid_model_config_names_field(self, field, kwargs):
         with pytest.raises(ConfigurationError, match=f"^{field} = "):
             tiny_config(**kwargs)
@@ -256,9 +285,9 @@ class TestModelStructure:
         model = SegModel(tiny_config(), "decoupled")
         expected = (["uf.w1", "uf.b1", "uf.w2", "uf.b2"]
                     + [f"{e}.{n}" for e in ("geo", "sem") for n in
-                       ("lift_w", "lift_b", "ln_gamma", "ln_beta", "cls_w", "cls_b",
+                       ("lift_w", "lift_b", "ln_gamma", "ln_beta",
                         "attn.wq0", "attn.wq1", "attn.wk0", "attn.wk1",
-                        "attn.wv0", "attn.wv1", "attn.wo")]
+                        "attn.wv0", "attn.wv1", "attn.wo", "cls_w", "cls_b")]
                     + ["align.proj_w", "align.proj_b", "arb.bn_gamma", "arb.bn_beta",
                        "arb.conv_w", "arb.conv_b", "arb.gate_w", "arb.gate_b"]
                     + [f"arb.l0.{n}" for n in
@@ -268,13 +297,22 @@ class TestModelStructure:
                        "arb.bn_state.running_mean", "arb.bn_state.running_var"])
         assert list(model.state_dict()) == expected
 
-    def test_groups_disjoint_and_cover(self):
-        for mode in ("decoupled", "fused"):
+    def test_pathways_are_disjoint_expert_groups(self):
+        pathways = {"decoupled": (("uf", "geo"), ("sem",)), "fused": (("uf", "fused"), ())}
+        for mode, prefixes in pathways.items():
             model = SegModel(tiny_config(), mode)
-            groups = model.parameter_groups()
-            names = [n for g in groups.values() for n in g]
-            assert len(names) == len(set(names))
-            assert set(names) == set(model.parameters())
+            uf, sem = ([t.name for t in tensors] for tensors in model.pathway_tensors())
+            assert not set(uf) & set(sem)
+            for names, owners in zip((uf, sem), prefixes):
+                assert names == [n for n in model.parameters() if n.split(".")[0] in owners]
+
+    def test_fused_has_no_classifier_head(self):
+        # the fused variant is the decoupled one without the semantic expert,
+        # the alignment projection and both classifier heads
+        fused = [n.replace("fused.", "geo.", 1) for n in SegModel(tiny_config(), "fused").parameters()]
+        decoupled = [n for n in SegModel(tiny_config(), "decoupled").parameters()
+                     if n.split(".")[0] not in ("sem", "align") and ".cls_" not in n]
+        assert fused == decoupled
 
     def test_variants_share_logit_interface(self, episode):
         cfg = tiny_config()
@@ -291,18 +329,19 @@ class TestModelStructure:
         after = model.forward(episode, train=False).logits.data
         assert not np.array_equal(before, after)
 
-    def test_decoupled_geo_path_ignores_semantic_perturbation(self, episode):
+    def test_decoupled_geo_path_ignores_semantic_perturbation(self, episode, monkeypatch):
         cfg = tiny_config()
         model = SegModel(cfg, "decoupled")
-        before = model.forward(episode, train=False).geo_out.refined.data
+        before = expert_features(monkeypatch, model, episode, train=False)
         model.if_head.class_embed = model.if_head.class_embed[::-1].copy()
-        after = model.forward(episode, train=False).geo_out.refined.data
-        assert before.tobytes() == after.tobytes()
+        after = expert_features(monkeypatch, model, episode, train=False)
+        assert before["geo"].data.tobytes() == after["geo"].data.tobytes()
+        assert not np.array_equal(before["sem"].data, after["sem"].data)
 
-    def test_cross_expert_gradients_zero_with_alignment_off(self, episode):
+    def test_cross_expert_gradients_zero_with_alignment_off(self, episode, monkeypatch):
         model = SegModel(tiny_config(), "decoupled")
-        out = model.forward(episode, train=True)
-        grads = backward(ad.sum_all(out.geo_out.refined))
+        r_geo = expert_features(monkeypatch, model, episode, train=True)["geo"]
+        grads = backward(ad.sum_all(r_geo))
         sem_names = set(named_parameters(model.sem_expert))
         assert all(t.name not in sem_names for t in grads)
         for t in named_parameters(model.sem_expert).values():
@@ -423,8 +462,18 @@ class TestTrainEpisode:
         ep = sample_episode(pool, 1, 1, seed=2, base_classes=base, candidate_classes=base)
         out = model.forward(ep, train=True)
         grads = backward(out.consist_loss)
-        assert np.linalg.norm(grads[model.sem_expert.cls_w]) > 0
-        assert np.linalg.norm(grads[model.geo_expert.cls_w]) > 0
+        assert np.linalg.norm(grads[model.sem_head.cls_w]) > 0
+        assert np.linalg.norm(grads[model.geo_head.cls_w]) > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_parameter_gets_a_gradient(self, mode, episode):
+        model = SegModel(tiny_config(), mode)
+        out = model.forward(episode, train=True)
+        assert out.base_logits is not None
+        seg = seg_loss(out.logits, episode.query_labels)
+        base = base_loss(out.base_logits, episode.base_class_labels)
+        backward(total_loss(seg, base, out.proto_loss, out.consist_loss, LossWeights()))
+        assert [n for n, p in model.parameters().items() if p.grad is None] == []
 
     def test_nonfinite_loss_leaves_batch_norm_statistics_untouched(self, episode):
         model = SegModel(tiny_config(), "decoupled")

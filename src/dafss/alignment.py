@@ -11,49 +11,18 @@ by ``training.total_loss``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from dafss import autodiff as ad
-from dafss.autodiff import Tensor, parameter
+from dafss.autodiff import Tensor
 from dafss.errors import ShapeError
+from dafss.layers import Linear, linear
 
 
-@dataclass
-class HeadParams:
-    cls_w: Tensor  # [d_model, n_way+1]
-    cls_b: Tensor
+def head_probs(refined: Tensor, head: Linear) -> Tensor:
+    """Per-point class distribution ``softmax(refined @ w + b)``."""
+    return ad.softmax(linear(refined, head), axis=1)
 
 
-def init_head(rng: np.random.Generator, d_model: int, n_classes: int, prefix: str) -> HeadParams:
-    return HeadParams(
-        cls_w=parameter(rng.normal(0, 1.0 / np.sqrt(d_model), (d_model, n_classes)),
-                        name=f"{prefix}.cls_w"),
-        cls_b=parameter(np.zeros(n_classes), name=f"{prefix}.cls_b"),
-    )
-
-
-def head_probs(refined: Tensor, head: HeadParams) -> Tensor:
-    """Per-point class distribution ``softmax(refined @ cls_w + cls_b)``."""
-    return ad.softmax(ad.add_rowvec(ad.matmul(refined, head.cls_w), head.cls_b), axis=1)
-
-
-@dataclass
-class AlignmentParams:
-    proj_w: Tensor  # [d_uf, d_if]
-    proj_b: Tensor  # [d_if]
-
-
-def init_alignment(rng: np.random.Generator, d_uf: int, d_if: int) -> AlignmentParams:
-    return AlignmentParams(
-        proj_w=parameter(rng.normal(0, 1.0 / np.sqrt(d_uf), (d_uf, d_if)), name="align.proj_w"),
-        proj_b=parameter(np.zeros(d_if), name="align.proj_b"),
-    )
-
-
-def prototype_alignment_loss(geo_protos: Tensor, sem_protos: Tensor,
-                             params: AlignmentParams) -> Tensor:
+def prototype_alignment_loss(geo_protos: Tensor, sem_protos: Tensor, proj: Linear) -> Tensor:
     """Mean squared distance between projected geometric prototypes and
     stop-gradient semantic anchors, averaged over the prototype pairs."""
     if geo_protos.shape[0] != sem_protos.shape[0]:
@@ -61,7 +30,7 @@ def prototype_alignment_loss(geo_protos: Tensor, sem_protos: Tensor,
             f"prototype counts differ: {geo_protos.shape[0]} vs {sem_protos.shape[0]}, "
             "cannot pair them"
         )
-    projected = ad.add_rowvec(ad.matmul(geo_protos, params.proj_w), params.proj_b)
+    projected = linear(geo_protos, proj)
     if projected.shape != sem_protos.shape:
         raise ShapeError(f"projection maps to {projected.shape}, anchors are {sem_protos.shape}")
     diff = ad.sub(projected, ad.stop_gradient(sem_protos))

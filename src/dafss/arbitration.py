@@ -20,12 +20,12 @@ from dafss import autodiff as ad
 from dafss.autodiff import BatchNormState, Tensor, constant, parameter
 from dafss.errors import ConfigurationError, ShapeError
 from dafss.experts import AttentionParams, init_attention, mhsa
+from dafss.layers import Linear, init_linear, linear
 
 
 @dataclass
 class ArbitrationLayerParams:
-    inject_w: Tensor  # [d_bg + d_guid, d_bg]
-    inject_b: Tensor  # [d_bg]
+    inject: Linear  # [d_bg + d_guid, d_bg]
     ln_gamma: Tensor
     ln_beta: Tensor
     attn: AttentionParams  # last: parameter order follows field order
@@ -36,10 +36,8 @@ class ArbitrationParams:
     bn_gamma: Tensor
     bn_beta: Tensor
     bn_state: BatchNormState
-    conv_w: Tensor  # [d_in, d_arb], the per-point 1x1 convolution
-    conv_b: Tensor
-    gate_w: Tensor  # [d_guid, d_arb]
-    gate_b: Tensor
+    conv: Linear  # [d_in, d_arb], the per-point 1x1 convolution
+    gate: Linear  # [d_guid, d_arb]
     layers: list  # after the tensors: parameter order follows field order
 
 
@@ -48,9 +46,7 @@ def init_arbitration(rng: np.random.Generator, d_in: int, d_arb: int, d_guid: in
     layers = []
     for i in range(n_layers):
         layers.append(ArbitrationLayerParams(
-            inject_w=parameter(rng.normal(0, 1.0 / np.sqrt(d_bg + d_guid), (d_bg + d_guid, d_bg)),
-                               name=f"arb.l{i}.inject_w"),
-            inject_b=parameter(np.zeros(d_bg), name=f"arb.l{i}.inject_b"),
+            inject=init_linear(rng, d_bg + d_guid, d_bg, f"arb.l{i}.inject"),
             attn=init_attention(rng, d_arb, heads, prefix=f"arb.l{i}.attn"),
             ln_gamma=parameter(np.ones(d_arb), name=f"arb.l{i}.ln_gamma"),
             ln_beta=parameter(np.zeros(d_arb), name=f"arb.l{i}.ln_beta"),
@@ -59,35 +55,31 @@ def init_arbitration(rng: np.random.Generator, d_in: int, d_arb: int, d_guid: in
         bn_gamma=parameter(np.ones(d_in), name="arb.bn_gamma"),
         bn_beta=parameter(np.zeros(d_in), name="arb.bn_beta"),
         bn_state=BatchNormState(d_in),
-        conv_w=parameter(rng.normal(0, 1.0 / np.sqrt(d_in), (d_in, d_arb)), name="arb.conv_w"),
-        conv_b=parameter(np.zeros(d_arb), name="arb.conv_b"),
+        conv=init_linear(rng, d_in, d_arb, "arb.conv"),
         layers=layers,
-        gate_w=parameter(rng.normal(0, 1.0 / np.sqrt(d_guid), (d_guid, d_arb)), name="arb.gate_w"),
-        gate_b=parameter(np.zeros(d_arb), name="arb.gate_b"),
+        gate=init_linear(rng, d_guid, d_arb, "arb.gate"),
     )
 
 
 def merge_features(x: Tensor, params: ArbitrationParams, train: bool) -> Tensor:
     """Batch norm -> per-point linear -> ReLU over expert features. Outputs are >= 0."""
-    if x.shape[1] != params.conv_w.shape[0]:
-        raise ShapeError(f"merge input dim {x.shape[1]} != conv dim {params.conv_w.shape[0]}")
-    normed = ad.batch_norm(x, params.bn_gamma, params.bn_beta, params.bn_state,
-                           "train" if train else "eval")
-    return ad.relu(ad.add_rowvec(ad.matmul(normed, params.conv_w), params.conv_b))
+    if x.shape[1] != params.conv.w.shape[0]:
+        raise ShapeError(f"merge input dim {x.shape[1]} != conv dim {params.conv.w.shape[0]}")
+    normed = ad.batch_norm(x, params.bn_gamma, params.bn_beta, params.bn_state, train)
+    return ad.relu(linear(normed, params.conv))
 
 
 def inject_background_guidance(r: Tensor, g_base: Tensor, layer: ArbitrationLayerParams) -> Tensor:
     """Rewrite the background channel partition from base-class guidance.
 
-    The partition is the first ``len(layer.inject_b)`` channels; the
+    The partition is the first ``len(layer.inject.b)`` channels; the
     foreground partition is copied through bitwise unchanged."""
     n, d = r.shape
-    d_bg = layer.inject_b.shape[0]
+    d_bg = layer.inject.b.shape[0]
     bg = ad.slice_cols(r, 0, d_bg)
     fg = ad.slice_cols(r, d_bg, d)
     guid = constant(np.tile(g_base.data, (n, 1)))
-    new_bg = ad.add_rowvec(ad.matmul(ad.concat([bg, guid], axis=1), layer.inject_w),
-                           layer.inject_b)
+    new_bg = linear(ad.concat([bg, guid], axis=1), layer.inject)
     return ad.concat([new_bg, fg], axis=1)
 
 
@@ -107,9 +99,9 @@ def semantic_gate(r_arb: Tensor, g_q: Tensor, params: ArbitrationParams) -> Tens
     """Scale features by (1 + sigmoid(gate(g_q))), averaged over ways.
 
     A pure magnitude modulation: every channel grows by a factor in (1, 2)."""
-    z = ad.sigmoid(ad.add_rowvec(ad.matmul(g_q, params.gate_w), params.gate_b))
+    z = ad.sigmoid(linear(g_q, params.gate))
     gate = ad.scale(ad.sum_rows(z), 1.0 / g_q.shape[0])
-    multiplier = ad.add(gate, constant(np.ones(params.gate_b.shape[0])))
+    multiplier = ad.add(gate, constant(np.ones(params.gate.b.shape[0])))
     return ad.mul_rowvec(r_arb, multiplier)
 
 
@@ -120,10 +112,8 @@ def semantic_gate(r_arb: Tensor, g_q: Tensor, params: ArbitrationParams) -> Tens
 
 @dataclass
 class DecoderParams:
-    conv_w: Tensor  # [d_arb, d_arb]
-    conv_b: Tensor
-    out_w: Tensor  # [d_arb, n_way+1]
-    out_b: Tensor
+    conv: Linear  # [d_arb, d_arb]
+    out: Linear  # [d_arb, n_way+1]
     k: int
     radius: float
 
@@ -131,10 +121,8 @@ class DecoderParams:
 def init_decoder(rng: np.random.Generator, d_arb: int, n_classes: int,
                  k: int, radius: float) -> DecoderParams:
     return DecoderParams(
-        conv_w=parameter(rng.normal(0, 1.0 / np.sqrt(d_arb), (d_arb, d_arb)), name="dec.conv_w"),
-        conv_b=parameter(np.zeros(d_arb), name="dec.conv_b"),
-        out_w=parameter(rng.normal(0, 1.0 / np.sqrt(d_arb), (d_arb, n_classes)), name="dec.out_w"),
-        out_b=parameter(np.zeros(n_classes), name="dec.out_b"),
+        conv=init_linear(rng, d_arb, d_arb, "dec.conv"),
+        out=init_linear(rng, d_arb, n_classes, "dec.out"),
         k=k,
         radius=radius,
     )
@@ -174,5 +162,4 @@ def decode(r_final: Tensor, query_points: np.ndarray, params: DecoderParams) -> 
     """k-NN smoothing, pointwise transform, classifier logits."""
     smoother = constant(knn_weights(query_points, params.k, params.radius))
     agg = ad.matmul(smoother, r_final)
-    h = ad.relu(ad.add_rowvec(ad.matmul(agg, params.conv_w), params.conv_b))
-    return ad.add_rowvec(ad.matmul(h, params.out_w), params.out_b)
+    return linear(ad.relu(linear(agg, params.conv)), params.out)

@@ -286,10 +286,8 @@ class BatchNormState:
         self.eps = float(eps)
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: str) -> Tensor:
-    """Per-column normalization; train mode uses (and folds in) batch stats."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, train: bool) -> Tensor:
+    """Per-column normalization; training uses (and folds in) batch stats."""
     if x.data.ndim != 2:
         raise ShapeError(f"batch_norm expects [t,d], got shape {x.shape}")
     t, d = x.shape
@@ -297,7 +295,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mo
         raise ShapeError(f"batch_norm affine shapes {gamma.shape}/{beta.shape} do not match d={d}")
     eps = state.eps
 
-    if mode == "train":
+    if train:
         if t < 2:
             raise DegenerateBatchError(f"batch_norm train mode needs >= 2 rows, got {t}")
         mu = np.mean(x.data, axis=0)
@@ -320,7 +318,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mo
         _accum(beta, np.sum(g, axis=0), owned=True)
         if x.requires_grad:
             dxhat = g * gamma.data
-            if mode == "train":
+            if train:
                 m1 = np.mean(dxhat, axis=0)
                 m2 = np.mean(dxhat * xhat, axis=0)
                 _accum(x, inv * (dxhat - m1 - xhat * m2), owned=True)

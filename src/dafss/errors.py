@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a setting."""
 
 
 class InputError(ValueError):
@@ -47,3 +47,10 @@ class ConfigurationError(ValueError):
 
 class UndefinedMetricError(ValueError):
     """No foreground class is present, so the metric is undefined."""
+
+
+def require(owner, ok: bool, field: str, rule: str) -> None:
+    """Raise ``ConfigurationError`` naming ``owner.<field>``, its value and
+    the broken ``rule`` unless ``ok``."""
+    if not ok:
+        raise ConfigurationError(f"{field} = {getattr(owner, field)!r}: {rule}")

@@ -18,6 +18,7 @@ import numpy as np
 from dafss import autodiff as ad
 from dafss.autodiff import Tensor, constant, parameter
 from dafss.errors import ShapeError
+from dafss.layers import Linear, init_linear, init_weight, linear
 
 
 @dataclass
@@ -30,12 +31,10 @@ class AttentionParams:
 
 def init_attention(rng: np.random.Generator, d: int, heads: int, prefix: str) -> AttentionParams:
     dh = d // heads
-    s = 1.0 / np.sqrt(d)
-    wq = [parameter(rng.normal(0, s, (d, dh)), name=f"{prefix}.wq{h}") for h in range(heads)]
-    wk = [parameter(rng.normal(0, s, (d, dh)), name=f"{prefix}.wk{h}") for h in range(heads)]
-    wv = [parameter(rng.normal(0, s, (d, dh)), name=f"{prefix}.wv{h}") for h in range(heads)]
-    wo = parameter(rng.normal(0, s, (d, d)), name=f"{prefix}.wo")
-    return AttentionParams(wq=wq, wk=wk, wv=wv, wo=wo)
+    wq = [init_weight(rng, d, dh, f"{prefix}.wq{h}") for h in range(heads)]
+    wk = [init_weight(rng, d, dh, f"{prefix}.wk{h}") for h in range(heads)]
+    wv = [init_weight(rng, d, dh, f"{prefix}.wv{h}") for h in range(heads)]
+    return AttentionParams(wq=wq, wk=wk, wv=wv, wo=init_weight(rng, d, d, f"{prefix}.wo"))
 
 
 def mhsa(x: Tensor, attn: AttentionParams) -> Tensor:
@@ -53,8 +52,7 @@ def mhsa(x: Tensor, attn: AttentionParams) -> Tensor:
 
 @dataclass
 class ExpertParams:
-    lift_w: Tensor  # [n_s, d_model]
-    lift_b: Tensor  # [d_model]
+    lift: Linear  # [n_s, d_model]
     ln_gamma: Tensor
     ln_beta: Tensor
     attn: AttentionParams  # after the tensors: parameter order follows field order
@@ -62,10 +60,8 @@ class ExpertParams:
 
 def init_expert(rng: np.random.Generator, n_s: int, d_model: int, heads: int,
                 prefix: str) -> ExpertParams:
-    s = 1.0 / np.sqrt(n_s)
     return ExpertParams(
-        lift_w=parameter(rng.normal(0, s, (n_s, d_model)), name=f"{prefix}.lift_w"),
-        lift_b=parameter(np.zeros(d_model), name=f"{prefix}.lift_b"),
+        lift=init_linear(rng, n_s, d_model, f"{prefix}.lift"),
         attn=init_attention(rng, d_model, heads, prefix=f"{prefix}.attn"),
         ln_gamma=parameter(np.ones(d_model), name=f"{prefix}.ln_gamma"),
         ln_beta=parameter(np.zeros(d_model), name=f"{prefix}.ln_beta"),
@@ -73,16 +69,16 @@ def init_expert(rng: np.random.Generator, n_s: int, d_model: int, heads: int,
 
 
 def _lifted_attention(corr: Tensor, params: ExpertParams) -> Tensor:
-    """``mhsa(corr @ lift_w + lift_b, params.attn)`` through rank factors.
+    """``mhsa(linear(corr, params.lift), params.attn)`` through rank factors.
 
     Never forms an ``[N, d]`` projection; see :func:`run_expert`."""
     n, r = corr.shape[0], corr.shape[1] + 1
     attn = params.attn
-    heads, d, dh = len(attn.wq), params.lift_w.shape[1], attn.wq[0].shape[1]
+    heads, d, dh = len(attn.wq), params.lift.w.shape[1], attn.wq[0].shape[1]
     c1 = ad.concat([corr, constant(np.ones((n, 1)))], axis=1)  # C' [N, r]
     c1_t = ad.transpose(c1)
-    bias_row = ad.add_rowvec(constant(np.zeros((1, d))), params.lift_b)
-    lift = ad.concat([params.lift_w, bias_row], axis=0)  # L' [r, d]
+    bias_row = ad.add_rowvec(constant(np.zeros((1, d))), params.lift.b)
+    lift = ad.concat([params.lift.w, bias_row], axis=0)  # L' [r, d]
     mixed, value_blocks = [], []
     for h in range(heads):
         q = ad.matmul(lift, attn.wq[h])  # [r, dh]
@@ -102,8 +98,8 @@ def run_expert(corr: Tensor, params: ExpertParams) -> Tensor:
     """Refine one correlation matrix into ``[N, d]`` features that depend on
     that input alone.
 
-    The lifted tokens ``h = C @ lift_w + 1 lift_b^T`` are ``C' @ L'`` with
-    ``C' = [C, 1]`` (``[N, n_way+2]``) and ``L' = [lift_w; lift_b^T]``
+    The lifted tokens ``h = C @ lift.w + 1 lift.b^T`` are ``C' @ L'`` with
+    ``C' = [C, 1]`` (``[N, n_way+2]``) and ``L' = [lift.w; lift.b^T]``
     (``[n_way+2, d]``), so their rank is at most ``n_way+2`` however large
     ``d`` is. Self-attention over them is therefore computed exactly,
     without any ``[N, d]`` projection, from the identities
@@ -116,10 +112,10 @@ def run_expert(corr: Tensor, params: ExpertParams) -> Tensor:
     ``blockdiag(L' W_v,h) @ W_o``. That costs O(N^2 (n_way+2) + N H
     (n_way+2) d) per expert instead of O(N^2 d + N d^2).
     """
-    if corr.shape[1] != params.lift_w.shape[0]:
+    if corr.shape[1] != params.lift.w.shape[0]:
         raise ShapeError(
-            f"correlation has {corr.shape[1]} columns, lift expects {params.lift_w.shape[0]}"
+            f"correlation has {corr.shape[1]} columns, lift expects {params.lift.w.shape[0]}"
         )
-    h = ad.add_rowvec(ad.matmul(corr, params.lift_w), params.lift_b)
+    h = linear(corr, params.lift)
     return ad.layer_norm(ad.add(h, _lifted_attention(corr, params)),
                          params.ln_gamma, params.ln_beta)

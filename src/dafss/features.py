@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from dafss import autodiff as ad
-from dafss.autodiff import Tensor, constant, parameter
+from dafss.autodiff import Tensor, constant
 from dafss.errors import DegenerateSupportError, InputError, ShapeError
+from dafss.layers import init_linear, linear
 from dafss.scenes import Scene
 
 
@@ -45,21 +46,17 @@ class UFHead:
     """Pointwise two-layer MLP: (xyz, texture one-hot) -> geometric feature."""
 
     def __init__(self, rng: np.random.Generator, n_textures: int, d_out: int, hidden: int):
-        d_in = 3 + n_textures
-        self.w1 = parameter(rng.normal(0, 1.0 / np.sqrt(d_in), (d_in, hidden)), name="uf.w1")
-        self.b1 = parameter(np.zeros(hidden), name="uf.b1")
-        self.w2 = parameter(rng.normal(0, 1.0 / np.sqrt(hidden), (hidden, d_out)), name="uf.w2")
-        self.b2 = parameter(np.zeros(d_out), name="uf.b2")
+        self.hidden = init_linear(rng, 3 + n_textures, hidden, "uf.hidden")
+        self.out = init_linear(rng, hidden, d_out, "uf.out")
 
 
 def uf_encode(scene: Scene, head: UFHead) -> Tensor:
     """Per-point geometric features, differentiable w.r.t. the head."""
     n = len(scene)
-    onehot = np.zeros((n, head.w1.shape[0] - 3))  # w1 rows: xyz, then one per texture id
+    onehot = np.zeros((n, head.hidden.w.shape[0] - 3))  # rows: xyz, then one per texture id
     onehot[np.arange(n), scene.texture] = 1.0
     x = constant(np.hstack([scene.points, onehot]))
-    h = ad.relu(ad.add_rowvec(ad.matmul(x, head.w1), head.b1))
-    return ad.add_rowvec(ad.matmul(h, head.w2), head.b2)
+    return linear(ad.relu(linear(x, head.hidden)), head.out)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from dafss.errors import InputError, UndefinedMetricError
+from dafss.errors import InputError, ShapeError, UndefinedMetricError
 from dafss.model import SegModel
 from dafss.scenes import Episode
 
@@ -25,7 +25,7 @@ def confusion_matrix(preds: np.ndarray, labels: np.ndarray, n_classes: int) -> n
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
-        raise ValueError(f"prediction/label lengths differ: {preds.shape} vs {labels.shape}")
+        raise ShapeError(f"prediction/label lengths differ: {preds.shape} vs {labels.shape}")
     for name, arr in (("prediction", preds), ("label", labels)):
         if np.any(arr < 0) or np.any(arr >= n_classes):
             bad = arr[(arr < 0) | (arr >= n_classes)][0]
@@ -41,7 +41,7 @@ def miou(conf: np.ndarray, foreground_classes: Sequence[int]) -> tuple[dict, flo
     A class absent from both predictions and labels is excluded; if every
     foreground class is absent the metric is undefined."""
     if conf.ndim != 2 or conf.shape[0] != conf.shape[1]:
-        raise ValueError(f"confusion matrix must be square, got {conf.shape}")
+        raise ShapeError(f"confusion matrix must be square, got {conf.shape}")
     per_class = {}
     for c in foreground_classes:
         tp = int(conf[c, c])
@@ -59,7 +59,7 @@ def miou(conf: np.ndarray, foreground_classes: Sequence[int]) -> tuple[dict, flo
 def macc(conf: np.ndarray, foreground_classes: Sequence[int]) -> float:
     """Mean per-class recall over foreground classes with labelled points."""
     if conf.ndim != 2 or conf.shape[0] != conf.shape[1]:
-        raise ValueError(f"confusion matrix must be square, got {conf.shape}")
+        raise ShapeError(f"confusion matrix must be square, got {conf.shape}")
     recalls = []
     for c in foreground_classes:
         tp = int(conf[c, c])

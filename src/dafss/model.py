@@ -10,18 +10,13 @@ single expert, with no heads and no alignment graph at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from dafss import autodiff as ad
-from dafss.alignment import (
-    consistency_loss,
-    head_probs,
-    init_alignment,
-    init_head,
-    prototype_alignment_loss,
-)
+from dafss.alignment import consistency_loss, head_probs, prototype_alignment_loss
 from dafss.arbitration import (
     arbitrate,
     decode,
@@ -30,8 +25,8 @@ from dafss.arbitration import (
     merge_features,
     semantic_gate,
 )
-from dafss.autodiff import Tensor, parameter
-from dafss.errors import ConfigurationError
+from dafss.autodiff import Tensor
+from dafss.errors import ConfigurationError, require
 from dafss.experts import init_expert, run_expert
 from dafss.features import (
     IFHead,
@@ -43,6 +38,7 @@ from dafss.features import (
     text_guidance,
     uf_encode,
 )
+from dafss.layers import init_linear, linear
 from dafss.scenes import Episode
 
 MODES = ("decoupled", "fused")
@@ -99,11 +95,7 @@ class ModelConfig:
 
     def __post_init__(self):
         """Reject an inconsistent structure before any parameter is drawn."""
-
-        def need(ok: bool, field: str, rule: str) -> None:
-            if not ok:
-                raise ConfigurationError(f"{field} = {getattr(self, field)!r}: {rule}")
-
+        need = partial(require, self)
         need(self.heads >= 1, "heads", "need at least one attention head")
         for field in ("d_geo", "d_sem", "d_arb"):
             need(getattr(self, field) % self.heads == 0, field,
@@ -157,10 +149,10 @@ class SegModel:
 
         if mode == "decoupled":
             self.geo_expert = init_expert(rng, n_out, config.d_geo, config.heads, "geo")
-            self.geo_head = init_head(rng, config.d_geo, n_out, "geo")
+            self.geo_head = init_linear(rng, config.d_geo, n_out, "geo.cls")
             self.sem_expert = init_expert(rng, n_out, config.d_sem, config.heads, "sem")
-            self.sem_head = init_head(rng, config.d_sem, n_out, "sem")
-            self.align = init_alignment(rng, config.d_uf, config.d_if)
+            self.sem_head = init_linear(rng, config.d_sem, n_out, "sem.cls")
+            self.align = init_linear(rng, config.d_uf, config.d_if, "align.proj")
             merge_in = config.d_geo + config.d_sem
         else:
             self.geo_expert = init_expert(rng, n_out, config.d_geo, config.heads, "fused")
@@ -172,10 +164,7 @@ class SegModel:
                                     heads=config.heads, d_bg=config.d_bg)
         self.decoder = init_decoder(rng, config.d_arb, n_out,
                                     k=config.knn_k, radius=config.knn_radius)
-        n_base = len(config.base_class_ids)
-        self.base_w = parameter(rng.normal(0, 1.0 / np.sqrt(config.d_arb),
-                                           (config.d_arb, n_base)), name="base.w")
-        self.base_b = parameter(np.zeros(n_base), name="base.b")
+        self.base = init_linear(rng, config.d_arb, len(config.base_class_ids), "base")
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -276,7 +265,7 @@ class SegModel:
 
         base_logits = None
         if train and episode.base_class_labels is not None:
-            base_logits = ad.add_rowvec(ad.matmul(merged, self.base_w), self.base_b)
+            base_logits = linear(merged, self.base)
 
         return ForwardOutput(logits=logits, base_logits=base_logits,
                              proto_loss=proto_loss, consist_loss=consist_loss)

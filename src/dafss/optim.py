@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dafss.autodiff import Tensor
-from dafss.errors import ConfigurationError, NumericError
+from dafss.errors import NumericError, require
 
 # Elements per block of an update: six blocks of float64 (gradient, two
 # moments, parameter, two work buffers) fit a 2 MB L2 cache.
@@ -16,7 +16,8 @@ ADAMW_BLOCK = 32768
 
 @dataclass
 class OptimizerState:
-    """Per-parameter moment buffers plus the shared hyperparameters."""
+    """One parameter's moment buffers and its own step count; the
+    hyperparameters live on :class:`AdamW`."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -36,16 +37,19 @@ class AdamW:
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
                  weight_decay: float = 0.01, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {lr}")
-        if weight_decay < 0:
-            raise ConfigurationError(f"weight decay must be non-negative, got {weight_decay}")
         self.params = dict(params)
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
+        for field, ok, rule in (("lr", self.lr > 0, "must be finite and positive"),
+                                ("weight_decay", self.weight_decay >= 0,
+                                 "must be finite and non-negative"),
+                                ("eps", self.eps > 0, "must be finite and positive")):
+            require(self, ok and np.isfinite(getattr(self, field)), field, rule)
+        for field in ("beta1", "beta2"):
+            require(self, 0 <= getattr(self, field) < 1, field, "must lie in [0, 1)")
         self.state: dict[str, OptimizerState] = {
             name: OptimizerState(np.zeros_like(p.data), np.zeros_like(p.data))
             for name, p in self.params.items()

@@ -12,11 +12,12 @@ controlled failure mode the rest of the pipeline is built to survive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from dafss.errors import CapacityError, ConfigurationError, SamplingError, SceneParseError
+from dafss.errors import CapacityError, ConfigurationError, SamplingError, SceneParseError, require
 
 ROOM_HALF = 2.8  # lateral placement bound, meters
 
@@ -35,6 +36,7 @@ CLASS_CATALOG = (
 )
 
 N_CLASSES = len(CLASS_CATALOG)
+FAMILIES = ("plane", "box", "cylinder")  # each has a ``<family>_count`` range in SceneConfig
 
 
 def fold_classes(fold: int) -> tuple[list[int], list[int]]:
@@ -62,10 +64,21 @@ class SceneConfig:
     class_pool: tuple[int, ...] = tuple(range(N_CLASSES))
 
     def __post_init__(self):
-        if not 0.0 <= self.texture_confusion <= 1.0:
-            raise ConfigurationError(f"texture_confusion must be in [0,1], got {self.texture_confusion}")
-        if self.noise_sigma < 0:
-            raise ConfigurationError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        """Reject a setting that could not generate a valid scene."""
+        need = partial(require, self)
+        for field in [f"{fam}_count" for fam in FAMILIES] + ["points_per_object"]:
+            r = getattr(self, field)
+            need(len(r) == 2 and 0 <= r[0] <= r[1], field, "must be a range (lo, hi), 0 <= lo <= hi")
+        need(self.points_per_object[0] >= 1, "points_per_object", "need a point per object")
+        pool = [int(c) for c in self.class_pool]
+        need(0 < len(pool) == len(set(pool)), "class_pool", "need unique class ids, at least one")
+        need(all(0 <= c < N_CLASSES for c in pool), "class_pool", f"must lie in [0, {N_CLASSES})")
+        covered = {CLASS_CATALOG[c][1] for c in pool}
+        need(sum(getattr(self, f"{fam}_count")[0] for fam in covered) >= 1, "class_pool",
+             "the families it covers must guarantee at least one object")
+        need(np.isfinite(self.noise_sigma) and self.noise_sigma >= 0, "noise_sigma",
+             "must be finite and non-negative")
+        need(0.0 <= self.texture_confusion <= 1.0, "texture_confusion", "must lie in [0, 1]")
 
 
 @dataclass(eq=False)
@@ -168,7 +181,7 @@ _SAMPLERS = {"plane": _sample_plane, "box": _sample_box, "cylinder": _sample_cyl
 
 def generate_scene(config: SceneConfig, seed: int) -> Scene:
     """Deterministic scene for a given (config, seed) pair."""
-    max_objects = config.plane_count[1] + config.box_count[1] + config.cylinder_count[1]
+    max_objects = sum(getattr(config, f"{fam}_count")[1] for fam in FAMILIES)
     if max_objects * config.points_per_object[1] > config.max_points:
         raise CapacityError(
             f"config can produce up to {max_objects * config.points_per_object[1]} points, "
@@ -176,22 +189,13 @@ def generate_scene(config: SceneConfig, seed: int) -> Scene:
         )
 
     rng = np.random.default_rng([config.seed, seed])
-    family_classes = {
-        fam: [c for c in config.class_pool if CLASS_CATALOG[c][1] == fam]
-        for fam in ("plane", "box", "cylinder")
-    }
-    counts = {
-        "plane": rng.integers(config.plane_count[0], config.plane_count[1] + 1),
-        "box": rng.integers(config.box_count[0], config.box_count[1] + 1),
-        "cylinder": rng.integers(config.cylinder_count[0], config.cylinder_count[1] + 1),
-    }
+    counts = [rng.integers(lo, hi + 1)
+              for lo, hi in (getattr(config, f"{fam}_count") for fam in FAMILIES)]
 
     chunks, labels = [], []
-    for fam in ("plane", "box", "cylinder"):
-        pool = family_classes[fam]
-        if not pool:
-            continue
-        for _ in range(counts[fam]):
+    for fam, count in zip(FAMILIES, counts):
+        pool = [c for c in config.class_pool if CLASS_CATALOG[c][1] == fam]
+        for _ in range(count if pool else 0):
             cls = int(rng.choice(pool))
             n = int(rng.integers(config.points_per_object[0], config.points_per_object[1] + 1))
             pts = _SAMPLERS[fam](rng, CLASS_CATALOG[cls][2], n)
@@ -238,6 +242,9 @@ def sample_episode(pool: Sequence[Scene], n_way: int, k_shot: int, seed: int,
     Classes with fewer than k_shot + 1 containing scenes are ineligible.
     candidate_classes restricts the novel-class draw (e.g. to a fold).
     """
+    for name, value in (("n_way", n_way), ("k_shot", k_shot)):
+        if value < 1:
+            raise SamplingError(f"{name} = {value}: need at least 1")
     rng = np.random.default_rng(seed)
     all_classes = sorted({c for s in pool for c in s.class_set})
     if candidate_classes is not None:

@@ -9,7 +9,7 @@ import numpy as np
 
 from dafss import autodiff as ad
 from dafss.autodiff import Tensor, backward, constant
-from dafss.errors import ConfigurationError, InputError, NumericError, UndefinedMetricError
+from dafss.errors import InputError, NumericError, UndefinedMetricError, require
 from dafss.metrics import confusion_matrix, miou
 from dafss.model import SegModel
 from dafss.optim import AdamW
@@ -25,8 +25,10 @@ class LossWeights:
     lambda_consistency: float = 0.5
 
     def __post_init__(self):
-        if min(self.lambda_base, self.lambda_proto, self.lambda_consistency) < 0:
-            raise ConfigurationError("loss weights must be non-negative")
+        for field in ("lambda_base", "lambda_proto", "lambda_consistency"):
+            value = getattr(self, field)
+            require(self, np.isfinite(value) and value >= 0, field,
+                    "must be finite and non-negative")
 
 
 @dataclass

@@ -2,23 +2,17 @@ import numpy as np
 import pytest
 
 from dafss import autodiff as ad
-from dafss.alignment import (
-    AlignmentParams,
-    consistency_loss,
-    head_probs,
-    init_alignment,
-    init_head,
-    prototype_alignment_loss,
-)
+from dafss.alignment import consistency_loss, head_probs, prototype_alignment_loss
 from dafss.autodiff import backward, constant, parameter
 from dafss.errors import ShapeError
+from dafss.layers import Linear, init_linear
 from dafss.training import LossWeights, total_loss
 
 from conftest import check_grads, relative_error
 
 
 def identity_params(d):
-    return AlignmentParams(proj_w=constant(np.eye(d)), proj_b=constant(np.zeros(d)))
+    return Linear(w=constant(np.eye(d)), b=constant(np.zeros(d)))
 
 
 class TestPrototypeAlignment:
@@ -44,10 +38,10 @@ class TestPrototypeAlignment:
     def test_anchor_gets_zero_gradient(self, rng):
         geo = parameter(rng.standard_normal((3, 2)))
         sem = parameter(rng.standard_normal((3, 4)))
-        params = init_alignment(rng, 2, 4)
+        params = init_linear(rng, 2, 4, "align.proj")
         grads = backward(prototype_alignment_loss(geo, sem, params))
         assert sem not in grads and sem.grad is None
-        assert geo in grads and params.proj_w in grads
+        assert geo in grads and params.w in grads
 
     def test_count_mismatch(self, rng):
         with pytest.raises(ShapeError, match="pair"):
@@ -57,10 +51,10 @@ class TestPrototypeAlignment:
     def test_nonnegative_and_gradient(self, rng):
         geo = parameter(rng.standard_normal((3, 2)))
         sem = constant(rng.standard_normal((3, 4)))
-        params = init_alignment(rng, 2, 4)
+        params = init_linear(rng, 2, 4, "align.proj")
         loss = prototype_alignment_loss(geo, sem, params)
         assert loss.item() >= 0.0
-        tensors = {"geo": geo, "w": params.proj_w, "b": params.proj_b}
+        tensors = {"geo": geo, "w": params.w, "b": params.b}
         check_grads(lambda: prototype_alignment_loss(geo, sem, params), tensors, tol=1e-4)
 
     def test_one_step_decreases_distance_with_anchor_fixed(self, rng):
@@ -155,22 +149,22 @@ class TestConsistency:
 
 class TestHeadProbs:
     def test_zero_classifier_gives_uniform(self, rng):
-        head = init_head(rng, 8, 4, prefix="e")
-        head.cls_w.data[:] = 0.0
+        head = init_linear(rng, 8, 4, "e.cls")
+        head.w.data[:] = 0.0
         probs = head_probs(constant(rng.standard_normal((5, 8))), head).data
         np.testing.assert_allclose(probs, 0.25, atol=1e-15)
 
     def test_rows_sum_to_one(self, rng):
-        head = init_head(rng, 8, 3, prefix="e")
+        head = init_linear(rng, 8, 3, "e.cls")
         probs = head_probs(constant(rng.standard_normal((6, 8))), head).data
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_argmax_matches_bruteforce(self, rng):
-        head = init_head(rng, 6, 3, prefix="e")
-        head.cls_b.data = rng.standard_normal(3)
+        head = init_linear(rng, 6, 3, "e.cls")
+        head.b.data = rng.standard_normal(3)
         refined = rng.standard_normal((10, 6))
         probs = head_probs(constant(refined), head).data
-        logits = refined @ head.cls_w.data + head.cls_b.data
+        logits = refined @ head.w.data + head.b.data
         brute = np.array([int(np.argmax(row)) for row in logits])
         np.testing.assert_array_equal(np.argmax(probs, axis=1), brute)
 

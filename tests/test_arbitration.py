@@ -34,8 +34,8 @@ class TestMerge:
         assert out.shape == (5, 8)
 
     def test_zero_weights_zero_output_in_eval(self, rng, params):
-        params.conv_w.data[:] = 0.0
-        params.conv_b.data[:] = 0.0
+        params.conv.w.data[:] = 0.0
+        params.conv.b.data[:] = 0.0
         out = merge_features(constant(rng.standard_normal((3, 12))), params, train=False)
         np.testing.assert_array_equal(out.data, np.zeros((3, 8)))
 
@@ -51,14 +51,14 @@ class TestMerge:
         p.bn_state.running_var = np.array([4.0, 1.0, 1.0])
         p.bn_gamma.data[:] = [2.0, 1.0, 1.0]
         p.bn_beta.data[:] = [0.0, 0.5, 0.0]
-        p.conv_w.data[:] = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
-        p.conv_b.data[:] = [0.1, -0.2]
+        p.conv.w.data[:] = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+        p.conv.b.data[:] = [0.1, -0.2]
         x = np.array([[3.0, 1.0, 0.0], [0.0, -2.0, 2.0]])
         out = merge_features(constant(x), p, train=False).data
 
         normed = (x - p.bn_state.running_mean) / np.sqrt(p.bn_state.running_var)
         normed = normed * p.bn_gamma.data + p.bn_beta.data
-        manual = np.maximum(normed @ p.conv_w.data + p.conv_b.data, 0.0)
+        manual = np.maximum(normed @ p.conv.w.data + p.conv.b.data, 0.0)
         assert relative_error(out, manual) < 1e-10
 
 
@@ -71,9 +71,9 @@ class TestInjection:
 
     def test_identity_embedding_is_noop(self, rng, params):
         layer = params.layers[0]
-        layer.inject_w.data[:] = 0.0
-        layer.inject_w.data[:2, :2] = np.eye(2)
-        layer.inject_b.data[:] = 0.0
+        layer.inject.w.data[:] = 0.0
+        layer.inject.w.data[:2, :2] = np.eye(2)
+        layer.inject.b.data[:] = 0.0
         r = constant(rng.standard_normal((4, 8)))
         g = constant(rng.standard_normal(6))
         out = inject_background_guidance(r, g, layer)
@@ -85,7 +85,7 @@ class TestInjection:
         g = rng.standard_normal(6)
         out = inject_background_guidance(constant(r), constant(g), layer).data
         concat_in = np.hstack([r[:, :2], np.tile(g, (5, 1))])
-        manual_bg = concat_in @ layer.inject_w.data + layer.inject_b.data
+        manual_bg = concat_in @ layer.inject.w.data + layer.inject.b.data
         manual = np.hstack([manual_bg, r[:, 2:]])
         assert relative_error(out, manual) < 1e-12
 
@@ -130,8 +130,8 @@ class TestArbitrationLayer:
 
 class TestSemanticGate:
     def test_closed_gate_limit(self, rng, params):
-        params.gate_b.data[:] = -60.0
-        params.gate_w.data[:] = 0.0
+        params.gate.b.data[:] = -60.0
+        params.gate.w.data[:] = 0.0
         r = constant(rng.standard_normal((4, 8)))
         g_q = constant(rng.standard_normal((1, 6)))
         out = semantic_gate(r, g_q, params)
@@ -154,7 +154,7 @@ class TestSemanticGate:
         r = rng.standard_normal((3, 8))
         g_q = rng.standard_normal((2, 6))
         out = semantic_gate(constant(r), constant(g_q), params).data
-        z = 1.0 / (1.0 + np.exp(-(g_q @ params.gate_w.data + params.gate_b.data)))
+        z = 1.0 / (1.0 + np.exp(-(g_q @ params.gate.w.data + params.gate.b.data)))
         manual = r * (1.0 + z.mean(axis=0))
         assert relative_error(out, manual) < 1e-12
 

@@ -200,7 +200,7 @@ class TestBatchNorm:
     def test_train_column_means_zero(self, rng):
         x = constant(rng.standard_normal((8, 3)) * 2 + 5)
         state = BatchNormState(3)
-        out = ad.batch_norm(x, constant(np.ones(3)), constant(np.zeros(3)), state, "train")
+        out = ad.batch_norm(x, constant(np.ones(3)), constant(np.zeros(3)), state, train=True)
         np.testing.assert_allclose(np.mean(out.data, axis=0), 0.0, atol=1e-10)
 
     def test_eval_passthrough_with_identity_stats(self, rng):
@@ -208,20 +208,20 @@ class TestBatchNorm:
         gamma = rng.standard_normal(3)
         beta = rng.standard_normal(3)
         state = BatchNormState(3, eps=0.0)
-        out = ad.batch_norm(constant(x), constant(gamma), constant(beta), state, "eval")
+        out = ad.batch_norm(constant(x), constant(gamma), constant(beta), state, train=False)
         np.testing.assert_array_equal(out.data, gamma * x + beta)
 
     def test_train_updates_running_stats(self, rng):
         x = rng.standard_normal((16, 2)) + 3.0
         state = BatchNormState(2, momentum=0.5)
-        ad.batch_norm(constant(x), constant(np.ones(2)), constant(np.zeros(2)), state, "train")
+        ad.batch_norm(constant(x), constant(np.ones(2)), constant(np.zeros(2)), state, train=True)
         expected_mean = 0.5 * np.zeros(2) + 0.5 * x.mean(axis=0)
         np.testing.assert_allclose(state.running_mean, expected_mean)
 
     def test_degenerate_batch(self):
         state = BatchNormState(3)
         with pytest.raises(DegenerateBatchError):
-            ad.batch_norm(constant(np.zeros((1, 3))), constant(np.ones(3)), constant(np.zeros(3)), state, "train")
+            ad.batch_norm(constant(np.zeros((1, 3))), constant(np.ones(3)), constant(np.zeros(3)), state, train=True)
 
     def test_gradient_train_mode(self, rng):
         x = parameter(rng.standard_normal((4, 3)))
@@ -231,7 +231,7 @@ class TestBatchNorm:
 
         def make_loss():
             state = BatchNormState(3)
-            return ad.sum_all(ad.mul(ad.batch_norm(x, gamma, beta, state, "train"), w))
+            return ad.sum_all(ad.mul(ad.batch_norm(x, gamma, beta, state, train=True), w))
 
         check_grads(make_loss, {"x": x, "gamma": gamma, "beta": beta}, tol=1e-4)
 
@@ -271,7 +271,7 @@ class TestNormsBitwise:
             stats = (state.running_mean, state.running_var) if kind == "batch_eval" else None
             ref = norm_reference(x0, g0, b0, up, axis=0, stats=stats)
             running_var = 0.9 * state.running_var + 0.1 * np.var(x0, axis=0)
-            out = ad.batch_norm(x, gamma, beta, state, kind.split("_")[1])
+            out = ad.batch_norm(x, gamma, beta, state, train=kind == "batch_train")
             if kind == "batch_train":
                 assert state.running_var.tobytes() == running_var.tobytes()
         backward(ad.sum_all(ad.mul(out, constant(up))))

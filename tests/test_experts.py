@@ -5,6 +5,7 @@ from dafss import autodiff as ad
 from dafss.autodiff import backward, constant, parameter
 from dafss.errors import ShapeError
 from dafss.experts import init_attention, init_expert, mhsa, run_expert
+from dafss.layers import linear
 from dafss.model import named_parameters
 
 from conftest import check_grads, relative_error
@@ -66,7 +67,7 @@ class TestExperts:
         c = rng.uniform(-1, 1, (1, n_s))
         out = run_expert(constant(c), params).data
 
-        h = c @ params.lift_w.data + params.lift_b.data
+        h = c @ params.lift.w.data + params.lift.b.data
         att = np.hstack([h @ params.attn.wv[i].data for i in range(2)]) @ params.attn.wo.data
         pre = h + att
         mu, var = pre.mean(), pre.var()
@@ -100,7 +101,7 @@ class TestExperts:
 
 def dense_expert(corr, params):
     """The expert with self-attention over the lifted [N, d] tokens."""
-    h = ad.add_rowvec(ad.matmul(corr, params.lift_w), params.lift_b)
+    h = linear(corr, params.lift)
     return ad.layer_norm(ad.add(h, mhsa(h, params.attn)), params.ln_gamma, params.ln_beta)
 
 

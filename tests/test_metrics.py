@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dafss.errors import InputError, UndefinedMetricError
+from dafss.errors import InputError, ShapeError, UndefinedMetricError
 from dafss.metrics import confusion_matrix, evaluate, macc, miou
 from dafss.model import ModelConfig, SegModel
 from dafss.scenes import SceneConfig, build_pool, fold_classes, sample_episode
@@ -45,6 +45,18 @@ class TestConfusionMatrix:
         labels = r.integers(0, n_classes, n_points)
         np.testing.assert_array_equal(confusion_matrix(preds, labels, n_classes),
                                       brute_force_counts(preds, labels, n_classes))
+
+
+class TestShapeErrors:
+    def test_length_mismatch(self):
+        with pytest.raises(ShapeError, match="lengths differ"):
+            confusion_matrix(np.zeros(3, dtype=int), np.zeros(4, dtype=int), 2)
+
+    @pytest.mark.parametrize("metric", [miou, macc])
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_non_square_matrix(self, metric, shape):
+        with pytest.raises(ShapeError, match="square"):
+            metric(np.ones(shape, dtype=np.int64), [1])
 
 
 class TestMiou:

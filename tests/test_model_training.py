@@ -45,7 +45,7 @@ def expert_features(monkeypatch, model, episode, train):
     seen = {}
 
     def recording_expert(corr, params):
-        seen[params.lift_w.name.split(".")[0]] = out = run_expert(corr, params)
+        seen[params.lift.w.name.split(".")[0]] = out = run_expert(corr, params)
         return out
 
     monkeypatch.setattr(model_module, "run_expert", recording_expert)
@@ -252,6 +252,12 @@ class TestConfigurationErrors:
         for mode in MODES:
             assert SegModel(cfg, mode).forward(episode, train=True).logits.shape[1] == 2
 
+    @pytest.mark.parametrize("field", ["lambda_base", "lambda_proto", "lambda_consistency"])
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_invalid_loss_weight_names_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} = "):
+            LossWeights(**{field: value})
+
     @pytest.mark.parametrize("make", [
         lambda: LossWeights(lambda_proto=-1.0),
         lambda: SceneConfig(texture_confusion=1.5),
@@ -277,13 +283,13 @@ class TestModelStructure:
 
     def test_duplicate_parameter_name_rejected(self):
         model = SegModel(tiny_config(), "fused")
-        model.base_b.name = model.base_w.name
-        with pytest.raises(ConfigurationError, match="base.w"):
+        model.base.b.name = model.base.w.name
+        with pytest.raises(ConfigurationError, match="base_w"):
             model.parameters()
 
     def test_state_dict_keys(self):
         model = SegModel(tiny_config(), "decoupled")
-        expected = (["uf.w1", "uf.b1", "uf.w2", "uf.b2"]
+        expected = (["uf.hidden_w", "uf.hidden_b", "uf.out_w", "uf.out_b"]
                     + [f"{e}.{n}" for e in ("geo", "sem") for n in
                        ("lift_w", "lift_b", "ln_gamma", "ln_beta",
                         "attn.wq0", "attn.wq1", "attn.wk0", "attn.wk1",
@@ -293,7 +299,7 @@ class TestModelStructure:
                     + [f"arb.l0.{n}" for n in
                        ("inject_w", "inject_b", "ln_gamma", "ln_beta", "attn.wq0", "attn.wq1",
                         "attn.wk0", "attn.wk1", "attn.wv0", "attn.wv1", "attn.wo")]
-                    + ["dec.conv_w", "dec.conv_b", "dec.out_w", "dec.out_b", "base.w", "base.b",
+                    + ["dec.conv_w", "dec.conv_b", "dec.out_w", "dec.out_b", "base_w", "base_b",
                        "arb.bn_state.running_mean", "arb.bn_state.running_var"])
         assert list(model.state_dict()) == expected
 
@@ -390,6 +396,14 @@ class TestModelStructure:
         with pytest.raises(ConfigurationError, match=key):
             model.load_state_dict(state)
 
+    @pytest.mark.parametrize("old, new", [("uf.w1", "uf.hidden_w"), ("base.b", "base_b")])
+    def test_load_checkpoint_with_old_key_name_rejected(self, old, new):
+        model = SegModel(tiny_config(), "decoupled")
+        state = model.state_dict()
+        state[old] = state.pop(new)
+        with pytest.raises(ConfigurationError, match="unknown"):
+            model.load_state_dict(state)
+
     def test_failed_load_writes_nothing(self):
         cfg = tiny_config()
         model = SegModel(cfg, "decoupled")
@@ -462,8 +476,8 @@ class TestTrainEpisode:
         ep = sample_episode(pool, 1, 1, seed=2, base_classes=base, candidate_classes=base)
         out = model.forward(ep, train=True)
         grads = backward(out.consist_loss)
-        assert np.linalg.norm(grads[model.sem_head.cls_w]) > 0
-        assert np.linalg.norm(grads[model.geo_head.cls_w]) > 0
+        assert np.linalg.norm(grads[model.sem_head.w]) > 0
+        assert np.linalg.norm(grads[model.geo_head.w]) > 0
 
     @pytest.mark.parametrize("mode", MODES)
     def test_every_parameter_gets_a_gradient(self, mode, episode):
@@ -478,7 +492,7 @@ class TestTrainEpisode:
     def test_nonfinite_loss_leaves_batch_norm_statistics_untouched(self, episode):
         model = SegModel(tiny_config(), "decoupled")
         opt = AdamW(model.parameters(), lr=1e-3)
-        model.base_w.data[0, 0] = np.nan
+        model.base.w.data[0, 0] = np.nan
         bn = model.arb.bn_state
         before = (bn.running_mean.tobytes(), bn.running_var.tobytes())
         with pytest.raises(NumericError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dafss.autodiff import parameter
-from dafss.errors import NumericError
+from dafss.errors import ConfigurationError, NumericError
 from dafss.optim import ADAMW_BLOCK, AdamW
 
 
@@ -58,10 +58,10 @@ def test_two_steps_match_hand_stepped_reference():
 
 
 def test_nonfinite_gradient_names_parameter():
-    p = parameter(np.array([1.0]), name="uf.w1")
+    p = parameter(np.array([1.0]), name="uf.hidden_w")
     p.grad = np.array([np.nan])
-    opt = AdamW({"uf.w1": p})
-    with pytest.raises(NumericError, match="uf.w1"):
+    opt = AdamW({"uf.hidden_w": p})
+    with pytest.raises(NumericError, match="uf.hidden_w"):
         opt.step()
 
 
@@ -133,3 +133,23 @@ def test_in_place_step_matches_out_of_place_formula_bitwise():
             if grads[n] is not None:
                 np.testing.assert_array_equal(p.grad, grads[n])
         opt.zero_grad()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", 0.0), ("lr", -1e-3), ("lr", np.nan), ("lr", np.inf),
+    ("weight_decay", -1.0), ("weight_decay", np.nan), ("weight_decay", np.inf),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta1", np.nan),
+    ("beta2", 1.5), ("beta2", 1.0), ("beta2", np.nan),
+    ("eps", 0.0), ("eps", -1e-8), ("eps", np.nan), ("eps", np.inf),
+])
+def test_invalid_setting_names_field(field, value):
+    with pytest.raises(ConfigurationError, match=f"^{field} = "):
+        AdamW({}, **{field: value})
+
+
+def test_boundary_settings_accepted():
+    p = parameter(np.array([1.0, -2.0]), name="x")
+    p.grad = np.array([0.5, -0.25])
+    opt = AdamW({"x": p}, lr=1e-3, weight_decay=0.0, beta1=0.0, beta2=0.0, eps=1e-12)
+    opt.step()
+    assert np.all(np.isfinite(p.data))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dafss.errors import CapacityError, SamplingError, SceneParseError
+from dafss.errors import CapacityError, ConfigurationError, SamplingError, SceneParseError
 from dafss.scenes import (
     CLASS_CATALOG,
     N_CLASSES,
@@ -73,6 +73,41 @@ class TestGeneration:
                            box_count=(2, 2), cylinder_count=(2, 2), max_points=2048)
         with pytest.raises(CapacityError):
             generate_scene(cfg, 0)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("points_per_object", dict(points_per_object=(48, 24))),
+        ("points_per_object", dict(points_per_object=(0, 4))),
+        ("points_per_object", dict(points_per_object=(-2, 4))),
+        ("plane_count", dict(plane_count=(2, 1))),
+        ("box_count", dict(box_count=(-1, 1))),
+        ("cylinder_count", dict(cylinder_count=(1, 2, 3))),
+        ("class_pool", dict(class_pool=())),
+        ("class_pool", dict(class_pool=(N_CLASSES,))),
+        ("class_pool", dict(class_pool=(-1,))),
+        ("class_pool", dict(class_pool=(3, 3))),
+        ("class_pool", dict(plane_count=(0, 1), box_count=(0, 1), cylinder_count=(0, 1))),
+        ("class_pool", dict(class_pool=(6, 7), cylinder_count=(0, 2))),
+        ("noise_sigma", dict(noise_sigma=-0.1)),
+        ("noise_sigma", dict(noise_sigma=np.nan)),
+        ("noise_sigma", dict(noise_sigma=np.inf)),
+        ("texture_confusion", dict(texture_confusion=1.5)),
+        ("texture_confusion", dict(texture_confusion=np.nan)),
+    ])
+    def test_invalid_config_names_field(self, field, kwargs):
+        with pytest.raises(ConfigurationError, match=f"^{field} = "):
+            small_config(**kwargs)
+
+    def test_uncovered_family_may_have_no_guaranteed_object(self):
+        # only the box family is drawn from, and it always places one object
+        cfg = small_config(class_pool=(3, 4), plane_count=(0, 0), box_count=(1, 2),
+                           cylinder_count=(0, 1))
+        for seed in range(20):
+            assert set(generate_scene(cfg, seed).class_set) <= {3, 4}
+
+    def test_zero_lower_bounds_with_one_guaranteed_object_always_generate(self):
+        cfg = small_config(plane_count=(0, 1), box_count=(0, 1), cylinder_count=(1, 1))
+        for seed in range(40):
+            assert len(generate_scene(cfg, seed)) >= 1
 
     def test_fold_split(self):
         base0, novel0 = fold_classes(0)
@@ -154,6 +189,12 @@ class TestEpisodes:
         tiny = build_pool(cfg, 2)
         with pytest.raises(SamplingError):
             sample_episode(tiny, n_way=1, k_shot=3, seed=0)
+
+    @pytest.mark.parametrize("n_way, k_shot, name", [(1, 0, "k_shot"), (0, 1, "n_way"),
+                                                     (-1, 1, "n_way"), (1, -2, "k_shot")])
+    def test_empty_request_names_argument(self, pool, n_way, k_shot, name):
+        with pytest.raises(SamplingError, match=f"^{name} = "):
+            sample_episode(pool, n_way, k_shot, seed=0)
 
     def test_sampling_frequency_near_uniform(self):
         cfg = small_config(plane_count=(2, 3), box_count=(2, 3), cylinder_count=(2, 3))

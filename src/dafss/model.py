@@ -9,6 +9,7 @@ single expert, with no heads and no alignment graph at all.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -27,7 +28,13 @@ from dafss.arbitration import (
 )
 from dafss.autodiff import Tensor
 from dafss.errors import ConfigurationError, require
-from dafss.experts import init_expert, run_expert
+from dafss.experts import (
+    AttentionFactors,
+    ExpertParams,
+    attention_factors,
+    init_expert,
+    run_expert,
+)
 from dafss.features import (
     IFHead,
     TextStub,
@@ -96,6 +103,9 @@ class ModelConfig:
     def __post_init__(self):
         """Reject an inconsistent structure before any parameter is drawn."""
         need = partial(require, self)
+        need(self.seed >= 0, "seed", "must be non-negative")
+        for field in ("d_uf", "uf_hidden", "d_if", "d_geo", "d_sem"):
+            need(getattr(self, field) >= 1, field, "need a width of at least 1")
         need(self.heads >= 1, "heads", "need at least one attention head")
         for field in ("d_geo", "d_sem", "d_arb"):
             need(getattr(self, field) % self.heads == 0, field,
@@ -165,6 +175,8 @@ class SegModel:
         self.decoder = init_decoder(rng, config.d_arb, n_out,
                                     k=config.knn_k, radius=config.knn_radius)
         self.base = init_linear(rng, config.d_arb, len(config.base_class_ids), "base")
+        # Experts' attention factors while frozen(), keyed by id(expert); else None.
+        self._factors: Optional[dict] = None
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -215,6 +227,33 @@ class SegModel:
 
     # -- forward --------------------------------------------------------------
 
+    @contextmanager
+    def frozen(self):
+        """A scope in which the parameters are held fixed.
+
+        Inside it, the first ``forward`` builds each expert's weight-only
+        attention factors (``experts.attention_factors``) outside the
+        graph, and later calls reuse them. The cache is valid while the
+        parameters are unchanged: training inside the scope raises, and
+        leaving it, also by an exception, drops the cache. A nested scope
+        shares the outer one's cache."""
+        outer = self._factors
+        self._factors = {} if outer is None else outer
+        try:
+            yield
+        finally:
+            self._factors = outer
+
+    def _expert_factors(self, expert: ExpertParams) -> AttentionFactors:
+        """``attention_factors(expert)``, built once per :meth:`frozen` scope
+        and on every call outside one."""
+        if self._factors is None:
+            return attention_factors(expert)
+        if id(expert) not in self._factors:
+            with ad.no_grad():
+                self._factors[id(expert)] = attention_factors(expert)
+        return self._factors[id(expert)]
+
     def _encode_support(self, episode: Episode):
         geo_parts, sem_parts = [], []
         mask_cols: list[list[np.ndarray]] = [[] for _ in range(episode.n_way)]
@@ -235,6 +274,8 @@ class SegModel:
 
         Both alignment losses are built in train mode on the decoupled
         variant; ``training.total_loss`` weighs them."""
+        if train and self._factors is not None:
+            raise ConfigurationError("forward(train=True) inside frozen(): parameters are held fixed")
         if episode.n_way != self.config.n_way:
             raise ConfigurationError(
                 f"episode is {episode.n_way}-way, model built for {self.config.n_way}-way")
@@ -247,15 +288,16 @@ class SegModel:
 
         proto_loss = consist_loss = None
         if self.mode == "decoupled":
-            r_geo = run_expert(corr.geo, self.geo_expert)
-            r_sem = run_expert(corr.sem, self.sem_expert)
+            r_geo = run_expert(corr.geo, self.geo_expert, self._expert_factors(self.geo_expert))
+            r_sem = run_expert(corr.sem, self.sem_expert, self._expert_factors(self.sem_expert))
             if train:
                 proto_loss = prototype_alignment_loss(geo_protos, sem_protos, self.align)
                 consist_loss = consistency_loss(head_probs(r_geo, self.geo_head),
                                                 head_probs(r_sem, self.sem_head))
             refined = ad.concat([r_geo, r_sem], axis=1)
         else:
-            refined = run_expert(ad.add(corr.geo, corr.sem), self.geo_expert)
+            refined = run_expert(ad.add(corr.geo, corr.sem), self.geo_expert,
+                                 self._expert_factors(self.geo_expert))
         merged = merge_features(refined, self.arb, train)
 
         g_base, g_q = text_guidance(self.config.base_class_ids, episode.novel_classes, self.text)
@@ -273,7 +315,11 @@ class SegModel:
     def predict(self, episode: Episode) -> np.ndarray:
         """Per-point class predictions in the episode's {0..n_way} space.
 
-        Runs ``forward(train=False)`` without recording an autodiff graph."""
+        Runs ``forward(train=False)`` without recording an autodiff graph.
+        Inside :meth:`frozen` the experts' weight-only factors are built by
+        the first call and reused by later ones, valid while parameters are
+        unchanged; outside it every call builds them. Both give the same
+        bytes."""
         with ad.no_grad():
             out = self.forward(episode, train=False)
         return np.argmax(out.logits.data, axis=1)

@@ -66,6 +66,7 @@ class SceneConfig:
     def __post_init__(self):
         """Reject a setting that could not generate a valid scene."""
         need = partial(require, self)
+        need(self.seed >= 0, "seed", "must be non-negative")
         for field in [f"{fam}_count" for fam in FAMILIES] + ["points_per_object"]:
             r = getattr(self, field)
             need(len(r) == 2 and 0 <= r[0] <= r[1], field, "must be a range (lo, hi), 0 <= lo <= hi")
@@ -181,6 +182,8 @@ _SAMPLERS = {"plane": _sample_plane, "box": _sample_box, "cylinder": _sample_cyl
 
 def generate_scene(config: SceneConfig, seed: int) -> Scene:
     """Deterministic scene for a given (config, seed) pair."""
+    if seed < 0:
+        raise ConfigurationError(f"scene seed = {seed}: must be non-negative")
     max_objects = sum(getattr(config, f"{fam}_count")[1] for fam in FAMILIES)
     if max_objects * config.points_per_object[1] > config.max_points:
         raise CapacityError(
@@ -245,6 +248,8 @@ def sample_episode(pool: Sequence[Scene], n_way: int, k_shot: int, seed: int,
     for name, value in (("n_way", n_way), ("k_shot", k_shot)):
         if value < 1:
             raise SamplingError(f"{name} = {value}: need at least 1")
+    if seed < 0:
+        raise SamplingError(f"seed = {seed}: must be non-negative")
     rng = np.random.default_rng(seed)
     all_classes = sorted({c for s in pool for c in s.class_set})
     if candidate_classes is not None:

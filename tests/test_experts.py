@@ -4,11 +4,16 @@ import pytest
 from dafss import autodiff as ad
 from dafss.autodiff import backward, constant, parameter
 from dafss.errors import ShapeError
-from dafss.experts import init_attention, init_expert, mhsa, run_expert
+from dafss.experts import attention_factors, init_attention, init_expert, mhsa, run_expert
 from dafss.layers import linear
 from dafss.model import named_parameters
 
 from conftest import check_grads, relative_error
+
+
+def factored_expert(corr, params):
+    """``run_expert`` with its weight-only factors built in the same graph."""
+    return run_expert(corr, params, attention_factors(params))
 
 
 class TestMHSA:
@@ -47,8 +52,8 @@ class TestExperts:
         geo = init_expert(rng, n_s, 192, heads=4, prefix="geo")
         sem = init_expert(rng, n_s, 512, heads=4, prefix="sem")
         c = constant(rng.uniform(-1, 1, (n_q, n_s)))
-        assert run_expert(c, geo).shape == (n_q, 192)
-        assert run_expert(c, sem).shape == (n_q, 512)
+        assert factored_expert(c, geo).shape == (n_q, 192)
+        assert factored_expert(c, sem).shape == (n_q, 512)
 
     def test_decoupling_by_construction(self, rng):
         # the geometric output is a function of its own correlation only
@@ -56,16 +61,16 @@ class TestExperts:
         geo = init_expert(rng, n_s, 16, heads=2, prefix="geo")
         c_geo = rng.uniform(-1, 1, (n_q, n_s))
         c_sem = rng.uniform(-1, 1, (n_q, n_s))
-        before = run_expert(constant(c_geo), geo).data
+        before = factored_expert(constant(c_geo), geo).data
         c_sem += rng.standard_normal(c_sem.shape)  # perturb the other modality
-        after = run_expert(constant(c_geo), geo).data
+        after = factored_expert(constant(c_geo), geo).data
         assert before.tobytes() == after.tobytes()
 
     def test_single_token_hand_oracle(self, rng):
         n_s = 2
         params = init_expert(rng, n_s, 8, heads=2, prefix="e")
         c = rng.uniform(-1, 1, (1, n_s))
-        out = run_expert(constant(c), params).data
+        out = factored_expert(constant(c), params).data
 
         h = c @ params.lift.w.data + params.lift.b.data
         att = np.hstack([h @ params.attn.wv[i].data for i in range(2)]) @ params.attn.wo.data
@@ -74,16 +79,26 @@ class TestExperts:
         manual = (pre - mu) / np.sqrt(var + 1e-5) * params.ln_gamma.data + params.ln_beta.data
         assert relative_error(out, manual) < 1e-10
 
+    def test_factors_built_once_serve_every_input_bitwise(self, rng):
+        params = init_expert(rng, 2, 16, heads=4, prefix="e")
+        with ad.no_grad():
+            factors = attention_factors(params)
+        assert not any(t.requires_grad for t in factors.cores + [factors.out_proj])
+        for n in (1, 9, 40):
+            c = constant(rng.uniform(-1, 1, (n, 2)))
+            assert (run_expert(c, params, factors).data.tobytes()
+                    == factored_expert(c, params).data.tobytes())
+
     def test_shape_mismatch(self, rng):
         params = init_expert(rng, 3, 8, heads=2, prefix="e")
         with pytest.raises(ShapeError):
-            run_expert(constant(np.zeros((4, 2))), params)
+            factored_expert(constant(np.zeros((4, 2))), params)
 
     def test_gradient_isolation_between_experts(self, rng):
         geo = init_expert(rng, 2, 8, heads=2, prefix="geo")
         sem = init_expert(rng, 2, 12, heads=2, prefix="sem")
         c = constant(rng.uniform(-1, 1, (4, 2)))
-        grads = backward(ad.sum_all(run_expert(c, geo)))
+        grads = backward(ad.sum_all(factored_expert(c, geo)))
         geo_names = set(named_parameters(geo))
         touched = {t.name for t in grads}
         assert touched <= geo_names
@@ -96,7 +111,7 @@ class TestExperts:
         w = constant(rng.standard_normal((3, 8)))
         tensors = {"c": c}
         tensors.update(named_parameters(params))
-        check_grads(lambda: ad.sum_all(ad.mul(run_expert(c, params), w)), tensors, tol=1e-3)
+        check_grads(lambda: ad.sum_all(ad.mul(factored_expert(c, params), w)), tensors, tol=1e-3)
 
 
 def dense_expert(corr, params):
@@ -127,7 +142,7 @@ class TestLowRankAttention:
             return refined.data, {name: grads[t].copy() for name, t in tensors.items()}
 
         ref_refined, ref_grads = run(dense_expert)
-        got_refined, got_grads = run(run_expert)
+        got_refined, got_grads = run(factored_expert)
         pairs = {"refined": (got_refined, ref_refined)}
         pairs.update({f"grad {k}": (got_grads[k], ref_grads[k]) for k in tensors})
         for what, (got, ref) in pairs.items():

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,9 @@ class TestEvaluate:
 
         class Oracle:
             config = model.config
+
+            def frozen(self):
+                return contextlib.nullcontext()
 
             def predict(self, episode):
                 return episode.query_labels

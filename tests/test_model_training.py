@@ -8,6 +8,7 @@ from dafss import model as model_module
 from dafss.autodiff import backward, constant
 from dafss.errors import ConfigurationError, InputError, NumericError
 from dafss.experts import run_expert
+from dafss.metrics import evaluate
 from dafss.model import MODES, ModelConfig, SegModel, named_parameters
 from dafss.optim import AdamW
 from dafss.scenes import SceneConfig, build_pool, fold_classes, sample_episode
@@ -44,8 +45,8 @@ def expert_features(monkeypatch, model, episode, train):
     keyed by its parameter prefix ("geo", "sem" or "fused")."""
     seen = {}
 
-    def recording_expert(corr, params):
-        seen[params.lift.w.name.split(".")[0]] = out = run_expert(corr, params)
+    def recording_expert(corr, params, factors):
+        seen[params.lift.w.name.split(".")[0]] = out = run_expert(corr, params, factors)
         return out
 
     monkeypatch.setattr(model_module, "run_expert", recording_expert)
@@ -227,13 +228,21 @@ class TestConfigurationErrors:
         ("if_pos_gain", dict(if_pos_gain=-0.25)),
         ("if_pos_gain", dict(if_pos_gain=float("nan"))),
         ("if_pos_gain", dict(if_pos_gain=float("inf"))),
+        ("d_uf", dict(d_uf=0)),
+        ("uf_hidden", dict(uf_hidden=0)),
+        ("d_if", dict(d_if=0)),
+        ("d_geo", dict(d_geo=0)),
+        ("d_sem", dict(d_sem=-2)),
+        ("seed", dict(seed=-1)),
     ], ids=["no_heads", "heads_split_d_geo", "heads_split_d_sem", "heads_split_d_arb",
             "no_background_partition", "no_sam_layer", "no_neighbour", "zero_radius",
             "negative_radius", "no_way", "no_base_class", "repeated_base_class",
             "base_class_past_table", "negative_base_class", "confusion_above_one",
             "negative_confusion", "nan_confusion", "zero_feature_norm",
             "negative_feature_norm", "nan_feature_norm", "infinite_feature_norm",
-            "negative_pos_gain", "nan_pos_gain", "infinite_pos_gain"])
+            "negative_pos_gain", "nan_pos_gain", "infinite_pos_gain", "no_uf_width",
+            "no_uf_hidden_width", "no_if_width", "no_geo_width", "negative_sem_width",
+            "negative_seed"])
     def test_invalid_model_config_names_field(self, field, kwargs):
         with pytest.raises(ConfigurationError, match=f"^{field} = "):
             tiny_config(**kwargs)
@@ -430,6 +439,105 @@ class TestPredict:
             np.testing.assert_array_equal(model.predict(ep), np.argmax(logits.data, axis=1))
         assert all(p.grad is None for p in model.parameters().values())
         assert model.forward(ep, train=False).logits.requires_grad  # graph mode is back
+
+
+def count_factor_builds(monkeypatch) -> list:
+    """Route ``model.attention_factors`` through a counter; returns the list
+    of parameter prefixes it was called for, in call order."""
+    calls = []
+    original = model_module.attention_factors
+
+    def counting(expert):
+        calls.append(expert.lift.w.name.split(".")[0])
+        return original(expert)
+
+    monkeypatch.setattr(model_module, "attention_factors", counting)
+    return calls
+
+
+EXPERTS = {"decoupled": ["geo", "sem"], "fused": ["fused"]}
+
+
+@pytest.mark.parametrize("mode", MODES)
+class TestFrozenScope:
+    @pytest.fixture
+    def novel_episodes(self, pool):
+        _, novel = fold_classes(0)
+        return [sample_episode(pool, 1, 1, seed=s, candidate_classes=novel) for s in range(4)]
+
+    @staticmethod
+    def outputs(model, episodes):
+        return [(model.predict(ep).tobytes(), model.forward(ep, train=False).logits.data.tobytes())
+                for ep in episodes]
+
+    def test_outputs_inside_equal_outside_bytewise(self, mode, novel_episodes):
+        model = SegModel(tiny_config(), mode)
+        outside = self.outputs(model, novel_episodes)
+        with model.frozen():
+            inside = self.outputs(model, novel_episodes)
+        assert inside == outside
+
+    def test_no_stale_factors_after_training(self, mode, pool, novel_episodes):
+        base, _ = fold_classes(0)
+        train_ep = sample_episode(pool, 1, 1, seed=4, base_classes=base, candidate_classes=base)
+
+        def trained(evaluate_first):
+            model = SegModel(tiny_config(), mode)
+            if evaluate_first:
+                evaluate(model, novel_episodes)
+            train_episode(model, train_ep, AdamW(model.parameters(), lr=1e-2), LossWeights(), 0)
+            return model, evaluate(model, novel_episodes)
+
+        model, after = trained(evaluate_first=True)
+        fresh, fresh_after = trained(evaluate_first=False)
+        assert vars(after) == vars(fresh_after)
+        assert self.outputs(model, novel_episodes) == self.outputs(fresh, novel_episodes)
+        # The step moves the logits, so factors cached before it would show.
+        assert self.outputs(model, novel_episodes) != self.outputs(SegModel(tiny_config(), mode),
+                                                                   novel_episodes)
+
+    def test_episode_that_raises_leaves_no_cached_factors(self, mode, pool, novel_episodes,
+                                                          monkeypatch):
+        model = SegModel(tiny_config(), mode)
+        wrong_way = sample_episode(pool, 2, 1, seed=0)
+        calls = count_factor_builds(monkeypatch)
+        with pytest.raises(ConfigurationError, match="2-way"):
+            evaluate(model, [novel_episodes[0], wrong_way, novel_episodes[1]])
+        assert calls == EXPERTS[mode]
+        model.predict(novel_episodes[0])
+        model.predict(novel_episodes[0])
+        assert calls == EXPERTS[mode] * 3  # rebuilt on every call outside the scope
+        model.forward(novel_episodes[0], train=True)  # training is allowed again
+
+    def test_factors_built_once_per_expert_per_evaluate(self, mode, novel_episodes, monkeypatch):
+        model = SegModel(tiny_config(), mode)
+        calls = count_factor_builds(monkeypatch)
+        evaluate(model, novel_episodes)
+        assert calls == EXPERTS[mode]
+        evaluate(model, novel_episodes)
+        assert calls == EXPERTS[mode] * 2
+        with model.frozen():  # a nested scope shares the outer cache
+            evaluate(model, novel_episodes)
+            evaluate(model, novel_episodes)
+        assert calls == EXPERTS[mode] * 3
+
+    def test_parameters_never_see_cached_factors(self, mode, novel_episodes):
+        model = SegModel(tiny_config(), mode)
+        params, state = model.parameters(), model.state_dict()
+        with model.frozen():
+            model.predict(novel_episodes[0])
+            inside_params, inside_state = model.parameters(), model.state_dict()
+        assert list(inside_params) == list(params)
+        assert all(inside_params[k] is params[k] for k in params)
+        assert list(inside_state) == list(state)
+        assert all(inside_state[k].tobytes() == state[k].tobytes() for k in state)
+
+    def test_training_inside_scope_raises(self, mode, novel_episodes):
+        model = SegModel(tiny_config(), mode)
+        with model.frozen():
+            with pytest.raises(ConfigurationError, match="frozen"):
+                model.forward(novel_episodes[0], train=True)
+        assert model.forward(novel_episodes[0], train=True).logits.requires_grad
 
 
 class TestTrainEpisode:

@@ -92,10 +92,15 @@ class TestGeneration:
         ("noise_sigma", dict(noise_sigma=np.inf)),
         ("texture_confusion", dict(texture_confusion=1.5)),
         ("texture_confusion", dict(texture_confusion=np.nan)),
+        ("seed", dict(seed=-1)),
     ])
     def test_invalid_config_names_field(self, field, kwargs):
         with pytest.raises(ConfigurationError, match=f"^{field} = "):
             small_config(**kwargs)
+
+    def test_negative_scene_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="^scene seed = -3: "):
+            generate_scene(small_config(), -3)
 
     def test_uncovered_family_may_have_no_guaranteed_object(self):
         # only the box family is drawn from, and it always places one object
@@ -195,6 +200,10 @@ class TestEpisodes:
     def test_empty_request_names_argument(self, pool, n_way, k_shot, name):
         with pytest.raises(SamplingError, match=f"^{name} = "):
             sample_episode(pool, n_way, k_shot, seed=0)
+
+    def test_negative_episode_seed_rejected(self, pool):
+        with pytest.raises(SamplingError, match="^seed = -1: "):
+            sample_episode(pool, 1, 1, seed=-1)
 
     def test_sampling_frequency_near_uniform(self):
         cfg = small_config(plane_count=(2, 3), box_count=(2, 3), cylinder_count=(2, 3))

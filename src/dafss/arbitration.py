@@ -1,10 +1,11 @@
 """Arbitration stack: fusion, guidance injection, attention layers, gating.
 
 The (concatenated) expert features are batch-normalized to reconcile their
-scales, projected per point and rectified. Each arbitration layer first
-rewrites the background channel partition of every token from base-class
-guidance (foreground channels pass through bitwise untouched), then applies
-residual self-attention with a layer norm. The final features are amplified
+scales (the running statistics are named tensors without a gradient),
+projected per point and rectified. Each arbitration layer first rewrites the
+background channel partition of every token from base-class guidance
+(foreground channels pass through bitwise untouched), then applies residual
+self-attention with a layer norm. The final features are amplified
 channel-wise by a sigmoid gate driven by the target-class embeddings, and a
 small inverse-distance k-NN smoother plus classifier turns them into
 per-point logits.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dafss import autodiff as ad
-from dafss.autodiff import BatchNormState, Tensor, constant, parameter
+from dafss.autodiff import Tensor, constant, parameter
 from dafss.errors import ConfigurationError, ShapeError
 from dafss.experts import AttentionParams, init_attention, mhsa
 from dafss.layers import Linear, init_linear, linear
@@ -35,7 +36,8 @@ class ArbitrationLayerParams:
 class ArbitrationParams:
     bn_gamma: Tensor
     bn_beta: Tensor
-    bn_state: BatchNormState
+    bn_mean: Tensor  # running statistics: no gradient
+    bn_var: Tensor
     conv: Linear  # [d_in, d_arb], the per-point 1x1 convolution
     gate: Linear  # [d_guid, d_arb]
     layers: list  # after the tensors: parameter order follows field order
@@ -54,7 +56,8 @@ def init_arbitration(rng: np.random.Generator, d_in: int, d_arb: int, d_guid: in
     return ArbitrationParams(
         bn_gamma=parameter(np.ones(d_in), name="arb.bn_gamma"),
         bn_beta=parameter(np.zeros(d_in), name="arb.bn_beta"),
-        bn_state=BatchNormState(d_in),
+        bn_mean=Tensor(np.zeros(d_in), name="arb.bn_mean"),
+        bn_var=Tensor(np.ones(d_in), name="arb.bn_var"),
         conv=init_linear(rng, d_in, d_arb, "arb.conv"),
         layers=layers,
         gate=init_linear(rng, d_guid, d_arb, "arb.gate"),
@@ -62,10 +65,11 @@ def init_arbitration(rng: np.random.Generator, d_in: int, d_arb: int, d_guid: in
 
 
 def merge_features(x: Tensor, params: ArbitrationParams, train: bool) -> Tensor:
-    """Batch norm -> per-point linear -> ReLU over expert features. Outputs are >= 0."""
+    """Batch norm -> per-point linear -> ReLU over expert features. Outputs are >= 0.
+    Train mode folds the batch's statistics into ``params.bn_mean``/``bn_var``."""
     if x.shape[1] != params.conv.w.shape[0]:
         raise ShapeError(f"merge input dim {x.shape[1]} != conv dim {params.conv.w.shape[0]}")
-    normed = ad.batch_norm(x, params.bn_gamma, params.bn_beta, params.bn_state, train)
+    normed = ad.batch_norm(x, params.bn_gamma, params.bn_beta, params.bn_mean, params.bn_var, train)
     return ad.relu(linear(normed, params.conv))
 
 

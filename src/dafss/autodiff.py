@@ -12,7 +12,8 @@ Conventions:
   * :func:`stop_gradient` is the identity on values and detaches the result
     from the graph entirely;
   * inside a :class:`no_grad` block no op records a graph, so nothing is
-    kept alive for a backward pass that will never come.
+    kept alive for a backward pass that will never come;
+  * batch-norm running statistics are named tensors that take no gradient.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from dafss.errors import DegenerateBatchError, GraphError, ShapeError
 
-LAYER_NORM_EPS = 1e-5  # added to each row's variance
+NORM_EPS = 1e-5  # added to the variance by layer_norm and batch_norm
+BATCH_NORM_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
 LOG_FLOOR = 1e-12  # safe_log clips its input here
 COSINE_EPS = 1e-12  # smallest row norm cosine_rows divides by
 
@@ -249,66 +251,28 @@ def log_softmax(x: Tensor, axis: int) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize each row of ``x`` to zero mean / unit variance, then affine."""
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
+               stats: Optional[tuple] = None) -> tuple:
+    """``gamma * (x - mean) / sqrt(var + NORM_EPS) + beta``, standardised along ``axis``.
+
+    ``mean`` and ``var`` are those of ``x`` along ``axis`` unless ``stats``
+    gives fixed ``(mean, var)`` rows, which the gradient treats as constants.
+    Returns the output and the ``(mean, var)`` it used."""
+    op = ("batch_norm", "layer_norm")[axis]
     if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm expects [t,d], got shape {x.shape}")
+        raise ShapeError(f"{op} expects [t,d], got shape {x.shape}")
     d = x.shape[1]
     if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match d={d}")
-    # np.var's own steps on the one centred copy, so the bits are np.var's.
-    xhat = x.data - np.mean(x.data, axis=1, keepdims=True)
-    var = np.sum(xhat * xhat, axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat *= inv
-    out_data = xhat * gamma.data
-    out_data += beta.data
-
-    def backward(g: np.ndarray) -> None:
-        _accum(gamma, np.sum(g * xhat, axis=0), owned=True)
-        _accum(beta, np.sum(g, axis=0), owned=True)
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            m1 = np.mean(dxhat, axis=1, keepdims=True)
-            m2 = np.mean(dxhat * xhat, axis=1, keepdims=True)
-            _accum(x, inv * (dxhat - m1 - xhat * m2), owned=True)
-
-    return _node(out_data, (x, gamma, beta), backward)
-
-
-class BatchNormState:
-    """Running statistics for batch normalization (outside the graph)."""
-
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
-        self.running_mean = np.zeros(dim, dtype=np.float64)
-        self.running_var = np.ones(dim, dtype=np.float64)
-        self.momentum = float(momentum)
-        self.eps = float(eps)
-
-
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, train: bool) -> Tensor:
-    """Per-column normalization; training uses (and folds in) batch stats."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"batch_norm expects [t,d], got shape {x.shape}")
-    t, d = x.shape
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"batch_norm affine shapes {gamma.shape}/{beta.shape} do not match d={d}")
-    eps = state.eps
-
-    if train:
-        if t < 2:
-            raise DegenerateBatchError(f"batch_norm train mode needs >= 2 rows, got {t}")
-        mu = np.mean(x.data, axis=0)
-        xhat = x.data - mu
-        var = np.sum(xhat * xhat, axis=0) / t  # np.var's steps, as in layer_norm
-        m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mu
-        state.running_var = (1.0 - m) * state.running_var + m * var
+        raise ShapeError(f"{op} affine shapes {gamma.shape}/{beta.shape} do not match d={d}")
+    if stats is None:
+        # np.var's own steps on the one centred copy, so the bits are np.var's.
+        mean = np.mean(x.data, axis=axis, keepdims=True)
+        xhat = x.data - mean
+        var = np.sum(xhat * xhat, axis=axis, keepdims=True) / x.shape[axis]
     else:
-        xhat = x.data - state.running_mean
-        var = state.running_var
-
-    inv = 1.0 / np.sqrt(var + eps)
+        mean, var = stats
+        xhat = x.data - mean
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat *= inv
     out_data = xhat * gamma.data
     out_data += beta.data
@@ -318,14 +282,35 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, tr
         _accum(beta, np.sum(g, axis=0), owned=True)
         if x.requires_grad:
             dxhat = g * gamma.data
-            if train:
-                m1 = np.mean(dxhat, axis=0)
-                m2 = np.mean(dxhat * xhat, axis=0)
+            if stats is None:
+                m1 = np.mean(dxhat, axis=axis, keepdims=True)
+                m2 = np.mean(dxhat * xhat, axis=axis, keepdims=True)
                 _accum(x, inv * (dxhat - m1 - xhat * m2), owned=True)
             else:
                 _accum(x, dxhat * inv, owned=True)
 
-    return _node(out_data, (x, gamma, beta), backward)
+    return _node(out_data, (x, gamma, beta), backward), mean, var
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize each row of ``x`` to zero mean / unit variance, then affine."""
+    return _normalize(x, gamma, beta, axis=1)[0]
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
+               running_var: Tensor, train: bool) -> Tensor:
+    """Per-column normalization, then affine. Training uses the batch's own
+    statistics and folds them into the running ones, whose ``data`` it
+    rebinds; evaluation uses the running ones."""
+    if not train:
+        return _normalize(x, gamma, beta, axis=0, stats=(running_mean.data, running_var.data))[0]
+    out, mean, var = _normalize(x, gamma, beta, axis=0)
+    if x.shape[0] < 2:
+        raise DegenerateBatchError(f"batch_norm train mode needs >= 2 rows, got {x.shape[0]}")
+    m = BATCH_NORM_MOMENTUM
+    running_mean.data = (1.0 - m) * running_mean.data + m * mean[0]
+    running_var.data = (1.0 - m) * running_var.data + m * var[0]
+    return out
 
 
 # ---------------------------------------------------------------------------

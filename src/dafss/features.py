@@ -50,12 +50,27 @@ class UFHead:
         self.out = init_linear(rng, hidden, d_out, "uf.out")
 
 
+def _check_scene(scene: Scene, n_textures: int) -> None:
+    """Raise unless ``scene.points`` is a finite ``[N, 3]`` array and
+    ``scene.texture`` holds N ids in ``[0, n_textures)``: what both encoders read."""
+    points, t = scene.points, scene.texture
+    if points.ndim != 2 or points.shape[1] != 3 or t.shape != (len(points),):
+        raise ShapeError(f"scene.points of shape {points.shape} and scene.texture of shape "
+                         f"{t.shape} are not [N, 3] and [N]")
+    nonfinite = ~np.all(np.isfinite(points), axis=1)
+    if nonfinite.any():
+        raise InputError(f"scene.points has a non-finite coordinate at point {np.argmax(nonfinite)}")
+    bad = (t < 0) | (t >= n_textures)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InputError(f"scene.texture id {t[i]} outside [0, {n_textures}) at point {i}")
+
+
 def uf_encode(scene: Scene, head: UFHead) -> Tensor:
     """Per-point geometric features, differentiable w.r.t. the head."""
-    n = len(scene)
-    onehot = np.zeros((n, head.hidden.w.shape[0] - 3))  # rows: xyz, then one per texture id
-    onehot[np.arange(n), scene.texture] = 1.0
-    x = constant(np.hstack([scene.points, onehot]))
+    n_textures = head.hidden.w.shape[0] - 3  # rows: xyz, then one per texture id
+    _check_scene(scene, n_textures)
+    x = constant(np.hstack([scene.points, np.eye(n_textures)[scene.texture]]))
     return linear(ad.relu(linear(x, head.hidden)), head.out)
 
 
@@ -102,12 +117,8 @@ class IFHead:
 
 def if_encode(scene: Scene, head: IFHead) -> Tensor:
     """Per-point semantic features as a detached constant tensor."""
-    t = scene.texture
-    n_classes = len(head.class_embed)
-    if np.any(t < 0) or np.any(t >= n_classes):
-        bad = int(t[(t < 0) | (t >= n_classes)][0])
-        raise InputError(f"texture id {bad} outside the semantic table (0..{n_classes - 1})")
-    mixed = head.confusion[t] @ head.class_embed
+    _check_scene(scene, len(head.class_embed))
+    mixed = head.confusion[scene.texture] @ head.class_embed
     mixed = mixed + head.pos_gain * head.pos_table[head._cells(scene.points)]
     norms = np.maximum(np.linalg.norm(mixed, axis=1, keepdims=True), 1e-12)
     return constant(head.feature_norm * mixed / norms)

@@ -46,25 +46,25 @@ from dafss.features import (
     uf_encode,
 )
 from dafss.layers import init_linear, linear
-from dafss.scenes import Episode
+from dafss.scenes import N_CLASSES, Episode
 
 MODES = ("decoupled", "fused")
 
 
-def named_parameters(obj) -> dict[str, Tensor]:
-    """Every trainable tensor under ``obj``, keyed by its name.
+def named_tensors(obj) -> dict[str, Tensor]:
+    """Every tensor under ``obj`` by name: parameters, and state no gradient
+    moves, such as batch-norm running statistics.
 
     Walks tensors, lists, tuples and the attributes of plain objects and
-    dataclasses depth first, in attribute order, so a parameter's position
+    dataclasses depth first, in attribute order, so a tensor's position
     follows the order of the fields that hold it."""
     out: dict[str, Tensor] = {}
 
     def walk(x) -> None:
         if isinstance(x, Tensor):
-            if x.requires_grad:
-                if x.name in out:
-                    raise ConfigurationError(f"two parameters are named {x.name!r}")
-                out[x.name] = x
+            if x.name in out:
+                raise ConfigurationError(f"two tensors are named {x.name!r}")
+            out[x.name] = x
         elif isinstance(x, (list, tuple)):
             for item in x:
                 walk(item)
@@ -82,7 +82,6 @@ class ModelConfig:
 
     Frozen, so a built config cannot be changed past its checks."""
 
-    n_classes: int = 10
     base_class_ids: tuple = tuple(range(6))
     n_way: int = 1
     d_uf: int = 32
@@ -118,8 +117,8 @@ class ModelConfig:
         ids = [int(c) for c in self.base_class_ids]
         need(len(ids) >= 1, "base_class_ids", "need at least one base class")
         need(len(set(ids)) == len(ids), "base_class_ids", "must be unique")
-        need(all(0 <= c < self.n_classes for c in ids), "base_class_ids",
-             f"must lie in [0, n_classes = {self.n_classes})")
+        need(all(0 <= c < N_CLASSES for c in ids), "base_class_ids",
+             f"must lie in [0, {N_CLASSES})")
         need(0.0 <= self.if_confusion <= 1.0, "if_confusion", "must lie in [0, 1]")
         need(np.isfinite(self.if_feature_norm) and self.if_feature_norm > 0, "if_feature_norm",
              "must be finite and positive")
@@ -150,12 +149,11 @@ class SegModel:
         rng = np.random.default_rng([config.seed, MODES.index(mode)])
 
         n_out = config.n_way + 1  # background plus one class per way
-        self.uf = UFHead(rng, n_textures=config.n_classes, d_out=config.d_uf,
-                         hidden=config.uf_hidden)
-        self.if_head = IFHead(rng, n_classes=config.n_classes, d_out=config.d_if,
+        self.uf = UFHead(rng, n_textures=N_CLASSES, d_out=config.d_uf, hidden=config.uf_hidden)
+        self.if_head = IFHead(rng, n_classes=N_CLASSES, d_out=config.d_if,
                               off_mass=config.if_confusion,
                               feature_norm=config.if_feature_norm, pos_gain=config.if_pos_gain)
-        self.text = TextStub(rng, n_classes=config.n_classes, d_out=config.d_if)
+        self.text = TextStub(rng, n_classes=N_CLASSES, d_out=config.d_if)
 
         if mode == "decoupled":
             self.geo_expert = init_expert(rng, n_out, config.d_geo, config.heads, "geo")
@@ -181,34 +179,31 @@ class SegModel:
     # -- parameter bookkeeping ------------------------------------------------
 
     def parameters(self) -> dict[str, Tensor]:
-        return named_parameters(self)
+        """The trainable part of :func:`named_tensors`, in its order."""
+        return {name: t for name, t in named_tensors(self).items() if t.requires_grad}
 
     def pathway_tensors(self) -> tuple[list[Tensor], list[Tensor]]:
-        """Trainable tensors of the geometric pathway (point encoder, its expert
-        and head) and of the semantic one (expert and head; none if fused)."""
-        return (list(named_parameters((self.uf, self.geo_expert, self.geo_head)).values()),
-                list(named_parameters((self.sem_expert, self.sem_head)).values()))
+        """Tensors of the geometric pathway (point encoder, its expert and
+        head) and of the semantic one (expert and head; none if fused)."""
+        return (list(named_tensors((self.uf, self.geo_expert, self.geo_head)).values()),
+                list(named_tensors((self.sem_expert, self.sem_head)).values()))
 
     def frozen_state(self) -> list[np.ndarray]:
         """Copies of every frozen array, for bit-identity audits."""
         return [a.copy() for a in self.if_head.state_arrays() + self.text.state_arrays()]
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        out = {name: p.data.copy() for name, p in self.parameters().items()}
-        out["arb.bn_state.running_mean"] = self.arb.bn_state.running_mean.copy()
-        out["arb.bn_state.running_var"] = self.arb.bn_state.running_var.copy()
-        return out
+        """A copy of every named tensor: the parameters and the batch-norm
+        running statistics, keyed by name in :func:`named_tensors` order."""
+        return {name: t.data.copy() for name, t in named_tensors(self).items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Load a full checkpoint, or raise before anything is written.
 
         The keys must be exactly those of ``state_dict()``, each with the
         shape it has there."""
-        params = self.parameters()
-        bn = self.arb.bn_state
-        shapes = {name: p.data.shape for name, p in params.items()}
-        shapes["arb.bn_state.running_mean"] = bn.running_mean.shape
-        shapes["arb.bn_state.running_var"] = bn.running_var.shape
+        tensors = named_tensors(self)
+        shapes = {name: t.data.shape for name, t in tensors.items()}
         unknown = [name for name in state if name not in shapes]
         if unknown:
             raise ConfigurationError(f"checkpoint contains unknown entries {unknown}")
@@ -220,10 +215,8 @@ class SegModel:
                 raise ConfigurationError(
                     f"checkpoint shape {np.shape(state[name])} does not match "
                     f"{name!r} of shape {shape}")
-        for name, p in params.items():
-            p.data = state[name].copy()
-        bn.running_mean = state["arb.bn_state.running_mean"].copy()
-        bn.running_var = state["arb.bn_state.running_var"].copy()
+        for name, t in tensors.items():
+            t.data = state[name].copy()
 
     # -- forward --------------------------------------------------------------
 

@@ -9,9 +9,9 @@ import numpy as np
 
 from dafss import autodiff as ad
 from dafss.autodiff import Tensor, backward, constant
-from dafss.errors import InputError, NumericError, UndefinedMetricError, require
+from dafss.errors import InputError, NumericError, ShapeError, UndefinedMetricError, require
 from dafss.metrics import confusion_matrix, miou
-from dafss.model import SegModel
+from dafss.model import SegModel, named_tensors
 from dafss.optim import AdamW
 from dafss.scenes import Episode
 
@@ -48,9 +48,11 @@ def _masked_cross_entropy(logits: Tensor, labels: np.ndarray, keep: np.ndarray,
                           what: str) -> Tensor:
     """Mean softmax cross-entropy over the points where ``keep`` holds.
 
-    Their labels must lie in ``[0, c)``; with no such point the loss is an
-    exact zero constant."""
+    ``labels`` holds one entry per row of ``logits``. Those kept must lie in
+    ``[0, c)``; with no kept point the loss is an exact zero constant."""
     n, c = logits.shape
+    if len(labels) != n:
+        raise ShapeError(f"{len(labels)} {what}s for {n} rows of logits")
     bad = keep & ((labels < 0) | (labels >= c))
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -110,11 +112,10 @@ def train_episode(model: SegModel, episode: Episode, optimizer: AdamW,
     """One optimization step; pathway gradient norms are read pre-step.
 
     A step that raises ``NumericError`` leaves no trace: the parameters and
-    optimizer moments are untouched (``AdamW.step`` is all or nothing), the
-    batch-norm running statistics are restored, and the gradients are
-    cleared."""
-    bn = model.arb.bn_state
-    saved_stats = (bn.running_mean.copy(), bn.running_var.copy())
+    optimizer moments are untouched (``AdamW.step`` is all or nothing), every
+    named tensor that takes no gradient, such as the batch-norm running
+    statistics, is restored, and the gradients are cleared."""
+    saved = [(t, t.data.copy()) for t in named_tensors(model).values() if not t.requires_grad]
     try:
         out = model.forward(episode, train=True)
         seg = seg_loss(out.logits, episode.query_labels)
@@ -134,7 +135,8 @@ def train_episode(model: SegModel, episode: Episode, optimizer: AdamW,
         gn_uf, gn_sem = (grad_norm(tensors) for tensors in model.pathway_tensors())
         optimizer.step()
     except NumericError:
-        bn.running_mean, bn.running_var = saved_stats
+        for t, data in saved:
+            t.data = data
         raise
     finally:
         optimizer.zero_grad()

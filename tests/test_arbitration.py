@@ -13,9 +13,9 @@ from dafss.arbitration import (
     decode,
     semantic_gate,
 )
-from dafss.autodiff import BatchNormState, constant, parameter
+from dafss.autodiff import NORM_EPS, constant, parameter
 from dafss.errors import ConfigurationError, DegenerateBatchError
-from dafss.model import named_parameters
+from dafss.model import named_tensors
 
 from conftest import check_grads, relative_error
 
@@ -46,9 +46,8 @@ class TestMerge:
     def test_hand_composed_fixture(self, rng):
         # 2 points, hand-set BN/conv parameters, eval mode with known stats
         p = init_arbitration(rng, d_in=3, d_arb=2, d_guid=2, n_layers=1, heads=1, d_bg=1)
-        p.bn_state = BatchNormState(3, eps=0.0)
-        p.bn_state.running_mean = np.array([1.0, 0.0, -1.0])
-        p.bn_state.running_var = np.array([4.0, 1.0, 1.0])
+        p.bn_mean.data = np.array([1.0, 0.0, -1.0])
+        p.bn_var.data = np.array([4.0, 1.0, 1.0]) - NORM_EPS
         p.bn_gamma.data[:] = [2.0, 1.0, 1.0]
         p.bn_beta.data[:] = [0.0, 0.5, 0.0]
         p.conv.w.data[:] = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
@@ -56,7 +55,7 @@ class TestMerge:
         x = np.array([[3.0, 1.0, 0.0], [0.0, -2.0, 2.0]])
         out = merge_features(constant(x), p, train=False).data
 
-        normed = (x - p.bn_state.running_mean) / np.sqrt(p.bn_state.running_var)
+        normed = (x - p.bn_mean.data) / np.sqrt([4.0, 1.0, 1.0])
         normed = normed * p.bn_gamma.data + p.bn_beta.data
         manual = np.maximum(normed @ p.conv.w.data + p.conv.b.data, 0.0)
         assert relative_error(out, manual) < 1e-10
@@ -246,7 +245,7 @@ class TestDecoder:
         logits = decode(r, points, dec)
         assert logits.shape == (5, 3)
         tensors = {"r": r}
-        tensors.update(named_parameters(dec))
+        tensors.update(named_tensors(dec))
         w = constant(rng.standard_normal((5, 3)))
         check_grads(lambda: ad.sum_all(ad.mul(decode(r, points, dec), w)), tensors, tol=1e-3)
 
@@ -271,6 +270,6 @@ class TestEndToEndGradient:
             return ad.sum_all(ad.mul(decode(gated, points, dec), w))
 
         tensors = {"r_geo": r_geo}
-        tensors.update(named_parameters(p))
-        tensors.update(named_parameters(dec))
+        tensors.update({n: t for n, t in named_tensors(p).items() if t.requires_grad})
+        tensors.update(named_tensors(dec))
         check_grads(make_loss, tensors, tol=1e-3)

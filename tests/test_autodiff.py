@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dafss import autodiff as ad
-from dafss.autodiff import BatchNormState, Tensor, backward, constant, parameter
+from dafss.autodiff import BATCH_NORM_MOMENTUM, NORM_EPS, Tensor, backward, constant, parameter
 from dafss.errors import DegenerateBatchError, GraphError, ShapeError
 from dafss.scenes import SceneConfig
 
@@ -196,32 +196,43 @@ class TestLayerNorm:
         )
 
 
+def running_stats(d):
+    """Fresh batch-norm running statistics: zero mean, unit variance."""
+    return Tensor(np.zeros(d), name="mean"), Tensor(np.ones(d), name="var")
+
+
 class TestBatchNorm:
     def test_train_column_means_zero(self, rng):
         x = constant(rng.standard_normal((8, 3)) * 2 + 5)
-        state = BatchNormState(3)
-        out = ad.batch_norm(x, constant(np.ones(3)), constant(np.zeros(3)), state, train=True)
+        out = ad.batch_norm(x, constant(np.ones(3)), constant(np.zeros(3)), *running_stats(3),
+                            train=True)
         np.testing.assert_allclose(np.mean(out.data, axis=0), 0.0, atol=1e-10)
 
     def test_eval_passthrough_with_identity_stats(self, rng):
         x = rng.standard_normal((4, 3))
         gamma = rng.standard_normal(3)
         beta = rng.standard_normal(3)
-        state = BatchNormState(3, eps=0.0)
-        out = ad.batch_norm(constant(x), constant(gamma), constant(beta), state, train=False)
+        mean, var = running_stats(3)
+        var.data -= NORM_EPS  # so that var + NORM_EPS is exactly 1
+        out = ad.batch_norm(constant(x), constant(gamma), constant(beta), mean, var, train=False)
         np.testing.assert_array_equal(out.data, gamma * x + beta)
 
     def test_train_updates_running_stats(self, rng):
         x = rng.standard_normal((16, 2)) + 3.0
-        state = BatchNormState(2, momentum=0.5)
-        ad.batch_norm(constant(x), constant(np.ones(2)), constant(np.zeros(2)), state, train=True)
-        expected_mean = 0.5 * np.zeros(2) + 0.5 * x.mean(axis=0)
-        np.testing.assert_allclose(state.running_mean, expected_mean)
+        mean, var = running_stats(2)
+        ad.batch_norm(constant(x), constant(np.ones(2)), constant(np.zeros(2)), mean, var,
+                      train=True)
+        m = BATCH_NORM_MOMENTUM
+        np.testing.assert_allclose(mean.data, m * x.mean(axis=0))
+        np.testing.assert_allclose(var.data, (1 - m) + m * x.var(axis=0))
+        assert not mean.requires_grad and not var.requires_grad
 
     def test_degenerate_batch(self):
-        state = BatchNormState(3)
+        mean, var = running_stats(3)
         with pytest.raises(DegenerateBatchError):
-            ad.batch_norm(constant(np.zeros((1, 3))), constant(np.ones(3)), constant(np.zeros(3)), state, train=True)
+            ad.batch_norm(constant(np.zeros((1, 3))), constant(np.ones(3)), constant(np.zeros(3)),
+                          mean, var, train=True)
+        assert mean.data.tobytes() == np.zeros(3).tobytes()
 
     def test_gradient_train_mode(self, rng):
         x = parameter(rng.standard_normal((4, 3)))
@@ -230,8 +241,7 @@ class TestBatchNorm:
         w = constant(rng.standard_normal((4, 3)))
 
         def make_loss():
-            state = BatchNormState(3)
-            return ad.sum_all(ad.mul(ad.batch_norm(x, gamma, beta, state, train=True), w))
+            return ad.sum_all(ad.mul(ad.batch_norm(x, gamma, beta, *running_stats(3), train=True), w))
 
         check_grads(make_loss, {"x": x, "gamma": gamma, "beta": beta}, tol=1e-4)
 
@@ -265,15 +275,14 @@ class TestNormsBitwise:
             out = ad.layer_norm(x, gamma, beta)
             ref = norm_reference(x0, g0, b0, up, axis=1)
         else:
-            state = BatchNormState(shape[1])
-            state.running_mean = rng.standard_normal(shape[1])
-            state.running_var = rng.uniform(0.5, 2.0, shape[1])
-            stats = (state.running_mean, state.running_var) if kind == "batch_eval" else None
+            mean = Tensor(rng.standard_normal(shape[1]), name="mean")
+            var = Tensor(rng.uniform(0.5, 2.0, shape[1]), name="var")
+            stats = (mean.data, var.data) if kind == "batch_eval" else None
             ref = norm_reference(x0, g0, b0, up, axis=0, stats=stats)
-            running_var = 0.9 * state.running_var + 0.1 * np.var(x0, axis=0)
-            out = ad.batch_norm(x, gamma, beta, state, train=kind == "batch_train")
+            running_var = 0.9 * var.data + 0.1 * np.var(x0, axis=0)
+            out = ad.batch_norm(x, gamma, beta, mean, var, train=kind == "batch_train")
             if kind == "batch_train":
-                assert state.running_var.tobytes() == running_var.tobytes()
+                assert var.data.tobytes() == running_var.tobytes()
         backward(ad.sum_all(ad.mul(out, constant(up))))
         for what, a, b in zip(("out", "x", "gamma", "beta"),
                               (out.data, x.grad, gamma.grad, beta.grad), ref):

@@ -6,7 +6,7 @@ from dafss.autodiff import backward, constant, parameter
 from dafss.errors import ShapeError
 from dafss.experts import attention_factors, init_attention, init_expert, mhsa, run_expert
 from dafss.layers import linear
-from dafss.model import named_parameters
+from dafss.model import named_tensors
 
 from conftest import check_grads, relative_error
 
@@ -42,7 +42,7 @@ class TestMHSA:
         x = parameter(rng.standard_normal((3, d)))
         w = constant(rng.standard_normal((3, d)))
         tensors = {"x": x}
-        tensors.update(named_parameters(attn))
+        tensors.update(named_tensors(attn))
         check_grads(lambda: ad.sum_all(ad.mul(mhsa(x, attn), w)), tensors, tol=1e-3)
 
 
@@ -99,10 +99,10 @@ class TestExperts:
         sem = init_expert(rng, 2, 12, heads=2, prefix="sem")
         c = constant(rng.uniform(-1, 1, (4, 2)))
         grads = backward(ad.sum_all(factored_expert(c, geo)))
-        geo_names = set(named_parameters(geo))
+        geo_names = set(named_tensors(geo))
         touched = {t.name for t in grads}
         assert touched <= geo_names
-        for t in named_parameters(sem).values():
+        for t in named_tensors(sem).values():
             assert t.grad is None
 
     def test_gradient_vs_finite_differences(self, rng):
@@ -110,7 +110,7 @@ class TestExperts:
         c = parameter(rng.uniform(-1, 1, (3, 2)))
         w = constant(rng.standard_normal((3, 8)))
         tensors = {"c": c}
-        tensors.update(named_parameters(params))
+        tensors.update(named_tensors(params))
         check_grads(lambda: ad.sum_all(ad.mul(factored_expert(c, params), w)), tensors, tol=1e-3)
 
 
@@ -127,7 +127,7 @@ class TestLowRankAttention:
     def test_matches_dense_attention(self, d, n_way, n):
         rng = np.random.default_rng([d, n_way, n])
         params = init_expert(rng, n_way + 1, d, heads=4, prefix="e")
-        tensors = named_parameters(params)
+        tensors = named_tensors(params)
         for t in tensors.values():  # move biases and norms off their trivial init
             t.data = t.data + rng.normal(0, 0.1, t.shape)
         corr = parameter(rng.uniform(-1, 1, (n, n_way + 1)), name="corr")

@@ -3,7 +3,7 @@ import pytest
 
 from dafss import autodiff as ad
 from dafss.autodiff import backward, constant, parameter
-from dafss.errors import DegenerateSupportError, InputError
+from dafss.errors import DegenerateSupportError, InputError, ShapeError
 from dafss.features import (
     IFHead,
     TextStub,
@@ -15,8 +15,8 @@ from dafss.features import (
     text_guidance,
     uf_encode,
 )
-from dafss.model import ModelConfig, named_parameters
-from dafss.scenes import Scene, SceneConfig, generate_scene
+from dafss.model import ModelConfig, named_tensors
+from dafss.scenes import N_CLASSES, Scene, SceneConfig, generate_scene
 
 from conftest import check_grads, relative_error
 
@@ -38,7 +38,7 @@ class TestUFHead:
         scene = generate_scene(SceneConfig(points_per_object=(86, 86), plane_count=(2, 2),
                                            box_count=(2, 2), cylinder_count=(2, 2), seed=1), 0)
         cfg = ModelConfig()
-        head = UFHead(rng, n_textures=cfg.n_classes, d_out=cfg.d_uf, hidden=cfg.uf_hidden)
+        head = UFHead(rng, n_textures=N_CLASSES, d_out=cfg.d_uf, hidden=cfg.uf_hidden)
         out = uf_encode(scene, head)
         assert out.shape == (len(scene), cfg.d_uf)
 
@@ -58,9 +58,49 @@ class TestUFHead:
         w = constant(rng.standard_normal((6, 4)))
         check_grads(
             lambda: ad.sum_all(ad.mul(uf_encode(scene, head), w)),
-            named_parameters(head),
+            named_tensors(head),
             tol=1e-3,
         )
+
+
+def set_texture(scene, i, value):
+    scene.texture[i] = value
+
+
+def set_point(scene, i, value):
+    scene.points[i, 1] = value
+
+
+class TestMalformedScene:
+    """Both encoders reject, through one check, a scene they cannot read."""
+
+    ENCODERS = {
+        "uf": lambda rng: (uf_encode, UFHead(rng, n_textures=4, d_out=8, hidden=16)),
+        "if": lambda rng: (if_encode, make_if_head(rng, n_classes=4, d_out=8)),
+    }
+
+    @pytest.mark.parametrize("encoder", ["uf", "if"])
+    @pytest.mark.parametrize("corrupt, error, message", [
+        (lambda s: set_texture(s, 3, 4), InputError,
+         "scene.texture id 4 outside \\[0, 4\\) at point 3"),
+        (lambda s: set_texture(s, 0, 99), InputError, "texture id 99 outside"),
+        (lambda s: set_texture(s, 5, -1), InputError, "scene.texture id -1 outside"),
+        (lambda s: setattr(s, "texture", s.texture[:-1]), ShapeError,
+         "scene.texture of shape \\(39,\\) are not"),
+        (lambda s: setattr(s, "points", s.points[:, :2]), ShapeError,
+         "scene.points of shape \\(40, 2\\) and .* are not \\[N, 3\\] and \\[N\\]"),
+        (lambda s: set_point(s, 7, np.nan), InputError,
+         "scene.points has a non-finite coordinate at point 7"),
+        (lambda s: set_point(s, 2, -np.inf), InputError,
+         "scene.points has a non-finite coordinate at point 2"),
+    ], ids=["texture_past_table", "texture_far_past_table", "negative_texture",
+            "short_texture", "points_not_xyz", "nan_coordinate", "infinite_coordinate"])
+    def test_rejected_naming_the_field(self, rng, encoder, corrupt, error, message):
+        encode, head = self.ENCODERS[encoder](rng)
+        scene = make_scene(rng)
+        corrupt(scene)
+        with pytest.raises(error, match=message):
+            encode(scene, head)
 
 
 class TestIFHead:
@@ -104,13 +144,6 @@ class TestIFHead:
         means = [feats[scene.labels == c].mean(axis=0) for c in range(4)]
         for m in means[1:]:
             assert relative_error(m, means[0]) < 1e-9
-
-    def test_texture_out_of_table(self, rng):
-        scene = make_scene(rng)
-        scene.texture[0] = 99
-        head = make_if_head(rng, n_classes=4, d_out=8)
-        with pytest.raises(InputError, match="texture id 99 outside"):
-            if_encode(scene, head)
 
     def test_scale_invariance_of_correlations(self, rng):
         # scaling semantic features by a positive constant leaves cosines unchanged

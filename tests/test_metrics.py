@@ -126,7 +126,7 @@ class TestEvaluate:
                                       plane_count=(2, 3), box_count=(1, 2),
                                       cylinder_count=(1, 2)), 20)
         base, novel = fold_classes(0)
-        cfg = ModelConfig(n_classes=10, base_class_ids=tuple(base), n_way=1,
+        cfg = ModelConfig(base_class_ids=tuple(base), n_way=1,
                           d_uf=8, uf_hidden=10, d_if=12, d_geo=8, d_sem=12,
                           d_arb=8, heads=2, knn_k=3, seed=1)
         model = SegModel(cfg, "decoupled")

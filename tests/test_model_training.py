@@ -5,11 +5,11 @@ import pytest
 
 from dafss import autodiff as ad
 from dafss import model as model_module
-from dafss.autodiff import backward, constant
-from dafss.errors import ConfigurationError, InputError, NumericError
+from dafss.autodiff import Tensor, backward, constant
+from dafss.errors import ConfigurationError, InputError, NumericError, ShapeError
 from dafss.experts import run_expert
 from dafss.metrics import evaluate
-from dafss.model import MODES, ModelConfig, SegModel, named_parameters
+from dafss.model import MODES, ModelConfig, SegModel, named_tensors
 from dafss.optim import AdamW
 from dafss.scenes import SceneConfig, build_pool, fold_classes, sample_episode
 from dafss.training import (
@@ -26,7 +26,7 @@ from conftest import relative_error
 
 
 def tiny_config(**kw):
-    defaults = dict(n_classes=10, base_class_ids=tuple(fold_classes(0)[0]), n_way=1,
+    defaults = dict(base_class_ids=tuple(fold_classes(0)[0]), n_way=1,
                     d_uf=8, uf_hidden=12, d_if=12, d_geo=12, d_sem=16, d_arb=8,
                     heads=2, sam_layers=1, knn_k=4, knn_radius=0.5, seed=3)
     defaults.update(kw)
@@ -170,6 +170,12 @@ class TestSharedCrossEntropy:
         with pytest.raises(InputError, match="label -1 out of range \\[0,2\\) at point 0"):
             seg_loss(constant(np.zeros((2, 2))), np.array([-1, 0]))
 
+    @pytest.mark.parametrize("loss, what", [(seg_loss, "labels"), (base_loss, "base labels")])
+    @pytest.mark.parametrize("n_labels", [4, 6])
+    def test_label_count_must_match_logit_rows(self, loss, what, n_labels):
+        with pytest.raises(ShapeError, match=f"^{n_labels} {what} for 5 rows of logits"):
+            loss(constant(np.zeros((5, 3))), np.zeros(n_labels, dtype=np.int64))
+
 
 class TestGradNorm:
     def test_three_four_five(self):
@@ -304,13 +310,31 @@ class TestModelStructure:
                         "attn.wq0", "attn.wq1", "attn.wk0", "attn.wk1",
                         "attn.wv0", "attn.wv1", "attn.wo", "cls_w", "cls_b")]
                     + ["align.proj_w", "align.proj_b", "arb.bn_gamma", "arb.bn_beta",
+                       "arb.bn_mean", "arb.bn_var",
                        "arb.conv_w", "arb.conv_b", "arb.gate_w", "arb.gate_b"]
                     + [f"arb.l0.{n}" for n in
                        ("inject_w", "inject_b", "ln_gamma", "ln_beta", "attn.wq0", "attn.wq1",
                         "attn.wk0", "attn.wk1", "attn.wv0", "attn.wv1", "attn.wo")]
-                    + ["dec.conv_w", "dec.conv_b", "dec.out_w", "dec.out_b", "base_w", "base_b",
-                       "arb.bn_state.running_mean", "arb.bn_state.running_var"])
+                    + ["dec.conv_w", "dec.conv_b", "dec.out_w", "dec.out_b", "base_w", "base_b"])
         assert list(model.state_dict()) == expected
+
+    @pytest.mark.parametrize("mode, count", [("decoupled", 75), ("fused", 52)])
+    def test_state_dict_is_parameters_plus_running_statistics(self, mode, count):
+        # Default sizes: 73 and 50 parameters, the counts AdamW steps.
+        model = SegModel(ModelConfig(), mode)
+        params, state = model.parameters(), model.state_dict()
+        assert len(state) == count
+        assert [n for n in state if n not in params] == ["arb.bn_mean", "arb.bn_var"]
+        assert [n for n in state if n in params] == list(params)
+
+    def test_parameters_hold_no_statistic(self):
+        # The bench's directional derivative and AdamW step every entry.
+        for mode in MODES:
+            model = SegModel(tiny_config(), mode)
+            params = model.parameters()
+            assert all(p.requires_grad for p in params.values())
+            assert model.arb.bn_mean not in params.values()
+            assert model.arb.bn_var not in params.values()
 
     def test_pathways_are_disjoint_expert_groups(self):
         pathways = {"decoupled": (("uf", "geo"), ("sem",)), "fused": (("uf", "fused"), ())}
@@ -357,9 +381,9 @@ class TestModelStructure:
         model = SegModel(tiny_config(), "decoupled")
         r_geo = expert_features(monkeypatch, model, episode, train=True)["geo"]
         grads = backward(ad.sum_all(r_geo))
-        sem_names = set(named_parameters(model.sem_expert))
+        sem_names = set(named_tensors(model.sem_expert))
         assert all(t.name not in sem_names for t in grads)
-        for t in named_parameters(model.sem_expert).values():
+        for t in named_tensors(model.sem_expert).values():
             assert t.grad is None
 
     def test_decoupled_train_builds_both_alignment_losses(self, episode):
@@ -394,10 +418,10 @@ class TestModelStructure:
                                       model.forward(episode, train=False).logits.data)
 
     def test_load_empty_checkpoint_rejected(self):
-        with pytest.raises(ConfigurationError, match="running_var"):
+        with pytest.raises(ConfigurationError, match="arb.bn_var"):
             SegModel(tiny_config(), "fused").load_state_dict({})
 
-    @pytest.mark.parametrize("key", ["geo.lift_w", "arb.bn_state.running_mean"])
+    @pytest.mark.parametrize("key", ["geo.lift_w", "arb.bn_mean"])
     def test_load_checkpoint_missing_key_rejected(self, key):
         model = SegModel(tiny_config(), "decoupled")
         state = model.state_dict()
@@ -405,7 +429,9 @@ class TestModelStructure:
         with pytest.raises(ConfigurationError, match=key):
             model.load_state_dict(state)
 
-    @pytest.mark.parametrize("old, new", [("uf.w1", "uf.hidden_w"), ("base.b", "base_b")])
+    @pytest.mark.parametrize("old, new", [("uf.w1", "uf.hidden_w"), ("base.b", "base_b"),
+                                          ("arb.bn_state.running_mean", "arb.bn_mean"),
+                                          ("arb.bn_state.running_var", "arb.bn_var")])
     def test_load_checkpoint_with_old_key_name_rejected(self, old, new):
         model = SegModel(tiny_config(), "decoupled")
         state = model.state_dict()
@@ -439,6 +465,17 @@ class TestPredict:
             np.testing.assert_array_equal(model.predict(ep), np.argmax(logits.data, axis=1))
         assert all(p.grad is None for p in model.parameters().values())
         assert model.forward(ep, train=False).logits.requires_grad  # graph mode is back
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("texture_id", [-1, 10])
+    def test_texture_id_outside_the_table_names_it(self, mode, texture_id, pool):
+        _, novel = fold_classes(0)
+        ep = sample_episode(pool, 1, 1, seed=0, candidate_classes=novel)
+        texture = ep.query.texture.copy()
+        texture[1] = texture_id
+        bad = dataclasses.replace(ep, query=dataclasses.replace(ep.query, texture=texture))
+        with pytest.raises(InputError, match=f"scene.texture id {texture_id} outside .* at point 1"):
+            SegModel(tiny_config(), mode).predict(bad)
 
 
 def count_factor_builds(monkeypatch) -> list:
@@ -601,11 +638,52 @@ class TestTrainEpisode:
         model = SegModel(tiny_config(), "decoupled")
         opt = AdamW(model.parameters(), lr=1e-3)
         model.base.w.data[0, 0] = np.nan
-        bn = model.arb.bn_state
-        before = (bn.running_mean.tobytes(), bn.running_var.tobytes())
+        before = (model.arb.bn_mean.data.tobytes(), model.arb.bn_var.data.tobytes())
         with pytest.raises(NumericError):
             train_episode(model, episode, opt, LossWeights(), step=0)
-        assert (bn.running_mean.tobytes(), bn.running_var.tobytes()) == before
+        assert (model.arb.bn_mean.data.tobytes(), model.arb.bn_var.data.tobytes()) == before
+
+    @pytest.mark.parametrize("field", ["query_labels", "base_class_labels"])
+    def test_label_one_short_raises_shape_error(self, episode, field):
+        short = dataclasses.replace(episode, **{field: getattr(episode, field)[:-1]})
+        model = SegModel(tiny_config(), "decoupled")
+        with pytest.raises(ShapeError, match=f"{len(episode.query) - 1} .*labels for "
+                                             f"{len(episode.query)} rows of logits"):
+            train_episode(model, short, AdamW(model.parameters()), LossWeights(), step=0)
+
+    def test_named_tensor_added_outside_the_library_is_model_state(self, episode, monkeypatch):
+        # A non-trainable tensor anywhere under the model is checkpointed,
+        # loaded and rolled back like the batch-norm running statistics.
+        def with_counter(fill):
+            model = SegModel(tiny_config(), "decoupled")
+            model.counter = Tensor(np.full(3, fill), name="extra.counter")
+            return model
+
+        model = with_counter(1.0)
+        assert "extra.counter" not in model.parameters()
+        state = model.state_dict()
+        assert state["extra.counter"].tobytes() == np.full(3, 1.0).tobytes()
+        clone = with_counter(0.0)
+        clone.load_state_dict(state)
+        assert clone.counter.data.tobytes() == model.counter.data.tobytes()
+        del state["extra.counter"]
+        with pytest.raises(ConfigurationError, match="extra.counter"):
+            clone.load_state_dict(state)
+
+        merge = model_module.merge_features
+        bumps = []
+
+        def counting_merge(x, params, train):
+            model.counter.data += 1.0  # in place
+            bumps.append(model.counter.data.copy())
+            return merge(x, params, train)
+
+        monkeypatch.setattr(model_module, "merge_features", counting_merge)
+        model.base.w.data[0, 0] = np.nan
+        with pytest.raises(NumericError):
+            train_episode(model, episode, AdamW(model.parameters()), LossWeights(), step=0)
+        assert [b.tolist() for b in bumps] == [[2.0] * 3]
+        assert model.counter.data.tobytes() == np.full(3, 1.0).tobytes()
 
     def test_loss_decreases_on_separable_fixture(self):
         # 1-way 1-shot, no texture confusion, tiny pool: the total loss

@@ -14,6 +14,7 @@ per-point logits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -116,19 +117,19 @@ def semantic_gate(r_arb: Tensor, g_q: Tensor, params: ArbitrationParams) -> Tens
 
 @dataclass
 class DecoderParams:
+    """Two linear layers behind a k-NN smoother whose ``k`` and ``radius``
+    (metres) are the same for every model."""
+
     conv: Linear  # [d_arb, d_arb]
     out: Linear  # [d_arb, n_way+1]
-    k: int
-    radius: float
+    k: ClassVar[int] = 8
+    radius: ClassVar[float] = 0.3
 
 
-def init_decoder(rng: np.random.Generator, d_arb: int, n_classes: int,
-                 k: int, radius: float) -> DecoderParams:
+def init_decoder(rng: np.random.Generator, d_arb: int, n_classes: int) -> DecoderParams:
     return DecoderParams(
         conv=init_linear(rng, d_arb, d_arb, "dec.conv"),
         out=init_linear(rng, d_arb, n_classes, "dec.out"),
-        k=k,
-        radius=radius,
     )
 
 

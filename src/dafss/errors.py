@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one check of a setting."""
+"""Exception types shared across the package, and the checks of a setting."""
+
+from numbers import Integral
 
 
 class InputError(ValueError):
@@ -54,3 +56,8 @@ def require(owner, ok: bool, field: str, rule: str) -> None:
     the broken ``rule`` unless ``ok``."""
     if not ok:
         raise ConfigurationError(f"{field} = {getattr(owner, field)!r}: {rule}")
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)

@@ -4,10 +4,10 @@ Two encoders stand in for the usual pretrained backbones:
 
   * a trainable pointwise MLP over (x, y, z, texture one-hot) supplying the
     geometric pathway, and
-  * a frozen semantic head keyed on the texture channel, whose class
-    embeddings are mixed through a row-stochastic confusion matrix and
-    rescaled to a large fixed norm. It is deliberately blind wherever two
-    classes share a texture id.
+  * a frozen semantic head keyed on the texture channel (``IFHead``, its
+    formula and constants), whose class embeddings are mixed through a
+    row-stochastic confusion matrix and rescaled to a fixed norm. It is
+    deliberately blind wherever two classes share a texture id.
 
 Prototypes are masked average pools over support points, one per way plus
 one background prototype (row 0). Correlations are cosine similarities of
@@ -29,6 +29,9 @@ from dafss.scenes import Scene
 
 IF_CELLS = 64  # rows of the semantic head's positional table
 IF_CELL_SIZE = 2.0  # metres per grid cell hashed into that table
+IF_CONFUSION = 0.1  # off-diagonal mass of the semantic head's confusion matrix
+IF_FEATURE_NORM = 4.0  # norm of every semantic feature
+IF_POS_GAIN = 0.25  # weight of the positional code against the class embedding
 
 
 @dataclass
@@ -79,32 +82,24 @@ def uf_encode(scene: Scene, head: UFHead) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def confusion_matrix_uniform_offdiag(n_classes: int, off_mass: float) -> np.ndarray:
-    """Row-stochastic matrix: 1 - off_mass on the diagonal, rest spread evenly."""
-    m = np.full((n_classes, n_classes), off_mass / max(n_classes - 1, 1))
-    np.fill_diagonal(m, 1.0 - off_mass)
-    return m
-
-
 class IFHead:
     """Frozen semantic encoder; all state is plain numpy, never in the graph.
 
-    feature(point) = feature_norm * unit( confusion[texture] @ class_embed
-                                          + pos_gain * pos_table[cell(xyz)] )
+    feature(point) = IF_FEATURE_NORM * unit( confusion[texture] @ class_embed
+                                             + IF_POS_GAIN * pos_table[cell(xyz)] )
 
-    ``cell`` hashes the ``IF_CELL_SIZE``-metre grid cell of a point into one
-    of the ``IF_CELLS`` rows of ``pos_table``.
+    ``confusion`` is row-stochastic, ``1 - IF_CONFUSION`` on the diagonal and
+    the rest spread evenly; ``cell`` hashes the ``IF_CELL_SIZE``-metre grid
+    cell of a point into one of the ``IF_CELLS`` rows of ``pos_table``.
     """
 
-    def __init__(self, rng: np.random.Generator, n_classes: int, d_out: int,
-                 off_mass: float, feature_norm: float, pos_gain: float):
+    def __init__(self, rng: np.random.Generator, n_classes: int, d_out: int):
         self.class_embed = rng.normal(0, 1.0, (n_classes, d_out))
         self.class_embed /= np.linalg.norm(self.class_embed, axis=1, keepdims=True)
-        self.confusion = confusion_matrix_uniform_offdiag(n_classes, off_mass)
+        self.confusion = np.full((n_classes, n_classes), IF_CONFUSION / max(n_classes - 1, 1))
+        np.fill_diagonal(self.confusion, 1.0 - IF_CONFUSION)
         self.pos_table = rng.normal(0, 1.0, (IF_CELLS, d_out))
         self.pos_table /= np.linalg.norm(self.pos_table, axis=1, keepdims=True)
-        self.pos_gain = float(pos_gain)
-        self.feature_norm = float(feature_norm)
 
     def state_arrays(self) -> list[np.ndarray]:
         return [self.class_embed, self.confusion, self.pos_table]
@@ -119,9 +114,9 @@ def if_encode(scene: Scene, head: IFHead) -> Tensor:
     """Per-point semantic features as a detached constant tensor."""
     _check_scene(scene, len(head.class_embed))
     mixed = head.confusion[scene.texture] @ head.class_embed
-    mixed = mixed + head.pos_gain * head.pos_table[head._cells(scene.points)]
+    mixed = mixed + IF_POS_GAIN * head.pos_table[head._cells(scene.points)]
     norms = np.maximum(np.linalg.norm(mixed, axis=1, keepdims=True), 1e-12)
-    return constant(head.feature_norm * mixed / norms)
+    return constant(IF_FEATURE_NORM * mixed / norms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Confusion-matrix based segmentation metrics and episodic evaluation."""
+"""Confusion-matrix metrics over the foreground classes 1..n-1, and episodic evaluation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -35,33 +35,36 @@ def confusion_matrix(preds: np.ndarray, labels: np.ndarray, n_classes: int) -> n
     return counts
 
 
-def miou(conf: np.ndarray, foreground_classes: Sequence[int]) -> tuple[dict, float]:
-    """Per-class IoU and its mean over foreground classes.
+def _foreground(conf: np.ndarray) -> range:
+    """Classes 1..n-1 of a square n x n confusion matrix."""
+    if conf.ndim != 2 or conf.shape[0] != conf.shape[1]:
+        raise ShapeError(f"confusion matrix must be square, got {conf.shape}")
+    return range(1, conf.shape[0])
+
+
+def miou(conf: np.ndarray) -> tuple[dict, float]:
+    """Per-class IoU of the foreground classes 1..n-1, and its mean.
 
     A class absent from both predictions and labels is excluded; if every
     foreground class is absent the metric is undefined."""
-    if conf.ndim != 2 or conf.shape[0] != conf.shape[1]:
-        raise ShapeError(f"confusion matrix must be square, got {conf.shape}")
     per_class = {}
-    for c in foreground_classes:
+    for c in _foreground(conf):
         tp = int(conf[c, c])
         fp = int(conf[:, c].sum()) - tp
         fn = int(conf[c, :].sum()) - tp
         denom = tp + fp + fn
         if denom == 0:
             continue
-        per_class[int(c)] = tp / denom
+        per_class[c] = tp / denom
     if not per_class:
         raise UndefinedMetricError("no foreground class present in predictions or labels")
     return per_class, float(np.mean(list(per_class.values())))
 
 
-def macc(conf: np.ndarray, foreground_classes: Sequence[int]) -> float:
-    """Mean per-class recall over foreground classes with labelled points."""
-    if conf.ndim != 2 or conf.shape[0] != conf.shape[1]:
-        raise ShapeError(f"confusion matrix must be square, got {conf.shape}")
+def macc(conf: np.ndarray) -> float:
+    """Mean recall over the foreground classes 1..n-1 with labelled points."""
     recalls = []
-    for c in foreground_classes:
+    for c in _foreground(conf):
         tp = int(conf[c, c])
         fn = int(conf[c, :].sum()) - tp
         if tp + fn == 0:
@@ -90,7 +93,6 @@ def evaluate(model: SegModel, episodes: Iterable[Episode]) -> MetricsReport:
             count += 1
     if count == 0:
         raise UndefinedMetricError("evaluation over an empty episode stream")
-    foreground = list(range(1, n_classes))
-    per_class, mean_iou = miou(conf, foreground)
-    return MetricsReport(per_class_iou=per_class, miou=mean_iou,
-                         macc=macc(conf, foreground), episode_count=count)
+    per_class, mean_iou = miou(conf)
+    return MetricsReport(per_class_iou=per_class, miou=mean_iou, macc=macc(conf),
+                         episode_count=count)

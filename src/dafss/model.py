@@ -10,7 +10,7 @@ single expert, with no heads and no alignment graph at all.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Optional
 
@@ -27,7 +27,7 @@ from dafss.arbitration import (
     semantic_gate,
 )
 from dafss.autodiff import Tensor
-from dafss.errors import ConfigurationError, require
+from dafss.errors import ConfigurationError, is_integer, require
 from dafss.experts import (
     AttentionFactors,
     ExpertParams,
@@ -92,16 +92,13 @@ class ModelConfig:
     d_arb: int = 192
     heads: int = 4
     sam_layers: int = 1
-    knn_k: int = 8
-    knn_radius: float = 0.3
-    if_feature_norm: float = 4.0
-    if_confusion: float = 0.1
-    if_pos_gain: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
         """Reject an inconsistent structure before any parameter is drawn."""
         need = partial(require, self)
+        for name in (f.name for f in fields(self) if f.type == "int"):
+            need(is_integer(getattr(self, name)), name, "must be an integer")
         need(self.seed >= 0, "seed", "must be non-negative")
         for field in ("d_uf", "uf_hidden", "d_if", "d_geo", "d_sem"):
             need(getattr(self, field) >= 1, field, "need a width of at least 1")
@@ -111,19 +108,13 @@ class ModelConfig:
                  f"must be divisible by heads = {self.heads}")
         need(self.sam_layers >= 1, "sam_layers", "need at least one arbitration layer")
         need(self.d_arb >= 2, "d_arb", "the background partition d_bg needs 0 < d_bg < d_arb")
-        need(self.knn_k >= 1, "knn_k", "need at least one neighbour")
-        need(self.knn_radius > 0, "knn_radius", "must be positive")
         need(self.n_way >= 1, "n_way", "need at least one way")
-        ids = [int(c) for c in self.base_class_ids]
+        ids = list(self.base_class_ids)
+        need(all(is_integer(c) for c in ids), "base_class_ids", "must be integers")
         need(len(ids) >= 1, "base_class_ids", "need at least one base class")
         need(len(set(ids)) == len(ids), "base_class_ids", "must be unique")
         need(all(0 <= c < N_CLASSES for c in ids), "base_class_ids",
              f"must lie in [0, {N_CLASSES})")
-        need(0.0 <= self.if_confusion <= 1.0, "if_confusion", "must lie in [0, 1]")
-        need(np.isfinite(self.if_feature_norm) and self.if_feature_norm > 0, "if_feature_norm",
-             "must be finite and positive")
-        need(np.isfinite(self.if_pos_gain) and self.if_pos_gain >= 0, "if_pos_gain",
-             "must be finite and non-negative")
 
     @property
     def d_bg(self) -> int:
@@ -150,9 +141,7 @@ class SegModel:
 
         n_out = config.n_way + 1  # background plus one class per way
         self.uf = UFHead(rng, n_textures=N_CLASSES, d_out=config.d_uf, hidden=config.uf_hidden)
-        self.if_head = IFHead(rng, n_classes=N_CLASSES, d_out=config.d_if,
-                              off_mass=config.if_confusion,
-                              feature_norm=config.if_feature_norm, pos_gain=config.if_pos_gain)
+        self.if_head = IFHead(rng, n_classes=N_CLASSES, d_out=config.d_if)
         self.text = TextStub(rng, n_classes=N_CLASSES, d_out=config.d_if)
 
         if mode == "decoupled":
@@ -170,8 +159,7 @@ class SegModel:
         self.arb = init_arbitration(rng, d_in=merge_in, d_arb=config.d_arb,
                                     d_guid=config.d_if, n_layers=config.sam_layers,
                                     heads=config.heads, d_bg=config.d_bg)
-        self.decoder = init_decoder(rng, config.d_arb, n_out,
-                                    k=config.knn_k, radius=config.knn_radius)
+        self.decoder = init_decoder(rng, config.d_arb, n_out)
         self.base = init_linear(rng, config.d_arb, len(config.base_class_ids), "base")
         # Experts' attention factors while frozen(), keyed by id(expert); else None.
         self._factors: Optional[dict] = None
@@ -197,26 +185,36 @@ class SegModel:
         running statistics, keyed by name in :func:`named_tensors` order."""
         return {name: t.data.copy() for name, t in named_tensors(self).items()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+    def load_state_dict(self, state: dict) -> None:
         """Load a full checkpoint, or raise before anything is written.
 
-        The keys must be exactly those of ``state_dict()``, each with the
-        shape it has there."""
+        The keys must be exactly those of ``state_dict()``, each holding
+        finite integer or float values in the shape it has there. Each is
+        stored as a fresh C-order float64 array, as ``Tensor`` stores data."""
         tensors = named_tensors(self)
-        shapes = {name: t.data.shape for name, t in tensors.items()}
-        unknown = [name for name in state if name not in shapes]
+        unknown = [name for name in state if name not in tensors]
         if unknown:
             raise ConfigurationError(f"checkpoint contains unknown entries {unknown}")
-        missing = [name for name in shapes if name not in state]
+        missing = [name for name in tensors if name not in state]
         if missing:
             raise ConfigurationError(f"checkpoint lacks entries {missing}")
-        for name, shape in shapes.items():
-            if np.shape(state[name]) != shape:
-                raise ConfigurationError(
-                    f"checkpoint shape {np.shape(state[name])} does not match "
-                    f"{name!r} of shape {shape}")
+        loaded = {}
         for name, t in tensors.items():
-            t.data = state[name].copy()
+            try:
+                value = np.asarray(state[name])
+                numeric = value.dtype.kind in "iuf"
+            except ValueError:  # a ragged nested list
+                numeric = False
+            if not numeric:
+                raise ConfigurationError(f"checkpoint entry {name!r} is not an integer or float array")
+            if value.shape != t.data.shape:
+                raise ConfigurationError(f"checkpoint shape {value.shape} does not match "
+                                         f"{name!r} of shape {t.data.shape}")
+            if not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"checkpoint entry {name!r} holds a non-finite value")
+            loaded[name] = np.array(value, dtype=np.float64, order="C")
+        for name, t in tensors.items():
+            t.data = loaded[name]
 
     # -- forward --------------------------------------------------------------
 

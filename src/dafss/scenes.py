@@ -7,6 +7,8 @@ encoder can separate most of them from coordinates alone. Each class owns a
 canonical texture id; the ``texture_confusion`` knob makes geometrically
 different classes share one texture id within a scene, which is the
 controlled failure mode the rest of the pipeline is built to survive.
+Every coordinate carries ``NOISE_SIGMA`` of Gaussian jitter, and a scene
+holds at most ``MAX_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from dafss.errors import CapacityError, ConfigurationError, SamplingError, SceneParseError, require
+from dafss.errors import (CapacityError, ConfigurationError, SamplingError, SceneParseError,
+                          is_integer, require)
 
 ROOM_HALF = 2.8  # lateral placement bound, meters
+NOISE_SIGMA = 0.01  # std of the Gaussian jitter on every coordinate, meters
+MAX_POINTS = 2048  # point budget of one scene
 
 # class id -> (name, family, parameters); sizes are (lo, hi) ranges in meters
 CLASS_CATALOG = (
@@ -57,28 +62,26 @@ class SceneConfig:
     box_count: tuple[int, int] = (1, 2)
     cylinder_count: tuple[int, int] = (1, 2)
     points_per_object: tuple[int, int] = (24, 48)
-    noise_sigma: float = 0.01
     texture_confusion: float = 0.0
     seed: int = 0
-    max_points: int = 2048
     class_pool: tuple[int, ...] = tuple(range(N_CLASSES))
 
     def __post_init__(self):
         """Reject a setting that could not generate a valid scene."""
         need = partial(require, self)
-        need(self.seed >= 0, "seed", "must be non-negative")
+        need(is_integer(self.seed) and self.seed >= 0, "seed", "must be a non-negative integer")
         for field in [f"{fam}_count" for fam in FAMILIES] + ["points_per_object"]:
             r = getattr(self, field)
-            need(len(r) == 2 and 0 <= r[0] <= r[1], field, "must be a range (lo, hi), 0 <= lo <= hi")
+            need(len(r) == 2 and is_integer(r[0]) and is_integer(r[1]) and 0 <= r[0] <= r[1],
+                 field, "must be a range (lo, hi) of integers, 0 <= lo <= hi")
         need(self.points_per_object[0] >= 1, "points_per_object", "need a point per object")
-        pool = [int(c) for c in self.class_pool]
+        pool = list(self.class_pool)
+        need(all(is_integer(c) for c in pool), "class_pool", "must be integers")
         need(0 < len(pool) == len(set(pool)), "class_pool", "need unique class ids, at least one")
         need(all(0 <= c < N_CLASSES for c in pool), "class_pool", f"must lie in [0, {N_CLASSES})")
         covered = {CLASS_CATALOG[c][1] for c in pool}
         need(sum(getattr(self, f"{fam}_count")[0] for fam in covered) >= 1, "class_pool",
              "the families it covers must guarantee at least one object")
-        need(np.isfinite(self.noise_sigma) and self.noise_sigma >= 0, "noise_sigma",
-             "must be finite and non-negative")
         need(0.0 <= self.texture_confusion <= 1.0, "texture_confusion", "must lie in [0, 1]")
 
 
@@ -182,14 +185,11 @@ _SAMPLERS = {"plane": _sample_plane, "box": _sample_box, "cylinder": _sample_cyl
 
 def generate_scene(config: SceneConfig, seed: int) -> Scene:
     """Deterministic scene for a given (config, seed) pair."""
-    if seed < 0:
-        raise ConfigurationError(f"scene seed = {seed}: must be non-negative")
-    max_objects = sum(getattr(config, f"{fam}_count")[1] for fam in FAMILIES)
-    if max_objects * config.points_per_object[1] > config.max_points:
-        raise CapacityError(
-            f"config can produce up to {max_objects * config.points_per_object[1]} points, "
-            f"over the budget of {config.max_points}"
-        )
+    if not (is_integer(seed) and seed >= 0):
+        raise ConfigurationError(f"scene seed = {seed!r}: must be a non-negative integer")
+    most = sum(getattr(config, f"{fam}_count")[1] for fam in FAMILIES) * config.points_per_object[1]
+    if most > MAX_POINTS:
+        raise CapacityError(f"config can produce up to {most} points, over the budget of {MAX_POINTS}")
 
     rng = np.random.default_rng([config.seed, seed])
     counts = [rng.integers(lo, hi + 1)
@@ -202,9 +202,7 @@ def generate_scene(config: SceneConfig, seed: int) -> Scene:
             cls = int(rng.choice(pool))
             n = int(rng.integers(config.points_per_object[0], config.points_per_object[1] + 1))
             pts = _SAMPLERS[fam](rng, CLASS_CATALOG[cls][2], n)
-            if config.noise_sigma > 0:
-                pts = pts + rng.normal(0.0, config.noise_sigma, size=pts.shape)
-            chunks.append(pts)
+            chunks.append(pts + rng.normal(0.0, NOISE_SIGMA, size=pts.shape))
             labels.append(np.full(n, cls, dtype=np.int64))
 
     points = np.concatenate(chunks, axis=0)
@@ -245,11 +243,9 @@ def sample_episode(pool: Sequence[Scene], n_way: int, k_shot: int, seed: int,
     Classes with fewer than k_shot + 1 containing scenes are ineligible.
     candidate_classes restricts the novel-class draw (e.g. to a fold).
     """
-    for name, value in (("n_way", n_way), ("k_shot", k_shot)):
-        if value < 1:
-            raise SamplingError(f"{name} = {value}: need at least 1")
-    if seed < 0:
-        raise SamplingError(f"seed = {seed}: must be non-negative")
+    for name, value, lo in (("n_way", n_way, 1), ("k_shot", k_shot, 1), ("seed", seed, 0)):
+        if not (is_integer(value) and value >= lo):
+            raise SamplingError(f"{name} = {value!r}: must be an integer of at least {lo}")
     rng = np.random.default_rng(seed)
     all_classes = sorted({c for s in pool for c in s.class_set})
     if candidate_classes is not None:

@@ -111,10 +111,10 @@ def train_episode(model: SegModel, episode: Episode, optimizer: AdamW,
                   weights: LossWeights, step: int) -> TrainRecord:
     """One optimization step; pathway gradient norms are read pre-step.
 
-    A step that raises ``NumericError`` leaves no trace: the parameters and
-    optimizer moments are untouched (``AdamW.step`` is all or nothing), every
-    named tensor that takes no gradient, such as the batch-norm running
-    statistics, is restored, and the gradients are cleared."""
+    A step that raises, on a non-finite loss or for any other cause, leaves no
+    trace: the parameters and optimizer moments are untouched (``AdamW.step``
+    is all or nothing, and last), every named tensor that takes no gradient,
+    such as the batch-norm running statistics, is restored, and the gradients are cleared."""
     saved = [(t, t.data.copy()) for t in named_tensors(model).values() if not t.requires_grad]
     try:
         out = model.forward(episode, train=True)
@@ -134,17 +134,17 @@ def train_episode(model: SegModel, episode: Episode, optimizer: AdamW,
         backward(total)
         gn_uf, gn_sem = (grad_norm(tensors) for tensors in model.pathway_tensors())
         optimizer.step()
-    except NumericError:
+    except BaseException:
         for t, data in saved:
             t.data = data
         raise
     finally:
         optimizer.zero_grad()
 
-    n_classes = episode.n_way + 1
-    conf = confusion_matrix(np.argmax(out.logits.data, axis=1), episode.query_labels, n_classes)
+    conf = confusion_matrix(np.argmax(out.logits.data, axis=1), episode.query_labels,
+                            episode.n_way + 1)
     try:
-        miou_train = miou(conf, range(1, n_classes))[1]
+        miou_train = miou(conf)[1]
     except UndefinedMetricError:  # no foreground point predicted or labelled
         miou_train = 0.0
     return TrainRecord(

@@ -3,6 +3,7 @@ import pytest
 
 from dafss import autodiff as ad
 from dafss.arbitration import (
+    DecoderParams,
     arbitrate,
     arbitration_layer,
     init_arbitration,
@@ -238,8 +239,10 @@ class TestDecoder:
         assert w[0, 2] == 0.0 and w[0, 1] > 0.0
         assert w[2, 2] == 1.0  # far point keeps only itself
 
-    def test_decode_shapes_and_gradient(self, rng):
-        dec = init_decoder(rng, d_arb=6, n_classes=3, k=2, radius=1.0)
+    def test_decode_shapes_and_gradient(self, rng, monkeypatch):
+        monkeypatch.setattr(DecoderParams, "k", 2)  # 8 neighbours would exceed the 5 points
+        monkeypatch.setattr(DecoderParams, "radius", 1.0)
+        dec = init_decoder(rng, d_arb=6, n_classes=3)
         points = rng.uniform(-1, 1, (5, 3))
         r = parameter(rng.standard_normal((5, 6)))
         logits = decode(r, points, dec)
@@ -251,11 +254,13 @@ class TestDecoder:
 
 
 class TestEndToEndGradient:
-    def test_full_stack_gradcheck(self, rng):
+    def test_full_stack_gradcheck(self, rng, monkeypatch):
         # merge -> inject+attend -> gate -> decode, finite differences over
         # every parameter of a miniature configuration
+        monkeypatch.setattr(DecoderParams, "k", 2)  # 8 neighbours would exceed the 4 points
+        monkeypatch.setattr(DecoderParams, "radius", 1.0)
         p = init_arbitration(rng, d_in=10, d_arb=8, d_guid=4, n_layers=2, heads=2, d_bg=2)
-        dec = init_decoder(rng, d_arb=8, n_classes=2, k=2, radius=1.0)
+        dec = init_decoder(rng, d_arb=8, n_classes=2)
         r_geo = parameter(rng.standard_normal((4, 4)))
         r_sem = constant(rng.standard_normal((4, 6)))
         g_base = constant(rng.standard_normal(4))

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from dafss import autodiff as ad
+from dafss import features
 from dafss.autodiff import backward, constant, parameter
 from dafss.errors import DegenerateSupportError, InputError, ShapeError
 from dafss.features import (
+    IF_CONFUSION,
+    IF_FEATURE_NORM,
     IFHead,
     TextStub,
     UFHead,
@@ -28,9 +31,10 @@ def make_scene(rng, n=40, n_classes=4):
                  class_set=sorted(set(int(c) for c in labels)), seed=0)
 
 
-def make_if_head(rng, n_classes, d_out, off_mass=0.0, feature_norm=4.0, pos_gain=0.25):
-    """A semantic head with identity confusion unless an off-diagonal mass is given."""
-    return IFHead(rng, n_classes, d_out, off_mass, feature_norm, pos_gain)
+@pytest.fixture
+def no_confusion(monkeypatch):
+    """Semantic heads built in the test get an identity confusion matrix."""
+    monkeypatch.setattr(features, "IF_CONFUSION", 0.0)
 
 
 class TestUFHead:
@@ -76,7 +80,7 @@ class TestMalformedScene:
 
     ENCODERS = {
         "uf": lambda rng: (uf_encode, UFHead(rng, n_textures=4, d_out=8, hidden=16)),
-        "if": lambda rng: (if_encode, make_if_head(rng, n_classes=4, d_out=8)),
+        "if": lambda rng: (if_encode, IFHead(rng, n_classes=4, d_out=8)),
     }
 
     @pytest.mark.parametrize("encoder", ["uf", "if"])
@@ -106,7 +110,7 @@ class TestMalformedScene:
 class TestIFHead:
     def test_frozen_no_gradient_path(self, rng):
         scene = make_scene(rng)
-        head = make_if_head(rng, n_classes=4, d_out=8)
+        head = IFHead(rng, n_classes=4, d_out=8)
         feats = if_encode(scene, head)
         assert not feats.requires_grad
         y = parameter(rng.standard_normal(feats.shape))
@@ -115,17 +119,24 @@ class TestIFHead:
 
     def test_feature_norms_scaled(self, rng):
         scene = make_scene(rng)
-        head = make_if_head(rng, n_classes=4, d_out=8, feature_norm=4.0)
+        head = IFHead(rng, n_classes=4, d_out=8)
         feats = if_encode(scene, head).data
-        np.testing.assert_allclose(np.linalg.norm(feats, axis=1), 4.0, atol=1e-9)
+        np.testing.assert_allclose(np.linalg.norm(feats, axis=1), IF_FEATURE_NORM, atol=1e-9)
 
-    def test_zero_off_mass_is_identity(self, rng):
-        head = make_if_head(rng, n_classes=4, d_out=8)
+    def test_confusion_is_row_stochastic(self, rng):
+        head = IFHead(rng, n_classes=N_CLASSES, d_out=8)
+        off = ~np.eye(N_CLASSES, dtype=bool)
+        assert np.all(np.diag(head.confusion) == 1.0 - IF_CONFUSION)
+        assert np.all(head.confusion[off] == IF_CONFUSION / (N_CLASSES - 1))
+        np.testing.assert_allclose(head.confusion.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_zero_off_mass_is_identity(self, rng, no_confusion):
+        head = IFHead(rng, n_classes=4, d_out=8)
         assert head.confusion.tobytes() == np.eye(4).tobytes()
 
-    def test_identity_confusion_separates_classes(self, rng):
+    def test_identity_confusion_separates_classes(self, rng, no_confusion):
         scene = make_scene(rng, n=60)
-        head = make_if_head(rng, n_classes=4, d_out=16, pos_gain=0.25)
+        head = IFHead(rng, n_classes=4, d_out=16)
         feats = if_encode(scene, head).data
         unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
         labels = scene.labels
@@ -136,9 +147,11 @@ class TestIFHead:
                 (within if labels[i] == labels[j] else cross).append(cos)
         assert min(within) > max(cross)
 
-    def test_uniform_confusion_collapses_class_means(self, rng):
+    def test_uniform_confusion_collapses_class_means(self, rng, monkeypatch):
+        monkeypatch.setattr(features, "IF_CONFUSION", 0.75)
+        monkeypatch.setattr(features, "IF_POS_GAIN", 0.0)
         scene = make_scene(rng, n=80)
-        head = make_if_head(rng, n_classes=4, d_out=8, off_mass=0.75, pos_gain=0.0)
+        head = IFHead(rng, n_classes=4, d_out=8)
         np.testing.assert_allclose(head.confusion, np.full((4, 4), 0.25))  # uniform rows
         feats = if_encode(scene, head).data
         means = [feats[scene.labels == c].mean(axis=0) for c in range(4)]
@@ -148,7 +161,7 @@ class TestIFHead:
     def test_scale_invariance_of_correlations(self, rng):
         # scaling semantic features by a positive constant leaves cosines unchanged
         scene = make_scene(rng, n=10)
-        head = make_if_head(rng, n_classes=4, d_out=8)
+        head = IFHead(rng, n_classes=4, d_out=8)
         feats = if_encode(scene, head).data
         protos = rng.standard_normal((3, 8))
         c1 = ad.cosine_rows(constant(feats), constant(protos)).data
@@ -264,10 +277,12 @@ class TestCorrelations:
         assert q_geo in grads and p_geo in grads
         assert q_sem not in grads and p_sem not in grads
 
-    def test_support_points_score_own_class_highest(self, rng):
-        # with confusion off, each support point argmaxes on its own class column
+    def test_support_points_score_own_class_highest(self, rng, monkeypatch, no_confusion):
+        # with confusion and the positional code off, each support point
+        # argmaxes on its own class column
+        monkeypatch.setattr(features, "IF_POS_GAIN", 0.0)
         scene = make_scene(rng, n=30, n_classes=3)
-        if_head = make_if_head(rng, n_classes=3, d_out=16, pos_gain=0.0)
+        if_head = IFHead(rng, n_classes=3, d_out=16)
         feats = if_encode(scene, if_head)
         masks = [scene.labels == 1, scene.labels == 2]
         geo, sem = extract_prototypes(feats, feats, masks)

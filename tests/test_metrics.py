@@ -58,13 +58,13 @@ class TestShapeErrors:
     @pytest.mark.parametrize("shape", [(2, 3), (4,)])
     def test_non_square_matrix(self, metric, shape):
         with pytest.raises(ShapeError, match="square"):
-            metric(np.ones(shape, dtype=np.int64), [1])
+            metric(np.ones(shape, dtype=np.int64))
 
 
 class TestMiou:
     def test_perfect_prediction(self):
         conf = np.diag([10, 5, 7])
-        per_class, mean = miou(conf, [1, 2])
+        per_class, mean = miou(conf)
         assert mean == 1.0 and per_class == {1: 1.0, 2: 1.0}
 
     def test_complement_prediction_is_zero(self):
@@ -72,51 +72,51 @@ class TestMiou:
         preds = np.array([1, 1, 0, 0])
         labels = np.array([0, 0, 1, 1])
         conf = confusion_matrix(preds, labels, 2)
-        per_class, mean = miou(conf, [1])
+        per_class, mean = miou(conf)
         assert mean == 0.0
 
     def test_hand_counts(self):
         # TP=3, FP=1, FN=2 -> IoU = 3/6
         conf = np.array([[10, 1], [2, 3]])
-        per_class, mean = miou(conf, [1])
+        per_class, mean = miou(conf)
         assert per_class[1] == 0.5
 
     def test_absent_class_excluded(self):
         conf = np.zeros((3, 3), dtype=int)
         conf[0, 0] = 5
         conf[1, 1] = 3
-        per_class, mean = miou(conf, [1, 2])
+        per_class, mean = miou(conf)
         assert 2 not in per_class and mean == 1.0
 
     def test_all_absent_undefined(self):
         conf = np.zeros((3, 3), dtype=int)
         conf[0, 0] = 9
         with pytest.raises(UndefinedMetricError):
-            miou(conf, [1, 2])
+            miou(conf)
 
 
 class TestMacc:
     def test_perfect(self):
-        assert macc(np.diag([4, 4]), [1]) == 1.0
+        assert macc(np.diag([4, 4])) == 1.0
 
     def test_all_foreground_prediction_gives_full_recall(self):
         # over-segmentation: everything predicted foreground, recall still 1
         preds = np.ones(6, dtype=int)
         labels = np.array([0, 0, 0, 1, 1, 1])
         conf = confusion_matrix(preds, labels, 2)
-        assert macc(conf, [1]) == 1.0
-        assert miou(conf, [1])[1] == 0.5
+        assert macc(conf) == 1.0
+        assert miou(conf)[1] == 0.5
 
     def test_hand_counts(self):
         # TP=3, FN=1 -> recall 0.75
         conf = np.array([[5, 0], [1, 3]])
-        assert macc(conf, [1]) == 0.75
+        assert macc(conf) == 0.75
 
     def test_undefined_when_no_labels(self):
         conf = np.zeros((2, 2), dtype=int)
         conf[0, 0] = 4
         with pytest.raises(UndefinedMetricError):
-            macc(conf, [1])
+            macc(conf)
 
 
 class TestEvaluate:
@@ -128,7 +128,7 @@ class TestEvaluate:
         base, novel = fold_classes(0)
         cfg = ModelConfig(base_class_ids=tuple(base), n_way=1,
                           d_uf=8, uf_hidden=10, d_if=12, d_geo=8, d_sem=12,
-                          d_arb=8, heads=2, knn_k=3, seed=1)
+                          d_arb=8, heads=2, seed=1)
         model = SegModel(cfg, "decoupled")
         episodes = [sample_episode(pool, 1, 1, seed=s, candidate_classes=base)
                     for s in range(6)]
@@ -160,7 +160,7 @@ class TestEvaluate:
         conf = np.zeros((2, 2), dtype=np.int64)
         for ep in episodes:
             conf += confusion_matrix(model.predict(ep), ep.query_labels, 2)
-        per_class, mean = miou(conf, [1])
+        per_class, mean = miou(conf)
         assert abs(mean - joint.miou) < 1e-12
 
     def test_evaluation_never_mutates_parameters(self, setup):
@@ -193,11 +193,12 @@ class TestRandomizedOracles:
             labels = r.integers(0, n_classes, n)
             conf = confusion_matrix(preds, labels, n_classes)
             np.testing.assert_array_equal(conf, brute_force_counts(preds, labels, n_classes))
-            fg = list(range(1, n_classes))
             try:
-                per_class, mean = miou(conf, fg)
+                per_class, mean = miou(conf)
             except UndefinedMetricError:
                 continue
+            present = set(preds.tolist()) | set(labels.tolist())
+            assert set(per_class) == {c for c in range(1, n_classes) if c in present}
             for c, v in per_class.items():
                 tp = np.sum((preds == c) & (labels == c))
                 fp = np.sum((preds == c) & (labels != c))

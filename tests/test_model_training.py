@@ -28,7 +28,7 @@ from conftest import relative_error
 def tiny_config(**kw):
     defaults = dict(base_class_ids=tuple(fold_classes(0)[0]), n_way=1,
                     d_uf=8, uf_hidden=12, d_if=12, d_geo=12, d_sem=16, d_arb=8,
-                    heads=2, sam_layers=1, knn_k=4, knn_radius=0.5, seed=3)
+                    heads=2, sam_layers=1, seed=3)
     defaults.update(kw)
     return ModelConfig(**defaults)
 
@@ -216,24 +216,11 @@ class TestConfigurationErrors:
         ("d_arb", dict(d_arb=9)),
         ("d_arb", dict(heads=1, d_arb=1)),
         ("sam_layers", dict(sam_layers=0)),
-        ("knn_k", dict(knn_k=0)),
-        ("knn_radius", dict(knn_radius=0.0)),
-        ("knn_radius", dict(knn_radius=-0.5)),
         ("n_way", dict(n_way=0)),
         ("base_class_ids", dict(base_class_ids=())),
         ("base_class_ids", dict(base_class_ids=(0, 1, 1))),
         ("base_class_ids", dict(base_class_ids=(0, 10))),
         ("base_class_ids", dict(base_class_ids=(-1, 2))),
-        ("if_confusion", dict(if_confusion=1.5)),
-        ("if_confusion", dict(if_confusion=-0.1)),
-        ("if_confusion", dict(if_confusion=float("nan"))),
-        ("if_feature_norm", dict(if_feature_norm=0.0)),
-        ("if_feature_norm", dict(if_feature_norm=-4.0)),
-        ("if_feature_norm", dict(if_feature_norm=float("nan"))),
-        ("if_feature_norm", dict(if_feature_norm=float("inf"))),
-        ("if_pos_gain", dict(if_pos_gain=-0.25)),
-        ("if_pos_gain", dict(if_pos_gain=float("nan"))),
-        ("if_pos_gain", dict(if_pos_gain=float("inf"))),
         ("d_uf", dict(d_uf=0)),
         ("uf_hidden", dict(uf_hidden=0)),
         ("d_if", dict(d_if=0)),
@@ -241,17 +228,30 @@ class TestConfigurationErrors:
         ("d_sem", dict(d_sem=-2)),
         ("seed", dict(seed=-1)),
     ], ids=["no_heads", "heads_split_d_geo", "heads_split_d_sem", "heads_split_d_arb",
-            "no_background_partition", "no_sam_layer", "no_neighbour", "zero_radius",
-            "negative_radius", "no_way", "no_base_class", "repeated_base_class",
-            "base_class_past_table", "negative_base_class", "confusion_above_one",
-            "negative_confusion", "nan_confusion", "zero_feature_norm",
-            "negative_feature_norm", "nan_feature_norm", "infinite_feature_norm",
-            "negative_pos_gain", "nan_pos_gain", "infinite_pos_gain", "no_uf_width",
-            "no_uf_hidden_width", "no_if_width", "no_geo_width", "negative_sem_width",
-            "negative_seed"])
+            "no_background_partition", "no_sam_layer", "no_way", "no_base_class",
+            "repeated_base_class", "base_class_past_table", "negative_base_class",
+            "no_uf_width", "no_uf_hidden_width", "no_if_width", "no_geo_width",
+            "negative_sem_width", "negative_seed"])
     def test_invalid_model_config_names_field(self, field, kwargs):
         with pytest.raises(ConfigurationError, match=f"^{field} = "):
             tiny_config(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("d_geo", 192.0), ("heads", 4.0), ("sam_layers", 1.5), ("seed", 1.5),
+        ("n_way", True), ("d_arb", "8"), ("base_class_ids", (0, 1.5)),
+        ("base_class_ids", (False, 1)),
+    ], ids=["float_d_geo", "float_heads", "fractional_sam_layers", "fractional_seed",
+            "bool_n_way", "string_d_arb", "fractional_base_class", "bool_base_class"])
+    def test_integer_field_rejects_non_integer(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} = .*integer"):
+            ModelConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self, episode):
+        cfg = tiny_config(d_geo=np.int64(12), heads=np.int32(2), seed=np.uint8(3),
+                          base_class_ids=tuple(np.array(fold_classes(0)[0])))
+        logits = SegModel(cfg, "decoupled").forward(episode, train=False).logits.data
+        np.testing.assert_array_equal(
+            logits, SegModel(tiny_config(), "decoupled").forward(episode, train=False).logits.data)
 
     def test_model_config_cannot_be_changed_past_its_checks(self):
         cfg = tiny_config()
@@ -261,8 +261,7 @@ class TestConfigurationErrors:
             dataclasses.replace(cfg, heads=5)
 
     def test_smallest_valid_model_config_builds(self, episode):
-        cfg = tiny_config(heads=1, d_geo=1, d_sem=1, d_arb=2, knn_k=1, knn_radius=1e-9,
-                          base_class_ids=(0, 9))
+        cfg = tiny_config(heads=1, d_geo=1, d_sem=1, d_arb=2, base_class_ids=(0, 9))
         assert cfg.d_bg == 1
         for mode in MODES:
             assert SegModel(cfg, mode).forward(episode, train=True).logits.shape[1] == 2
@@ -276,11 +275,10 @@ class TestConfigurationErrors:
     @pytest.mark.parametrize("make", [
         lambda: LossWeights(lambda_proto=-1.0),
         lambda: SceneConfig(texture_confusion=1.5),
-        lambda: SceneConfig(noise_sigma=-0.1),
         lambda: AdamW({}, lr=0.0),
         lambda: AdamW({}, weight_decay=-1.0),
         lambda: fold_classes(2),
-    ], ids=["loss_weight", "texture_confusion", "noise_sigma", "lr", "weight_decay", "fold"])
+    ], ids=["loss_weight", "texture_confusion", "lr", "weight_decay", "fold"])
     def test_other_configs_raise_configuration_error(self, make):
         with pytest.raises(ConfigurationError):
             make()
@@ -451,6 +449,49 @@ class TestModelStructure:
         after = model.state_dict()
         assert list(after) == list(before)
         assert all(np.array_equal(after[name], before[name]) for name in before)
+
+    @pytest.mark.parametrize("convert", [
+        lambda a: np.round(a * 8).astype(np.int64),
+        lambda a: a.astype(np.float32),
+        lambda a: a.tolist(),
+    ], ids=["int64", "float32", "list"])
+    def test_loaded_values_train_as_c_order_float64(self, convert, episode):
+        source = SegModel(tiny_config(seed=4), "decoupled").state_dict()
+        state = {name: convert(arr) for name, arr in source.items()}
+        model = SegModel(tiny_config(), "decoupled")
+        model.load_state_dict(state)
+        for name, t in named_tensors(model).items():
+            assert t.data.dtype == np.float64 and t.data.flags.c_contiguous, name
+            np.testing.assert_array_equal(t.data, np.asarray(state[name], dtype=np.float64))
+        train_episode(model, episode, AdamW(model.parameters()), LossWeights(), step=0)
+        assert all(t.data.dtype == np.float64 for t in named_tensors(model).values())
+
+    def test_loaded_values_are_copies(self):
+        model = SegModel(tiny_config(), "fused")
+        state = model.state_dict()
+        model.load_state_dict(state)
+        state["base_b"] += 1.0
+        assert not np.any(model.base.b.data)
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda a: np.full_like(a, np.nan), "non-finite"),
+        (lambda a: np.where(np.arange(a.size).reshape(a.shape) == 1, np.inf, a), "non-finite"),
+        (lambda a: np.full(a.shape, "0.5"), "not an integer or float"),
+        (lambda a: [[0.0] * a.shape[1], [0.0]], "not an integer or float"),
+        (lambda a: a.astype(complex), "not an integer or float"),
+        (lambda a: a > 0, "not an integer or float"),
+        (lambda a: None, "not an integer or float"),
+    ], ids=["nan", "inf", "strings", "ragged_list", "complex", "bool", "none"])
+    def test_non_numeric_or_non_finite_value_names_key_and_writes_nothing(self, bad, match):
+        cfg = tiny_config()
+        model = SegModel(cfg, "decoupled")
+        before = model.state_dict()
+        state = {name: arr + 1.0 for name, arr in SegModel(cfg, "decoupled").state_dict().items()}
+        state["arb.conv_w"] = bad(state["arb.conv_w"])
+        with pytest.raises(ConfigurationError, match=f"'arb.conv_w'.*{match}"):
+            model.load_state_dict(state)
+        after = model.state_dict()
+        assert all(after[name].tobytes() == before[name].tobytes() for name in before)
 
 
 class TestPredict:
@@ -650,6 +691,18 @@ class TestTrainEpisode:
         with pytest.raises(ShapeError, match=f"{len(episode.query) - 1} .*labels for "
                                              f"{len(episode.query)} rows of logits"):
             train_episode(model, short, AdamW(model.parameters()), LossWeights(), step=0)
+
+    @pytest.mark.parametrize("field", ["query_labels", "base_class_labels"])
+    def test_shape_error_leaves_batch_norm_statistics_untouched(self, episode, field):
+        short = dataclasses.replace(episode, **{field: getattr(episode, field)[:-1]})
+        model = SegModel(tiny_config(), "decoupled")
+        opt = AdamW(model.parameters())
+        before = (model.arb.bn_mean.data.tobytes(), model.arb.bn_var.data.tobytes())
+        with pytest.raises(ShapeError):
+            train_episode(model, short, opt, LossWeights(), step=0)
+        assert (model.arb.bn_mean.data.tobytes(), model.arb.bn_var.data.tobytes()) == before
+        assert all(p.grad is None for p in model.parameters().values())
+        assert all(st.step_count == 0 for st in opt.state.values())
 
     def test_named_tensor_added_outside_the_library_is_model_state(self, episode, monkeypatch):
         # A non-trainable tensor anywhere under the model is checkpointed,

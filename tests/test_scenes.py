@@ -70,7 +70,7 @@ class TestGeneration:
 
     def test_capacity_error(self):
         cfg = small_config(points_per_object=(400, 600), plane_count=(2, 2),
-                           box_count=(2, 2), cylinder_count=(2, 2), max_points=2048)
+                           box_count=(2, 2), cylinder_count=(2, 2))
         with pytest.raises(CapacityError):
             generate_scene(cfg, 0)
 
@@ -87,9 +87,6 @@ class TestGeneration:
         ("class_pool", dict(class_pool=(3, 3))),
         ("class_pool", dict(plane_count=(0, 1), box_count=(0, 1), cylinder_count=(0, 1))),
         ("class_pool", dict(class_pool=(6, 7), cylinder_count=(0, 2))),
-        ("noise_sigma", dict(noise_sigma=-0.1)),
-        ("noise_sigma", dict(noise_sigma=np.nan)),
-        ("noise_sigma", dict(noise_sigma=np.inf)),
         ("texture_confusion", dict(texture_confusion=1.5)),
         ("texture_confusion", dict(texture_confusion=np.nan)),
         ("seed", dict(seed=-1)),
@@ -97,6 +94,30 @@ class TestGeneration:
     def test_invalid_config_names_field(self, field, kwargs):
         with pytest.raises(ConfigurationError, match=f"^{field} = "):
             small_config(**kwargs)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("seed", dict(seed=2.5)),
+        ("seed", dict(seed=True)),
+        ("plane_count", dict(plane_count=(1.5, 2))),
+        ("box_count", dict(box_count=(1, 2.0))),
+        ("cylinder_count", dict(cylinder_count=(False, 1))),
+        ("points_per_object", dict(points_per_object=(10.0, 20))),
+        ("class_pool", dict(class_pool=(0.0, 3))),
+    ], ids=["fractional_seed", "bool_seed", "fractional_plane_count", "float_box_count",
+            "bool_cylinder_count", "float_points_per_object", "float_class_pool"])
+    def test_integer_field_rejects_non_integer(self, field, kwargs):
+        with pytest.raises(ConfigurationError, match=f"^{field} = .*integer"):
+            small_config(**kwargs)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "2"])
+    def test_non_integer_scene_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match=f"^scene seed = {seed!r}: .*integer"):
+            generate_scene(small_config(), seed)
+
+    def test_numpy_integers_are_integers(self):
+        cfg = small_config(seed=np.int64(7), plane_count=(np.int32(1), np.int64(2)),
+                           class_pool=tuple(np.arange(N_CLASSES)))
+        assert scenes_equal(generate_scene(cfg, np.int64(4)), generate_scene(small_config(), 4))
 
     def test_negative_scene_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="^scene seed = -3: "):
@@ -200,6 +221,16 @@ class TestEpisodes:
     def test_empty_request_names_argument(self, pool, n_way, k_shot, name):
         with pytest.raises(SamplingError, match=f"^{name} = "):
             sample_episode(pool, n_way, k_shot, seed=0)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("seed", dict(seed=1.5)), ("seed", dict(seed=True)),
+        ("n_way", dict(n_way=1.0)), ("k_shot", dict(k_shot=True)),
+    ], ids=["fractional_seed", "bool_seed", "float_n_way", "bool_k_shot"])
+    def test_non_integer_request_names_argument(self, pool, name, kwargs):
+        request = dict(n_way=1, k_shot=1, seed=0)
+        request.update(kwargs)
+        with pytest.raises(SamplingError, match=f"^{name} = .*integer"):
+            sample_episode(pool, **request)
 
     def test_negative_episode_seed_rejected(self, pool):
         with pytest.raises(SamplingError, match="^seed = -1: "):

@@ -168,30 +168,32 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 ATTENTION_TILE_ROWS = 320
 
 
-def attention(q: Tensor, k_t: Tensor, v: Tensor, c: float = 1.0) -> Tensor:
-    """``softmax(c * q @ k_t, axis=1) @ v``, ``ATTENTION_TILE_ROWS`` query rows at a time.
+def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0) -> Tensor:
+    """``softmax(c * q @ k.T, axis=1) @ v``, ``ATTENTION_TILE_ROWS`` query rows at a time.
 
-    The ``[n, m]`` score matrix is never held whole: each tile of rows is
-    scored, normalised and mixed on its own, and a recorded graph keeps only
-    the softmax tiles. Every tile repeats the operations of the chain
-    ``matmul, scale, softmax, matmul`` in that chain's order, so a query of
-    at most ``ATTENTION_TILE_ROWS`` rows gets that chain's exact bits, in the
+    Keys are rows, ``[m, dk]``, as queries are. The ``[n, m]`` score matrix
+    is never held whole: each tile of rows is scored, normalised and mixed
+    on its own, and a recorded graph keeps only the softmax tiles. Every
+    tile repeats the operations of the chain ``matmul(q, transpose(k)),
+    scale, softmax, matmul`` in that chain's order, so a query of at most
+    ``ATTENTION_TILE_ROWS`` rows gets that chain's exact bits, in the
     forward pass and in every gradient.
     """
-    if (q.data.ndim != 2 or k_t.data.ndim != 2 or v.data.ndim != 2
-            or q.shape[1] != k_t.shape[0] or k_t.shape[1] != v.shape[0]):
-        raise ShapeError(f"attention requires [n,k] x [k,m] x [m,d], got "
-                         f"{q.shape} x {k_t.shape} x {v.shape}")
+    if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2
+            or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]):
+        raise ShapeError(f"attention requires [n,k] x [m,k] x [m,d], got "
+                         f"{q.shape} x {k.shape} x {v.shape}")
     c = float(c)
     n = q.shape[0]
+    k_t = k.data.T.copy()  # C-ordered, as transpose(k) holds it in the chain
     rows = [slice(lo, lo + ATTENTION_TILE_ROWS) for lo in range(0, n, ATTENTION_TILE_ROWS)]
     # Tiles are kept only for a graph that will be recorded, so a forward pass
     # without one holds a single tile at a time.
-    record = _grad_enabled and (q.requires_grad or k_t.requires_grad or v.requires_grad)
+    record = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     tiles = []
     out_data = np.empty((n, v.shape[1]))
     for r in rows:
-        s = q.data[r] @ k_t.data
+        s = q.data[r] @ k_t
         if c != 1.0:
             s *= c
         s -= np.max(s, axis=1, keepdims=True)
@@ -208,11 +210,8 @@ def attention(q: Tensor, k_t: Tensor, v: Tensor, c: float = 1.0) -> Tensor:
             gr = g[r]
             if v.requires_grad:
                 p = s.T @ gr
-                if gv is None:
-                    gv = p
-                else:
-                    gv += p
-            if not (q.requires_grad or k_t.requires_grad):
+                gv = p if gv is None else np.add(gv, p, out=gv)
+            if not (q.requires_grad or k.requires_grad):
                 continue
             t = gr @ v.data.T  # the gradient of this tile's softmax output
             t -= np.sum(t * s, axis=1, keepdims=True)
@@ -220,21 +219,18 @@ def attention(q: Tensor, k_t: Tensor, v: Tensor, c: float = 1.0) -> Tensor:
             if c != 1.0:
                 t *= c
             if gq is not None:
-                np.matmul(t, k_t.data.T, out=gq[r])
-            if k_t.requires_grad:
-                p = q.data[r].T @ t
-                if gk is None:
-                    gk = p
-                else:
-                    gk += p
+                np.matmul(t, k_t.T, out=gq[r])
+            if k.requires_grad:
+                p = q.data[r].T @ t  # [dk, m]
+                gk = p if gk is None else np.add(gk, p, out=gk)
         if gv is not None:
             _accum(v, gv, owned=True)
         if gq is not None:
             _accum(q, gq, owned=True)
         if gk is not None:
-            _accum(k_t, gk, owned=True)
+            _accum(k, gk.T)
 
-    return _node(out_data, (q, k_t, v), backward)
+    return _node(out_data, (q, k, v), backward)
 
 
 def log_softmax(x: Tensor, axis: int) -> Tensor:
@@ -457,9 +453,11 @@ def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
         raise ShapeError(f"slice_cols range [{lo},{hi}) invalid for {x.shape[1]} columns")
 
     def backward(g: np.ndarray) -> None:
-        full = np.zeros_like(x.data)
-        full[:, lo:hi] = g
-        _accum(x, full, owned=True)
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+            x.grad[:, lo:hi] = g
+        else:  # in place: no full-width buffer per slice
+            x.grad[:, lo:hi] += g
 
     return _node(x.data[:, lo:hi].copy(), (x,), backward)
 

@@ -4,7 +4,7 @@ from numbers import Integral
 
 
 class InputError(ValueError):
-    """A label, prediction, texture or class id lies outside its valid range."""
+    """A label, prediction, texture or class id is malformed or outside its valid range."""
 
 
 class ShapeError(ValueError):

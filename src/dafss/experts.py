@@ -4,12 +4,14 @@ Each expert consumes exactly one correlation matrix and never sees the
 other modality; the geometric expert adapts while the semantic expert
 refines frozen priors. An expert returns its refined features only; the
 classifier heads of the consistency regularizer live in
-:mod:`dafss.alignment`. The experts' attention works through the low-rank
-factors of the lifted tokens (see :func:`run_expert`). The factors that
-depend on the weights alone come from :func:`attention_factors`, so a
-caller whose weights are fixed can build them once and reuse them;
-:func:`mhsa` is the dense form over arbitrary token rows, used by the
-arbitration layers.
+:mod:`dafss.alignment`. Every attention block holds its query, key and
+value weights in one ``[d, 3d]`` matrix, and one product with it gives
+every head's q, k and v as column blocks. The experts' attention works
+through the low-rank factors of the lifted tokens (see :func:`run_expert`).
+The factors that depend on the weights alone come from
+:func:`attention_factors`, so a caller whose weights are fixed can build
+them once and reuse them; :func:`mhsa` is the dense form over arbitrary
+token rows, used by the arbitration layers.
 """
 
 from __future__ import annotations
@@ -26,31 +28,32 @@ from dafss.layers import Linear, init_linear, init_weight, linear
 
 @dataclass
 class AttentionParams:
-    wq: list  # per-head [d, d/h]
-    wk: list
-    wv: list
+    wqkv: Tensor  # [d, 3d]: column groups q | k | v, each H blocks of d/H; block h is head h's
     wo: Tensor  # [d, d]
+    heads: int  # H
 
 
 def init_attention(rng: np.random.Generator, d: int, heads: int, prefix: str) -> AttentionParams:
-    dh = d // heads
-    wq = [init_weight(rng, d, dh, f"{prefix}.wq{h}") for h in range(heads)]
-    wk = [init_weight(rng, d, dh, f"{prefix}.wk{h}") for h in range(heads)]
-    wv = [init_weight(rng, d, dh, f"{prefix}.wv{h}") for h in range(heads)]
-    return AttentionParams(wq=wq, wk=wk, wv=wv, wo=init_weight(rng, d, d, f"{prefix}.wo"))
+    """Draws the 3H ``[d, d/H]`` blocks of ``wqkv`` in column order, then ``wo``."""
+    blocks = [init_weight(rng, d, d // heads, f"{prefix}.wqkv").data for _ in range(3 * heads)]
+    return AttentionParams(wqkv=parameter(np.hstack(blocks), name=f"{prefix}.wqkv"),
+                           wo=init_weight(rng, d, d, f"{prefix}.wo"), heads=heads)
+
+
+def _head_qkv(x: Tensor, attn: AttentionParams) -> list:
+    """Each head's ``(q, k, v)`` of the token rows ``x``: column blocks of
+    the one product ``x @ wqkv``."""
+    qkv = ad.matmul(x, attn.wqkv)
+    d, dh = attn.wo.shape[0], attn.wo.shape[0] // attn.heads
+    return [tuple(ad.slice_cols(qkv, g * d + h * dh, g * d + (h + 1) * dh) for g in range(3))
+            for h in range(attn.heads)]
 
 
 def mhsa(x: Tensor, attn: AttentionParams) -> Tensor:
     """Scaled dot-product self-attention over token rows of [t, d]."""
-    inv_sqrt = 1.0 / np.sqrt(attn.wq[0].shape[1])
-    heads = []
-    for wq, wk, wv in zip(attn.wq, attn.wk, attn.wv):
-        q = ad.matmul(x, wq)
-        k = ad.matmul(x, wk)
-        v = ad.matmul(x, wv)
-        heads.append(ad.attention(q, ad.transpose(k), v, inv_sqrt))
-    stacked = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
-    return ad.matmul(stacked, attn.wo)
+    inv_sqrt = 1.0 / np.sqrt(attn.wo.shape[0] // attn.heads)
+    heads = [ad.attention(q, k, v, inv_sqrt) for q, k, v in _head_qkv(x, attn)]
+    return ad.matmul(ad.concat(heads, axis=1), attn.wo)
 
 
 @dataclass
@@ -82,23 +85,19 @@ class AttentionFactors:
 def attention_factors(params: ExpertParams) -> AttentionFactors:
     """The factors of :func:`run_expert` that depend on the weights alone.
 
-    They hold 17 of an expert's 23 matrix products and no per-point data,
+    They hold 6 of an expert's 12 matrix products and no per-point data,
     so one build serves every episode while the weights are unchanged."""
     attn = params.attn
     r, d = params.lift.w.shape[0] + 1, params.lift.w.shape[1]
-    heads, dh = len(attn.wq), attn.wq[0].shape[1]
+    heads, dh = attn.heads, d // attn.heads
     bias_row = ad.add_rowvec(constant(np.zeros((1, d))), params.lift.b)
     lift = ad.concat([params.lift.w, bias_row], axis=0)  # L' [r, d]
     cores, value_blocks = [], []
-    for h in range(heads):
-        q = ad.matmul(lift, attn.wq[h])  # [r, dh]
-        k = ad.matmul(lift, attn.wk[h])
-        v = ad.matmul(lift, attn.wv[h])
+    for h, (q, k, v) in enumerate(_head_qkv(lift, attn)):  # L' W_q,h etc., [r, dh] each
         cores.append(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh)))  # [r, r]
         # Row block h of blockdiag(L'W_v,h): L'W_v,h in head h's columns.
-        value_blocks.append(ad.concat([constant(np.zeros((r, h * dh))), v,
-                                       constant(np.zeros((r, (heads - 1 - h) * dh)))],
-                                      axis=1))
+        left, right = (constant(np.zeros((r, w))) for w in (h * dh, (heads - 1 - h) * dh))
+        value_blocks.append(ad.concat([left, v, right], axis=1))
     return AttentionFactors(cores=cores,
                             out_proj=ad.matmul(ad.concat(value_blocks, axis=0), attn.wo))
 
@@ -116,7 +115,8 @@ def run_expert(corr: Tensor, params: ExpertParams, factors: AttentionFactors) ->
         scores_h = C' K_h C'^T,         K_h = (L' W_q,h)(L' W_k,h)^T / sqrt(d_h)
         mhsa(h)  = [softmax(scores_h) C']_h  P,   P = blockdiag(L' W_v,h) @ W_o,
 
-    where ``[.]_h`` stacks the heads' ``[N, r]`` blocks side by side. The
+    where ``[.]_h`` stacks the heads' ``[N, r]`` blocks side by side and
+    ``W_q,h`` is column block h of the q group of ``wqkv`` (k, v alike). The
     cores ``K_h`` (``[r, r]``) and the projection ``P`` (``[H r, d]``) are
     built from the weights alone, by :func:`attention_factors`; only
     ``C'``, the four attention calls and the product with ``P`` see the
@@ -129,8 +129,7 @@ def run_expert(corr: Tensor, params: ExpertParams, factors: AttentionFactors) ->
         )
     n = corr.shape[0]
     c1 = ad.concat([corr, constant(np.ones((n, 1)))], axis=1)  # C' [N, r]
-    c1_t = ad.transpose(c1)
-    mixed = [ad.attention(ad.matmul(c1, core), c1_t, c1) for core in factors.cores]  # [N, r] each
+    mixed = [ad.attention(ad.matmul(c1, core), c1, c1) for core in factors.cores]  # [N, r] each
     lifted_attention = ad.matmul(ad.concat(mixed, axis=1), factors.out_proj)
     return ad.layer_norm(ad.add(linear(corr, params.lift), lifted_attention),
                          params.ln_gamma, params.ln_beta)

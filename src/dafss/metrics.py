@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from dafss.errors import InputError, ShapeError, UndefinedMetricError
+from dafss.errors import InputError, ShapeError, UndefinedMetricError, is_integer
 from dafss.model import SegModel
 from dafss.scenes import Episode
 
@@ -22,11 +22,14 @@ class MetricsReport:
 
 def confusion_matrix(preds: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
     """counts[i, j] = number of points with label i predicted as j."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
+    preds, labels = np.asarray(preds), np.asarray(labels)
+    if not (is_integer(n_classes) and n_classes >= 1):
+        raise InputError(f"n_classes must be an integer of at least 1, got {n_classes!r}")
     if preds.shape != labels.shape:
         raise ShapeError(f"prediction/label lengths differ: {preds.shape} vs {labels.shape}")
     for name, arr in (("prediction", preds), ("label", labels)):
+        if arr.dtype.kind not in "iu":  # floats and bools are not class ids
+            raise InputError(f"{name}s must be an integer array, got dtype {arr.dtype}")
         if np.any(arr < 0) or np.any(arr >= n_classes):
             bad = arr[(arr < 0) | (arr >= n_classes)][0]
             raise InputError(f"{name} value {int(bad)} outside [0,{n_classes})")

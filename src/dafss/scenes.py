@@ -56,7 +56,7 @@ def fold_classes(fold: int) -> tuple[list[int], list[int]]:
     return base, novel
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneConfig:
     plane_count: tuple[int, int] = (1, 2)
     box_count: tuple[int, int] = (1, 2)

@@ -103,7 +103,7 @@ def grad_norm(tensors: Iterable[Tensor]) -> float:
     total = 0.0
     for t in tensors:
         if t.grad is not None:
-            total += float(np.sum(t.grad * t.grad))
+            total += float(np.vdot(t.grad, t.grad))  # no gradient-sized temporary
     return float(np.sqrt(total))
 
 

@@ -12,6 +12,13 @@ def relative_error(a, b):
     return float(np.max(np.abs(a - b) / denom))
 
 
+def value_weights(attn, h):
+    """Head ``h``'s value weights: column block ``h`` of the v group of ``attn.wqkv``."""
+    d = attn.wo.shape[0]
+    dh = d // attn.heads
+    return attn.wqkv.data[:, 2 * d + h * dh:2 * d + (h + 1) * dh]
+
+
 def central_difference(make_loss, tensor, eps=1e-5, indices=None):
     """Finite-difference gradient of make_loss() w.r.t. tensor.data.
 

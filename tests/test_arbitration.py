@@ -18,7 +18,7 @@ from dafss.autodiff import NORM_EPS, constant, parameter
 from dafss.errors import ConfigurationError, DegenerateBatchError
 from dafss.model import named_tensors
 
-from conftest import check_grads, relative_error
+from conftest import check_grads, relative_error, value_weights
 
 
 @pytest.fixture
@@ -112,7 +112,7 @@ class TestArbitrationLayer:
         layer = params.layers[0]
         x = rng.standard_normal((1, 8))
         out = arbitration_layer(constant(x), layer).data
-        att = np.hstack([x @ layer.attn.wv[i].data for i in range(2)]) @ layer.attn.wo.data
+        att = np.hstack([x @ value_weights(layer.attn, i) for i in range(2)]) @ layer.attn.wo.data
         pre = x + att
         manual = (pre - pre.mean()) / np.sqrt(pre.var() + 1e-5) * layer.ln_gamma.data + layer.ln_beta.data
         assert relative_error(out, manual) < 1e-10

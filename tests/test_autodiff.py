@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,9 +81,9 @@ class TestSoftmax:
         np.testing.assert_array_equal(p.grad, s * (g - np.sum(g * s, axis=axis, keepdims=True)))
 
 
-def attention_chain(q, k_t, v, c):
+def attention_chain(q, k, v, c):
     """The per-head chain that ``attention`` replaces, op by op."""
-    scores = ad.matmul(q, k_t)
+    scores = ad.matmul(q, ad.transpose(k))
     if c != 1.0:
         scores = ad.scale(scores, c)
     return ad.matmul(ad.softmax(scores, axis=1), v)
@@ -101,12 +103,12 @@ class TestAttention:
     def test_one_tile_bitwise_equal_to_chain(self, n, c):
         rng = np.random.default_rng([n, int(1000 * c)])
         q = parameter(rng.standard_normal((n, 5)) * 3)
-        k_t = parameter(rng.standard_normal((5, n)) * 3)
+        k = parameter(rng.standard_normal((n, 5)) * 3)
         v = parameter(rng.standard_normal((n, 4)))
         w = constant(rng.standard_normal((n, 4)))
-        got = self.run(ad.attention, (q, k_t, v), w, q, k_t, v, c)
-        ref = self.run(attention_chain, (q, k_t, v), w, q, k_t, v, c)
-        for what, a, b in zip(("out", "q", "k_t", "v"), got, ref):
+        got = self.run(ad.attention, (q, k, v), w, q, k, v, c)
+        ref = self.run(attention_chain, (q, k, v), w, q, k, v, c)
+        for what, a, b in zip(("out", "q", "k", "v"), got, ref):
             assert a.tobytes() == b.tobytes(), what
 
     @pytest.mark.parametrize("c", [1.0, 0.7])
@@ -114,13 +116,13 @@ class TestAttention:
     def test_several_tiles_match_chain_and_finite_differences(self, monkeypatch, n, c):
         monkeypatch.setattr(ad, "ATTENTION_TILE_ROWS", 3)
         rng = np.random.default_rng([n, int(10 * c)])
-        # k_t and v from one shared tensor, as the experts' factored attention builds them.
+        # k and v are one shared tensor, as in the experts' factored attention.
         x = parameter(rng.standard_normal((n, 3)))
         core = parameter(rng.standard_normal((3, 3)))
         w = constant(rng.standard_normal((n, 3)))
 
         def loss(op):
-            return ad.sum_all(ad.mul(op(ad.matmul(x, core), ad.transpose(x), x, c), w))
+            return ad.sum_all(ad.mul(op(ad.matmul(x, core), x, x, c), w))
 
         def run(op):
             x.grad = core.grad = None
@@ -135,15 +137,15 @@ class TestAttention:
     def test_recorded_graph_keeps_only_softmax_tiles(self, monkeypatch, rng):
         monkeypatch.setattr(ad, "ATTENTION_TILE_ROWS", 3)
         q = parameter(rng.standard_normal((7, 2)))
-        k_t = constant(rng.standard_normal((2, 5)))
+        k = constant(rng.standard_normal((5, 2)))
         v = constant(rng.standard_normal((5, 4)))
-        out = ad.attention(q, k_t, v)
+        out = ad.attention(q, k, v)
         cells = dict(zip(out._backward.__code__.co_freevars,
                          (cell.cell_contents for cell in out._backward.__closure__)))
         assert [s.shape for s in cells["tiles"]] == [(3, 5), (3, 5), (1, 5)]
         np.testing.assert_allclose(np.sum(np.vstack(cells["tiles"]), axis=1), 1.0, atol=1e-15)
         with ad.no_grad():
-            out = ad.attention(q, k_t, v)
+            out = ad.attention(q, k, v)
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
 
@@ -326,6 +328,22 @@ class TestElementwise:
         check_grads(lambda: ad.sum_all(ad.mul_rowvec(x, v)), {"x": x, "v": v}, tol=1e-4)
 
 
+# Column ranges of one [t, 5] tensor: one range repeated, one the full width.
+SLICES = [(0, 2), (1, 4), (1, 4), (0, 5)]
+
+
+def padded_slice_grads(shape, weights, prior=None):
+    """The gradient that ``SLICES`` with these upstream ``weights`` leave in
+    their input, built with one zero-padded full-width buffer per slice.
+    Integer weights keep every sum exact, whatever order slices arrive in."""
+    total = np.zeros(shape) if prior is None else prior.copy()
+    for (lo, hi), w in zip(SLICES, weights):
+        full = np.zeros(shape)
+        full[:, lo:hi] = w
+        total += full
+    return total
+
+
 class TestConcat:
     def test_definition(self):
         out = ad.concat([constant([[1.0, 2.0]]), constant([[3.0, 4.0]])], axis=1)
@@ -344,11 +362,23 @@ class TestConcat:
     def test_backward_routes_slices(self, rng):
         a = parameter(rng.standard_normal((2, 3)))
         b = parameter(rng.standard_normal((2, 2)))
-        grads = backward(ad.sum_all(ad.concat([a, b], axis=1)))
-        np.testing.assert_array_equal(grads[a], np.ones((2, 3)))
-        np.testing.assert_array_equal(grads[b], np.ones((2, 2)))
-        a.grad = None
-        b.grad = None
+        x = parameter(rng.standard_normal((2, 5)))
+        widths = [hi - lo for lo, hi in SLICES]
+        w = constant(rng.integers(-3, 4, (2, 5 + sum(widths))).astype(float))
+
+        def loss():
+            parts = [a, b] + [ad.slice_cols(x, lo, hi) for lo, hi in SLICES]
+            return ad.sum_all(ad.mul(ad.concat(parts, axis=1), w))
+
+        weights = np.split(w.data, np.cumsum([3, 2] + widths)[:-1], axis=1)
+        grads = backward(loss())
+        np.testing.assert_array_equal(grads[a], weights[0])
+        np.testing.assert_array_equal(grads[b], weights[1])
+        assert grads[x].tobytes() == padded_slice_grads(x.shape, weights[2:]).tobytes()
+        prior = x.grad.copy()  # x now holds a gradient; the next sweep adds to it
+        backward(loss())
+        assert x.grad.tobytes() == padded_slice_grads(x.shape, weights[2:], prior).tobytes()
+        a.grad = b.grad = x.grad = None
         check_grads(lambda: ad.sum_all(ad.concat([a, b], axis=1)), {"a": a, "b": b}, tol=1e-4)
 
     def test_slice_cols_roundtrip(self, rng):
@@ -356,6 +386,17 @@ class TestConcat:
         left = ad.slice_cols(x, 0, 2)
         right = ad.slice_cols(x, 2, 5)
         np.testing.assert_array_equal(np.hstack([left.data, right.data]), x.data)
+        weights = [rng.integers(-3, 4, (3, hi - lo)).astype(float) for lo, hi in SLICES]
+
+        def loss():
+            return functools.reduce(ad.add, [ad.sum_all(ad.mul(ad.slice_cols(x, lo, hi), constant(w)))
+                                             for (lo, hi), w in zip(SLICES, weights)])
+
+        for _ in range(2):  # the second sweep adds to the gradient the first left in x
+            prior = None if x.grad is None else x.grad.copy()
+            backward(loss())
+            assert x.grad.tobytes() == padded_slice_grads(x.shape, weights, prior).tobytes()
+        x.grad = None
         check_grads(lambda: ad.sum_all(ad.mul(ad.slice_cols(x, 1, 4), ad.slice_cols(x, 1, 4))), {"x": x}, tol=1e-4)
 
 

@@ -5,10 +5,10 @@ from dafss import autodiff as ad
 from dafss.autodiff import backward, constant, parameter
 from dafss.errors import ShapeError
 from dafss.experts import attention_factors, init_attention, init_expert, mhsa, run_expert
-from dafss.layers import linear
+from dafss.layers import init_weight, linear
 from dafss.model import named_tensors
 
-from conftest import check_grads, relative_error
+from conftest import check_grads, relative_error, value_weights
 
 
 def factored_expert(corr, params):
@@ -17,6 +17,22 @@ def factored_expert(corr, params):
 
 
 class TestMHSA:
+    @pytest.mark.parametrize("d, h", [(6, 1), (8, 2), (12, 4)])
+    def test_init_draws_per_head_blocks_in_order(self, d, h):
+        # wqkv holds the draws of 3h per-head [d, d/h] weights, q heads
+        # first, then k, then v, side by side; wo is drawn after them.
+        rng = np.random.default_rng(5)
+        attn = init_attention(rng, d, h, "t")
+        ref_rng = np.random.default_rng(5)
+        blocks = [init_weight(ref_rng, d, d // h, "ref").data for _ in range(3 * h)]
+        assert attn.wqkv.shape == (d, 3 * d) and attn.heads == h
+        for i, block in enumerate(blocks):
+            got = attn.wqkv.data[:, i * (d // h):(i + 1) * (d // h)]
+            assert got.tobytes() == block.tobytes(), f"block {i}"
+        assert attn.wo.data.tobytes() == init_weight(ref_rng, d, d, "ref").data.tobytes()
+        assert rng.standard_normal(4).tobytes() == ref_rng.standard_normal(4).tobytes()
+        assert list(named_tensors(attn)) == ["t.wqkv", "t.wo"]
+
     def test_single_token_hand_computation(self, rng):
         # one token: softmax over a single key is exactly 1, so the output
         # is concat_h(x @ Wv_h) @ Wo computed by hand
@@ -24,7 +40,7 @@ class TestMHSA:
         attn = init_attention(rng, d, h, "t")
         x = rng.standard_normal((1, d))
         out = mhsa(constant(x), attn).data
-        manual = np.hstack([x @ attn.wv[i].data for i in range(h)]) @ attn.wo.data
+        manual = np.hstack([x @ value_weights(attn, i) for i in range(h)]) @ attn.wo.data
         assert relative_error(out, manual) < 1e-12
 
     def test_permutation_equivariance(self, rng):
@@ -73,7 +89,7 @@ class TestExperts:
         out = factored_expert(constant(c), params).data
 
         h = c @ params.lift.w.data + params.lift.b.data
-        att = np.hstack([h @ params.attn.wv[i].data for i in range(2)]) @ params.attn.wo.data
+        att = np.hstack([h @ value_weights(params.attn, i) for i in range(2)]) @ params.attn.wo.data
         pre = h + att
         mu, var = pre.mean(), pre.var()
         manual = (pre - mu) / np.sqrt(var + 1e-5) * params.ln_gamma.data + params.ln_beta.data

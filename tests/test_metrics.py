@@ -39,6 +39,26 @@ class TestConfusionMatrix:
         with pytest.raises(InputError, match="prediction value 5 outside"):
             confusion_matrix(np.array([0, 5]), np.array([0, 1]), 3)
 
+    @pytest.mark.parametrize("preds, labels, name, dtype", [
+        (np.array([0.5, 1.0]), np.array([0, 1]), "predictions", "float64"),
+        (np.array([0, 1]), np.array([0.0, 1.0]), "labels", "float64"),
+        (np.array([False, True]), np.array([0, 1]), "predictions", "bool"),
+        (np.array([0, 1]), np.array([True, True]), "labels", "bool"),
+    ], ids=["float_preds", "float_labels", "bool_preds", "bool_labels"])
+    def test_non_integer_array_names_argument_and_dtype(self, preds, labels, name, dtype):
+        with pytest.raises(InputError, match=f"^{name} must be an integer array, got dtype {dtype}"):
+            confusion_matrix(preds, labels, 2)
+
+    @pytest.mark.parametrize("n_classes", [2.5, 2.0, True, 0, -1])
+    def test_bad_class_count_rejected(self, n_classes):
+        with pytest.raises(InputError, match="^n_classes must be an integer of at least 1"):
+            confusion_matrix(np.array([0, 1]), np.array([0, 1]), n_classes)
+
+    def test_numpy_integer_arrays_and_class_count_accepted(self):
+        conf = confusion_matrix(np.array([0, 1], dtype=np.uint8), np.array([1, 1], dtype=np.int32),
+                                np.int64(2))
+        np.testing.assert_array_equal(conf, [[0, 0], [1, 1]])
+
     @given(st.integers(2, 5), st.integers(1, 60), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle_property(self, n_classes, n_points, seed):

@@ -305,20 +305,18 @@ class TestModelStructure:
         expected = (["uf.hidden_w", "uf.hidden_b", "uf.out_w", "uf.out_b"]
                     + [f"{e}.{n}" for e in ("geo", "sem") for n in
                        ("lift_w", "lift_b", "ln_gamma", "ln_beta",
-                        "attn.wq0", "attn.wq1", "attn.wk0", "attn.wk1",
-                        "attn.wv0", "attn.wv1", "attn.wo", "cls_w", "cls_b")]
+                        "attn.wqkv", "attn.wo", "cls_w", "cls_b")]
                     + ["align.proj_w", "align.proj_b", "arb.bn_gamma", "arb.bn_beta",
                        "arb.bn_mean", "arb.bn_var",
                        "arb.conv_w", "arb.conv_b", "arb.gate_w", "arb.gate_b"]
                     + [f"arb.l0.{n}" for n in
-                       ("inject_w", "inject_b", "ln_gamma", "ln_beta", "attn.wq0", "attn.wq1",
-                        "attn.wk0", "attn.wk1", "attn.wv0", "attn.wv1", "attn.wo")]
+                       ("inject_w", "inject_b", "ln_gamma", "ln_beta", "attn.wqkv", "attn.wo")]
                     + ["dec.conv_w", "dec.conv_b", "dec.out_w", "dec.out_b", "base_w", "base_b"])
         assert list(model.state_dict()) == expected
 
-    @pytest.mark.parametrize("mode, count", [("decoupled", 75), ("fused", 52)])
+    @pytest.mark.parametrize("mode, count", [("decoupled", 42), ("fused", 30)])
     def test_state_dict_is_parameters_plus_running_statistics(self, mode, count):
-        # Default sizes: 73 and 50 parameters, the counts AdamW steps.
+        # Default sizes: 40 and 28 parameters, the counts AdamW steps.
         model = SegModel(ModelConfig(), mode)
         params, state = model.parameters(), model.state_dict()
         assert len(state) == count
@@ -429,7 +427,8 @@ class TestModelStructure:
 
     @pytest.mark.parametrize("old, new", [("uf.w1", "uf.hidden_w"), ("base.b", "base_b"),
                                           ("arb.bn_state.running_mean", "arb.bn_mean"),
-                                          ("arb.bn_state.running_var", "arb.bn_var")])
+                                          ("arb.bn_state.running_var", "arb.bn_var"),
+                                          ("arb.l0.attn.wq0", "arb.l0.attn.wqkv")])
     def test_load_checkpoint_with_old_key_name_rejected(self, old, new):
         model = SegModel(tiny_config(), "decoupled")
         state = model.state_dict()

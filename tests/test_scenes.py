@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,13 @@ class TestGeneration:
         cfg = small_config(seed=np.int64(7), plane_count=(np.int32(1), np.int64(2)),
                            class_pool=tuple(np.arange(N_CLASSES)))
         assert scenes_equal(generate_scene(cfg, np.int64(4)), generate_scene(small_config(), 4))
+
+    def test_scene_config_cannot_be_changed_past_its_checks(self):
+        cfg = SceneConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1.5
+        with pytest.raises(ConfigurationError, match="^points_per_object = "):
+            dataclasses.replace(cfg, points_per_object=(48, 24))
 
     def test_negative_scene_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="^scene seed = -3: "):

@@ -5,7 +5,10 @@ scales (the running statistics are named tensors without a gradient),
 projected per point and rectified. Each arbitration layer first rewrites the
 background channel partition of every token from base-class guidance
 (foreground channels pass through bitwise untouched), then applies residual
-self-attention with a layer norm. The final features are amplified
+self-attention with a layer norm. Its tokens have full rank, so the
+attention keeps dense weights: one ``[d, 3d]`` q/k/v matrix, whose one
+product gives every head's q, k and v as column blocks, and a ``[d, d]``
+output matrix. The final features are amplified
 channel-wise by a sigmoid gate driven by the target-class embeddings, and a
 small inverse-distance k-NN smoother plus classifier turns them into
 per-point logits.
@@ -21,8 +24,37 @@ import numpy as np
 from dafss import autodiff as ad
 from dafss.autodiff import Tensor, constant, parameter
 from dafss.errors import ConfigurationError, ShapeError
-from dafss.experts import AttentionParams, init_attention, mhsa
-from dafss.layers import Linear, init_linear, linear
+from dafss.layers import Linear, init_linear, init_weight, linear
+
+
+@dataclass
+class AttentionParams:
+    wqkv: Tensor  # [d, 3d]: column groups q | k | v, each H blocks of d/H; block h is head h's
+    wo: Tensor  # [d, d]
+    heads: int  # H
+
+
+def init_attention(rng: np.random.Generator, d: int, heads: int, prefix: str) -> AttentionParams:
+    """Draws the 3H ``[d, d/H]`` blocks of ``wqkv`` in column order, then ``wo``."""
+    blocks = [init_weight(rng, d, d // heads, f"{prefix}.wqkv").data for _ in range(3 * heads)]
+    return AttentionParams(wqkv=parameter(np.hstack(blocks), name=f"{prefix}.wqkv"),
+                           wo=init_weight(rng, d, d, f"{prefix}.wo"), heads=heads)
+
+
+def _head_qkv(x: Tensor, attn: AttentionParams) -> list:
+    """Each head's ``(q, k, v)`` of the token rows ``x``: column blocks of
+    the one product ``x @ wqkv``."""
+    qkv = ad.matmul(x, attn.wqkv)
+    d, dh = attn.wo.shape[0], attn.wo.shape[0] // attn.heads
+    return [tuple(ad.slice_cols(qkv, g * d + h * dh, g * d + (h + 1) * dh) for g in range(3))
+            for h in range(attn.heads)]
+
+
+def mhsa(x: Tensor, attn: AttentionParams) -> Tensor:
+    """Scaled dot-product self-attention over token rows of [t, d]."""
+    inv_sqrt = 1.0 / np.sqrt(attn.wo.shape[0] // attn.heads)
+    heads = [ad.attention(q, k, v, inv_sqrt) for q, k, v in _head_qkv(x, attn)]
+    return ad.matmul(ad.concat(heads, axis=1), attn.wo)
 
 
 @dataclass

@@ -135,16 +135,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {x.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        _accum(x, g.T)
-
-    return _node(x.data.T.copy(), (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # normalizations and softmax
 # ---------------------------------------------------------------------------
@@ -174,10 +164,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0) -> Tensor:
     Keys are rows, ``[m, dk]``, as queries are. The ``[n, m]`` score matrix
     is never held whole: each tile of rows is scored, normalised and mixed
     on its own, and a recorded graph keeps only the softmax tiles. Every
-    tile repeats the operations of the chain ``matmul(q, transpose(k)),
-    scale, softmax, matmul`` in that chain's order, so a query of at most
-    ``ATTENTION_TILE_ROWS`` rows gets that chain's exact bits, in the
-    forward pass and in every gradient.
+    tile repeats the operations of the chain ``matmul(q, k_t), scale,
+    softmax, matmul`` in that chain's order, with ``k_t`` the C-ordered
+    transpose of ``k``, so a query of at most ``ATTENTION_TILE_ROWS`` rows
+    gets that chain's exact bits, in the forward pass and in every gradient
+    (the gradient of ``k`` being that of ``k_t``, transposed).
     """
     if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2
             or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]):
@@ -185,7 +176,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0) -> Tensor:
                          f"{q.shape} x {k.shape} x {v.shape}")
     c = float(c)
     n = q.shape[0]
-    k_t = k.data.T.copy()  # C-ordered, as transpose(k) holds it in the chain
+    k_t = k.data.T.copy()  # C-ordered, as the chain's k_t leaf holds it
     rows = [slice(lo, lo + ATTENTION_TILE_ROWS) for lo in range(0, n, ATTENTION_TILE_ROWS)]
     # Tiles are kept only for a graph that will be recorded, so a forward pass
     # without one holds a single tile at a time.

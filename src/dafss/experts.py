@@ -4,14 +4,11 @@ Each expert consumes exactly one correlation matrix and never sees the
 other modality; the geometric expert adapts while the semantic expert
 refines frozen priors. An expert returns its refined features only; the
 classifier heads of the consistency regularizer live in
-:mod:`dafss.alignment`. Every attention block holds its query, key and
-value weights in one ``[d, 3d]`` matrix, and one product with it gives
-every head's q, k and v as column blocks. The experts' attention works
-through the low-rank factors of the lifted tokens (see :func:`run_expert`).
-The factors that depend on the weights alone come from
-:func:`attention_factors`, so a caller whose weights are fixed can build
-them once and reuse them; :func:`mhsa` is the dense form over arbitrary
-token rows, used by the arbitration layers.
+:mod:`dafss.alignment`. The lifted tokens an expert attends over have rank
+at most ``n_way+2``, so its multi-head self-attention (Vaswani et al.,
+arXiv:1706.03762) is stored as the factors it reads its weights through:
+one small core per head and one output projection (see :func:`run_expert`).
+An expert holds no query, key, value or output weight matrix.
 """
 
 from __future__ import annotations
@@ -27,101 +24,57 @@ from dafss.layers import Linear, init_linear, init_weight, linear
 
 
 @dataclass
-class AttentionParams:
-    wqkv: Tensor  # [d, 3d]: column groups q | k | v, each H blocks of d/H; block h is head h's
-    wo: Tensor  # [d, d]
-    heads: int  # H
-
-
-def init_attention(rng: np.random.Generator, d: int, heads: int, prefix: str) -> AttentionParams:
-    """Draws the 3H ``[d, d/H]`` blocks of ``wqkv`` in column order, then ``wo``."""
-    blocks = [init_weight(rng, d, d // heads, f"{prefix}.wqkv").data for _ in range(3 * heads)]
-    return AttentionParams(wqkv=parameter(np.hstack(blocks), name=f"{prefix}.wqkv"),
-                           wo=init_weight(rng, d, d, f"{prefix}.wo"), heads=heads)
-
-
-def _head_qkv(x: Tensor, attn: AttentionParams) -> list:
-    """Each head's ``(q, k, v)`` of the token rows ``x``: column blocks of
-    the one product ``x @ wqkv``."""
-    qkv = ad.matmul(x, attn.wqkv)
-    d, dh = attn.wo.shape[0], attn.wo.shape[0] // attn.heads
-    return [tuple(ad.slice_cols(qkv, g * d + h * dh, g * d + (h + 1) * dh) for g in range(3))
-            for h in range(attn.heads)]
-
-
-def mhsa(x: Tensor, attn: AttentionParams) -> Tensor:
-    """Scaled dot-product self-attention over token rows of [t, d]."""
-    inv_sqrt = 1.0 / np.sqrt(attn.wo.shape[0] // attn.heads)
-    heads = [ad.attention(q, k, v, inv_sqrt) for q, k, v in _head_qkv(x, attn)]
-    return ad.matmul(ad.concat(heads, axis=1), attn.wo)
-
-
-@dataclass
 class ExpertParams:
-    lift: Linear  # [n_s, d_model]
-    ln_gamma: Tensor
-    ln_beta: Tensor
-    attn: AttentionParams  # after the tensors: parameter order follows field order
+    lift: Linear  # [n_s, d]
+    ln_gamma: Tensor  # [d]; no shift: the merge batch norm would cancel it
+    cores: list  # per head K_h, [r, r] with r = n_s + 1, scaled by 1/sqrt(d_h)
+    proj: Tensor  # P, [H r, d]
 
 
 def init_expert(rng: np.random.Generator, n_s: int, d_model: int, heads: int,
                 prefix: str) -> ExpertParams:
-    return ExpertParams(
-        lift=init_linear(rng, n_s, d_model, f"{prefix}.lift"),
-        attn=init_attention(rng, d_model, heads, prefix=f"{prefix}.attn"),
-        ln_gamma=parameter(np.ones(d_model), name=f"{prefix}.ln_gamma"),
-        ln_beta=parameter(np.zeros(d_model), name=f"{prefix}.ln_beta"),
-    )
+    """Draws ``lift``, then the 3H ``[d, d_h]`` blocks of a q/k/v matrix
+    ``W`` (q heads, then k, then v) and a ``[d, d]`` output matrix ``W_o``.
+
+    Keeps ``K_h`` and ``P`` as :func:`run_expert` defines them from those
+    draws, and drops ``W`` and ``W_o``."""
+    lift = init_linear(rng, n_s, d_model, f"{prefix}.lift")
+    dh = d_model // heads
+    w = np.hstack([init_weight(rng, d_model, dh, "w").data for _ in range(3 * heads)])
+    w_o = init_weight(rng, d_model, d_model, "w_o").data
+    lifted = np.vstack([lift.w.data, lift.b.data])  # L' [r, d]
+    qkv = lifted @ w
+    r = lifted.shape[0]
+    cores, value_blocks = [], np.zeros((heads * r, d_model))
+    for h in range(heads):
+        q, k, v = (qkv[:, g * d_model + h * dh:g * d_model + (h + 1) * dh] for g in range(3))
+        cores.append(parameter((q @ k.T) * (1.0 / np.sqrt(dh)), name=f"{prefix}.attn.core{h}"))
+        value_blocks[h * r:(h + 1) * r, h * dh:(h + 1) * dh] = v
+    return ExpertParams(lift=lift, ln_gamma=parameter(np.ones(d_model), name=f"{prefix}.ln_gamma"),
+                        cores=cores, proj=parameter(value_blocks @ w_o, name=f"{prefix}.attn.proj"))
 
 
-@dataclass
-class AttentionFactors:
-    """The weight-only factors of an expert's attention (see :func:`run_expert`)."""
-
-    cores: list  # per head (L' W_q,h)(L' W_k,h)^T / sqrt(d_h), [n_way+2, n_way+2]
-    out_proj: Tensor  # blockdiag(L' W_v,h) @ W_o, [H(n_way+2), d]
-
-
-def attention_factors(params: ExpertParams) -> AttentionFactors:
-    """The factors of :func:`run_expert` that depend on the weights alone.
-
-    They hold 6 of an expert's 12 matrix products and no per-point data,
-    so one build serves every episode while the weights are unchanged."""
-    attn = params.attn
-    r, d = params.lift.w.shape[0] + 1, params.lift.w.shape[1]
-    heads, dh = attn.heads, d // attn.heads
-    bias_row = ad.add_rowvec(constant(np.zeros((1, d))), params.lift.b)
-    lift = ad.concat([params.lift.w, bias_row], axis=0)  # L' [r, d]
-    cores, value_blocks = [], []
-    for h, (q, k, v) in enumerate(_head_qkv(lift, attn)):  # L' W_q,h etc., [r, dh] each
-        cores.append(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh)))  # [r, r]
-        # Row block h of blockdiag(L'W_v,h): L'W_v,h in head h's columns.
-        left, right = (constant(np.zeros((r, w))) for w in (h * dh, (heads - 1 - h) * dh))
-        value_blocks.append(ad.concat([left, v, right], axis=1))
-    return AttentionFactors(cores=cores,
-                            out_proj=ad.matmul(ad.concat(value_blocks, axis=0), attn.wo))
-
-
-def run_expert(corr: Tensor, params: ExpertParams, factors: AttentionFactors) -> Tensor:
+def run_expert(corr: Tensor, params: ExpertParams) -> Tensor:
     """Refine one correlation matrix into ``[N, d]`` features that depend on
-    that input alone; ``factors`` are ``attention_factors(params)``.
+    that input alone: ``LN(linear(C, lift) + mhsa)``, with no shift.
 
     The lifted tokens ``h = C @ lift.w + 1 lift.b^T`` are ``C' @ L'`` with
     ``C' = [C, 1]`` (``[N, r]``, ``r = n_way+2``) and ``L' = [lift.w;
     lift.b^T]`` (``[r, d]``), so their rank is at most ``r`` however large
-    ``d`` is. Self-attention over them is therefore computed exactly,
-    without any ``[N, d]`` projection, from the identities
+    ``d`` is. Self-attention over them with a q/k/v matrix ``W`` and an
+    output matrix ``W_o`` is therefore, exactly,
 
         scores_h = C' K_h C'^T,         K_h = (L' W_q,h)(L' W_k,h)^T / sqrt(d_h)
-        mhsa(h)  = [softmax(scores_h) C']_h  P,   P = blockdiag(L' W_v,h) @ W_o,
+        mhsa     = [softmax(scores_h) C']_h  P,   P = blockdiag(L' W_v,h) @ W_o,
 
     where ``[.]_h`` stacks the heads' ``[N, r]`` blocks side by side and
-    ``W_q,h`` is column block h of the q group of ``wqkv`` (k, v alike). The
-    cores ``K_h`` (``[r, r]``) and the projection ``P`` (``[H r, d]``) are
-    built from the weights alone, by :func:`attention_factors`; only
-    ``C'``, the four attention calls and the product with ``P`` see the
-    points. That costs O(N^2 r + N H r d) per expert instead of
-    O(N^2 d + N d^2), plus O(H r d^2) for the factors.
+    ``W_q,h`` is column block h of the q group of ``W`` (k, v alike). The
+    expert stores and trains the cores ``K_h`` (``[r, r]``) and ``P``
+    (``[H r, d]``) themselves, so ``lift`` reaches the output only through
+    the residual. Free ``(L', K, P)`` span exactly the functions that
+    ``(L', W, W_o)`` span when ``r <= d_h`` (``n_way <= 46`` at the default
+    ``d_h = 48``); beyond that they span a superset. The cost is
+    O(N^2 r + N H r d) per expert instead of O(N^2 d + N d^2).
     """
     if corr.shape[1] != params.lift.w.shape[0]:
         raise ShapeError(
@@ -129,7 +82,8 @@ def run_expert(corr: Tensor, params: ExpertParams, factors: AttentionFactors) ->
         )
     n = corr.shape[0]
     c1 = ad.concat([corr, constant(np.ones((n, 1)))], axis=1)  # C' [N, r]
-    mixed = [ad.attention(ad.matmul(c1, core), c1, c1) for core in factors.cores]  # [N, r] each
-    lifted_attention = ad.matmul(ad.concat(mixed, axis=1), factors.out_proj)
+    mixed = [ad.attention(ad.matmul(c1, core), c1, c1) for core in params.cores]  # [N, r] each
+    lifted_attention = ad.matmul(ad.concat(mixed, axis=1), params.proj)
+    no_shift = constant(np.zeros(params.ln_gamma.shape[0]))
     return ad.layer_norm(ad.add(linear(corr, params.lift), lifted_attention),
-                         params.ln_gamma, params.ln_beta)
+                         params.ln_gamma, no_shift)

@@ -82,18 +82,15 @@ def evaluate(model: SegModel, episodes: Iterable[Episode]) -> MetricsReport:
     """Accumulate one confusion matrix over all episodes in the shared
     remapped label space {0..n_way}, then reduce to mIoU / mAcc.
 
-    The episodes run inside one ``model.frozen()`` scope, so the experts'
-    weight-only factors are built by the first ``predict`` and reused by
-    the rest; that is valid while parameters are unchanged, which holds
-    for the whole call. The scope closes when the call returns or raises."""
+    Each episode is one graph-free ``model.predict``; nothing is carried
+    from one episode to the next but the confusion counts."""
     n_classes = model.config.n_way + 1
     conf = np.zeros((n_classes, n_classes), dtype=np.int64)
     count = 0
-    with model.frozen():
-        for episode in episodes:
-            preds = model.predict(episode)
-            conf += confusion_matrix(preds, episode.query_labels, n_classes)
-            count += 1
+    for episode in episodes:
+        preds = model.predict(episode)
+        conf += confusion_matrix(preds, episode.query_labels, n_classes)
+        count += 1
     if count == 0:
         raise UndefinedMetricError("evaluation over an empty episode stream")
     per_class, mean_iou = miou(conf)

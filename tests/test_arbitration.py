@@ -7,18 +7,67 @@ from dafss.arbitration import (
     arbitrate,
     arbitration_layer,
     init_arbitration,
+    init_attention,
     init_decoder,
     inject_background_guidance,
     knn_weights,
     merge_features,
+    mhsa,
     decode,
     semantic_gate,
 )
 from dafss.autodiff import NORM_EPS, constant, parameter
 from dafss.errors import ConfigurationError, DegenerateBatchError
+from dafss.layers import init_weight
 from dafss.model import named_tensors
 
 from conftest import check_grads, relative_error, value_weights
+
+
+class TestMHSA:
+    @pytest.mark.parametrize("d, h", [(6, 1), (8, 2), (12, 4)])
+    def test_init_draws_per_head_blocks_in_order(self, d, h):
+        # wqkv holds the draws of 3h per-head [d, d/h] weights, q heads
+        # first, then k, then v, side by side; wo is drawn after them.
+        rng = np.random.default_rng(5)
+        attn = init_attention(rng, d, h, "t")
+        ref_rng = np.random.default_rng(5)
+        blocks = [init_weight(ref_rng, d, d // h, "ref").data for _ in range(3 * h)]
+        assert attn.wqkv.shape == (d, 3 * d) and attn.heads == h
+        for i, block in enumerate(blocks):
+            got = attn.wqkv.data[:, i * (d // h):(i + 1) * (d // h)]
+            assert got.tobytes() == block.tobytes(), f"block {i}"
+        assert attn.wo.data.tobytes() == init_weight(ref_rng, d, d, "ref").data.tobytes()
+        assert rng.standard_normal(4).tobytes() == ref_rng.standard_normal(4).tobytes()
+        assert list(named_tensors(attn)) == ["t.wqkv", "t.wo"]
+
+    def test_single_token_hand_computation(self, rng):
+        # one token: softmax over a single key is exactly 1, so the output
+        # is concat_h(x @ Wv_h) @ Wo computed by hand
+        d, h = 6, 2
+        attn = init_attention(rng, d, h, "t")
+        x = rng.standard_normal((1, d))
+        out = mhsa(constant(x), attn).data
+        manual = np.hstack([x @ value_weights(attn, i) for i in range(h)]) @ attn.wo.data
+        assert relative_error(out, manual) < 1e-12
+
+    def test_permutation_equivariance(self, rng):
+        d, h = 8, 2
+        attn = init_attention(rng, d, h, "t")
+        x = rng.standard_normal((5, d))
+        out = mhsa(constant(x), attn).data
+        perm = rng.permutation(5)
+        out_p = mhsa(constant(x[perm]), attn).data
+        np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
+
+    def test_gradient(self, rng):
+        d, h = 8, 2
+        attn = init_attention(rng, d, h, "t")
+        x = parameter(rng.standard_normal((3, d)))
+        w = constant(rng.standard_normal((3, d)))
+        tensors = {"x": x}
+        tensors.update(named_tensors(attn))
+        check_grads(lambda: ad.sum_all(ad.mul(mhsa(x, attn), w)), tensors, tol=1e-3)
 
 
 @pytest.fixture

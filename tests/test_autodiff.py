@@ -81,9 +81,10 @@ class TestSoftmax:
         np.testing.assert_array_equal(p.grad, s * (g - np.sum(g * s, axis=axis, keepdims=True)))
 
 
-def attention_chain(q, k, v, c):
-    """The per-head chain that ``attention`` replaces, op by op."""
-    scores = ad.matmul(q, ad.transpose(k))
+def attention_chain(q, k_t, v, c):
+    """The per-head chain that ``attention`` replaces, op by op, with the
+    keys given as their transpose ``k_t``."""
+    scores = ad.matmul(q, k_t)
     if c != 1.0:
         scores = ad.scale(scores, c)
     return ad.matmul(ad.softmax(scores, axis=1), v)
@@ -106,8 +107,10 @@ class TestAttention:
         k = parameter(rng.standard_normal((n, 5)) * 3)
         v = parameter(rng.standard_normal((n, 4)))
         w = constant(rng.standard_normal((n, 4)))
+        k_t = parameter(k.data.T)
         got = self.run(ad.attention, (q, k, v), w, q, k, v, c)
-        ref = self.run(attention_chain, (q, k, v), w, q, k, v, c)
+        ref = self.run(attention_chain, (q, k_t, v), w, q, k_t, v, c)
+        ref[2] = ref[2].T  # the gradient of k is that of k_t, transposed
         for what, a, b in zip(("out", "q", "k", "v"), got, ref):
             assert a.tobytes() == b.tobytes(), what
 
@@ -121,18 +124,22 @@ class TestAttention:
         core = parameter(rng.standard_normal((3, 3)))
         w = constant(rng.standard_normal((n, 3)))
 
-        def loss(op):
-            return ad.sum_all(ad.mul(op(ad.matmul(x, core), x, x, c), w))
+        x_t = parameter(x.data.T)  # the chain's keys: a leaf of their own
 
-        def run(op):
-            x.grad = core.grad = None
-            value = loss(op)
+        def loss(op, keys):
+            return ad.sum_all(ad.mul(op(ad.matmul(x, core), keys, x, c), w))
+
+        def run(op, keys):
+            x.grad = x_t.grad = core.grad = None
+            value = loss(op, keys)
             backward(value)
+            if keys is x_t:  # fold the keys' gradient back into x
+                x.grad += x_t.grad.T
             return value.data, x.grad, core.grad
 
-        for what, a, b in zip(("loss", "x", "core"), run(ad.attention), run(attention_chain)):
+        for what, a, b in zip(("loss", "x", "core"), run(ad.attention, x), run(attention_chain, x_t)):
             assert relative_error(a, b) <= 1e-12, what
-        check_grads(lambda: loss(ad.attention), {"x": x, "core": core}, tol=1e-6)
+        check_grads(lambda: loss(ad.attention, x), {"x": x, "core": core}, tol=1e-6)
 
     def test_recorded_graph_keeps_only_softmax_tiles(self, monkeypatch, rng):
         monkeypatch.setattr(ad, "ATTENTION_TILE_ROWS", 3)
@@ -590,11 +597,6 @@ class TestCosineRows:
 
 
 class TestMisc:
-    def test_transpose_gradient(self, rng):
-        x = parameter(rng.standard_normal((2, 3)))
-        w = constant(rng.standard_normal((3, 2)))
-        check_grads(lambda: ad.sum_all(ad.mul(ad.transpose(x), w)), {"x": x}, tol=1e-4)
-
     def test_sum_rows_and_scale(self, rng):
         x = parameter(rng.standard_normal((3, 4)))
         check_grads(lambda: ad.sum_all(ad.scale(ad.sum_rows(x), 2.5)), {"x": x}, tol=1e-4)

@@ -1,5 +1,3 @@
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,9 +157,6 @@ class TestEvaluate:
 
         class Oracle:
             config = model.config
-
-            def frozen(self):
-                return contextlib.nullcontext()
 
             def predict(self, episode):
                 return episode.query_labels

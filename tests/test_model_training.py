@@ -8,7 +8,6 @@ from dafss import model as model_module
 from dafss.autodiff import Tensor, backward, constant
 from dafss.errors import ConfigurationError, InputError, NumericError, ShapeError
 from dafss.experts import run_expert
-from dafss.metrics import evaluate
 from dafss.model import MODES, ModelConfig, SegModel, named_tensors
 from dafss.optim import AdamW
 from dafss.scenes import SceneConfig, build_pool, fold_classes, sample_episode
@@ -45,8 +44,8 @@ def expert_features(monkeypatch, model, episode, train):
     keyed by its parameter prefix ("geo", "sem" or "fused")."""
     seen = {}
 
-    def recording_expert(corr, params, factors):
-        seen[params.lift.w.name.split(".")[0]] = out = run_expert(corr, params, factors)
+    def recording_expert(corr, params):
+        seen[params.lift.w.name.split(".")[0]] = out = run_expert(corr, params)
         return out
 
     monkeypatch.setattr(model_module, "run_expert", recording_expert)
@@ -304,8 +303,8 @@ class TestModelStructure:
         model = SegModel(tiny_config(), "decoupled")
         expected = (["uf.hidden_w", "uf.hidden_b", "uf.out_w", "uf.out_b"]
                     + [f"{e}.{n}" for e in ("geo", "sem") for n in
-                       ("lift_w", "lift_b", "ln_gamma", "ln_beta",
-                        "attn.wqkv", "attn.wo", "cls_w", "cls_b")]
+                       ("lift_w", "lift_b", "ln_gamma", "attn.core0", "attn.core1",
+                        "attn.proj", "cls_w", "cls_b")]
                     + ["align.proj_w", "align.proj_b", "arb.bn_gamma", "arb.bn_beta",
                        "arb.bn_mean", "arb.bn_var",
                        "arb.conv_w", "arb.conv_b", "arb.gate_w", "arb.gate_b"]
@@ -314,9 +313,9 @@ class TestModelStructure:
                     + ["dec.conv_w", "dec.conv_b", "dec.out_w", "dec.out_b", "base_w", "base_b"])
         assert list(model.state_dict()) == expected
 
-    @pytest.mark.parametrize("mode, count", [("decoupled", 42), ("fused", 30)])
+    @pytest.mark.parametrize("mode, count", [("decoupled", 46), ("fused", 32)])
     def test_state_dict_is_parameters_plus_running_statistics(self, mode, count):
-        # Default sizes: 40 and 28 parameters, the counts AdamW steps.
+        # Default sizes: 44 and 30 parameters, the counts AdamW steps.
         model = SegModel(ModelConfig(), mode)
         params, state = model.parameters(), model.state_dict()
         assert len(state) == count
@@ -425,12 +424,17 @@ class TestModelStructure:
         with pytest.raises(ConfigurationError, match=key):
             model.load_state_dict(state)
 
-    @pytest.mark.parametrize("old, new", [("uf.w1", "uf.hidden_w"), ("base.b", "base_b"),
-                                          ("arb.bn_state.running_mean", "arb.bn_mean"),
-                                          ("arb.bn_state.running_var", "arb.bn_var"),
-                                          ("arb.l0.attn.wq0", "arb.l0.attn.wqkv")])
-    def test_load_checkpoint_with_old_key_name_rejected(self, old, new):
-        model = SegModel(tiny_config(), "decoupled")
+    @pytest.mark.parametrize("mode, old, new", [
+        ("decoupled", "uf.w1", "uf.hidden_w"), ("decoupled", "base.b", "base_b"),
+        ("decoupled", "arb.bn_state.running_mean", "arb.bn_mean"),
+        ("decoupled", "arb.bn_state.running_var", "arb.bn_var"),
+        ("decoupled", "arb.l0.attn.wq0", "arb.l0.attn.wqkv"),
+        ("decoupled", "geo.attn.wqkv", "geo.attn.core0"),
+        ("decoupled", "sem.attn.wo", "sem.attn.proj"),
+        ("fused", "fused.ln_beta", "fused.ln_gamma"),
+    ])
+    def test_load_checkpoint_with_old_key_name_rejected(self, mode, old, new):
+        model = SegModel(tiny_config(), mode)
         state = model.state_dict()
         state[old] = state.pop(new)
         with pytest.raises(ConfigurationError, match="unknown"):
@@ -516,105 +520,6 @@ class TestPredict:
         bad = dataclasses.replace(ep, query=dataclasses.replace(ep.query, texture=texture))
         with pytest.raises(InputError, match=f"scene.texture id {texture_id} outside .* at point 1"):
             SegModel(tiny_config(), mode).predict(bad)
-
-
-def count_factor_builds(monkeypatch) -> list:
-    """Route ``model.attention_factors`` through a counter; returns the list
-    of parameter prefixes it was called for, in call order."""
-    calls = []
-    original = model_module.attention_factors
-
-    def counting(expert):
-        calls.append(expert.lift.w.name.split(".")[0])
-        return original(expert)
-
-    monkeypatch.setattr(model_module, "attention_factors", counting)
-    return calls
-
-
-EXPERTS = {"decoupled": ["geo", "sem"], "fused": ["fused"]}
-
-
-@pytest.mark.parametrize("mode", MODES)
-class TestFrozenScope:
-    @pytest.fixture
-    def novel_episodes(self, pool):
-        _, novel = fold_classes(0)
-        return [sample_episode(pool, 1, 1, seed=s, candidate_classes=novel) for s in range(4)]
-
-    @staticmethod
-    def outputs(model, episodes):
-        return [(model.predict(ep).tobytes(), model.forward(ep, train=False).logits.data.tobytes())
-                for ep in episodes]
-
-    def test_outputs_inside_equal_outside_bytewise(self, mode, novel_episodes):
-        model = SegModel(tiny_config(), mode)
-        outside = self.outputs(model, novel_episodes)
-        with model.frozen():
-            inside = self.outputs(model, novel_episodes)
-        assert inside == outside
-
-    def test_no_stale_factors_after_training(self, mode, pool, novel_episodes):
-        base, _ = fold_classes(0)
-        train_ep = sample_episode(pool, 1, 1, seed=4, base_classes=base, candidate_classes=base)
-
-        def trained(evaluate_first):
-            model = SegModel(tiny_config(), mode)
-            if evaluate_first:
-                evaluate(model, novel_episodes)
-            train_episode(model, train_ep, AdamW(model.parameters(), lr=1e-2), LossWeights(), 0)
-            return model, evaluate(model, novel_episodes)
-
-        model, after = trained(evaluate_first=True)
-        fresh, fresh_after = trained(evaluate_first=False)
-        assert vars(after) == vars(fresh_after)
-        assert self.outputs(model, novel_episodes) == self.outputs(fresh, novel_episodes)
-        # The step moves the logits, so factors cached before it would show.
-        assert self.outputs(model, novel_episodes) != self.outputs(SegModel(tiny_config(), mode),
-                                                                   novel_episodes)
-
-    def test_episode_that_raises_leaves_no_cached_factors(self, mode, pool, novel_episodes,
-                                                          monkeypatch):
-        model = SegModel(tiny_config(), mode)
-        wrong_way = sample_episode(pool, 2, 1, seed=0)
-        calls = count_factor_builds(monkeypatch)
-        with pytest.raises(ConfigurationError, match="2-way"):
-            evaluate(model, [novel_episodes[0], wrong_way, novel_episodes[1]])
-        assert calls == EXPERTS[mode]
-        model.predict(novel_episodes[0])
-        model.predict(novel_episodes[0])
-        assert calls == EXPERTS[mode] * 3  # rebuilt on every call outside the scope
-        model.forward(novel_episodes[0], train=True)  # training is allowed again
-
-    def test_factors_built_once_per_expert_per_evaluate(self, mode, novel_episodes, monkeypatch):
-        model = SegModel(tiny_config(), mode)
-        calls = count_factor_builds(monkeypatch)
-        evaluate(model, novel_episodes)
-        assert calls == EXPERTS[mode]
-        evaluate(model, novel_episodes)
-        assert calls == EXPERTS[mode] * 2
-        with model.frozen():  # a nested scope shares the outer cache
-            evaluate(model, novel_episodes)
-            evaluate(model, novel_episodes)
-        assert calls == EXPERTS[mode] * 3
-
-    def test_parameters_never_see_cached_factors(self, mode, novel_episodes):
-        model = SegModel(tiny_config(), mode)
-        params, state = model.parameters(), model.state_dict()
-        with model.frozen():
-            model.predict(novel_episodes[0])
-            inside_params, inside_state = model.parameters(), model.state_dict()
-        assert list(inside_params) == list(params)
-        assert all(inside_params[k] is params[k] for k in params)
-        assert list(inside_state) == list(state)
-        assert all(inside_state[k].tobytes() == state[k].tobytes() for k in state)
-
-    def test_training_inside_scope_raises(self, mode, novel_episodes):
-        model = SegModel(tiny_config(), mode)
-        with model.frozen():
-            with pytest.raises(ConfigurationError, match="frozen"):
-                model.forward(novel_episodes[0], train=True)
-        assert model.forward(novel_episodes[0], train=True).logits.requires_grad
 
 
 class TestTrainEpisode:

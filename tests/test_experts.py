@@ -82,6 +82,18 @@ class TestExperts:
         manual = (pre - pre.mean()) / np.sqrt(pre.var() + 1e-5) * params.ln_gamma.data
         assert relative_error(out, manual) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 9, 40])
+    def test_output_without_graph_equals_recorded_bitwise(self, rng, n):
+        # ``predict`` runs the experts under ``no_grad``, training records a
+        # graph; the stored factors must give both the same bytes.
+        params = init_expert(rng, 2, 16, heads=4, prefix="e")
+        c = constant(rng.uniform(-1, 1, (n, 2)))
+        recorded = run_expert(c, params)
+        with ad.no_grad():
+            free = run_expert(c, params)
+        assert recorded.requires_grad and not free.requires_grad
+        assert free.data.tobytes() == recorded.data.tobytes()
+
     def test_shape_mismatch(self, rng):
         params = init_expert(rng, 3, 8, heads=2, prefix="e")
         with pytest.raises(ShapeError):

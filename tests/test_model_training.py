@@ -8,6 +8,7 @@ from dafss import model as model_module
 from dafss.autodiff import Tensor, backward, constant
 from dafss.errors import ConfigurationError, InputError, NumericError, ShapeError
 from dafss.experts import run_expert
+from dafss.metrics import evaluate
 from dafss.model import MODES, ModelConfig, SegModel, named_tensors
 from dafss.optim import AdamW
 from dafss.scenes import SceneConfig, build_pool, fold_classes, sample_episode
@@ -520,6 +521,59 @@ class TestPredict:
         bad = dataclasses.replace(ep, query=dataclasses.replace(ep.query, texture=texture))
         with pytest.raises(InputError, match=f"scene.texture id {texture_id} outside .* at point 1"):
             SegModel(tiny_config(), mode).predict(bad)
+
+
+@pytest.mark.parametrize("mode", MODES)
+class TestEvaluationLeavesNoTrace:
+    @pytest.fixture
+    def novel_episodes(self, pool):
+        _, novel = fold_classes(0)
+        return [sample_episode(pool, 1, 1, seed=s, candidate_classes=novel) for s in range(4)]
+
+    @staticmethod
+    def outputs(model, episodes):
+        return [(model.predict(ep).tobytes(), model.forward(ep, train=False).logits.data.tobytes())
+                for ep in episodes]
+
+    def test_evaluate_changes_no_parameter_statistic_or_output(self, mode, novel_episodes):
+        model = SegModel(tiny_config(), mode)
+        params, state = model.parameters(), model.state_dict()
+        before = self.outputs(model, novel_episodes)
+        evaluate(model, novel_episodes)
+        after_params, after_state = model.parameters(), model.state_dict()
+        assert list(after_params) == list(params)
+        assert all(after_params[k] is params[k] for k in params)
+        assert list(after_state) == list(state)
+        assert all(after_state[k].tobytes() == state[k].tobytes() for k in state)
+        assert self.outputs(model, novel_episodes) == before
+
+    def test_training_after_evaluate_equals_training_alone(self, mode, pool, novel_episodes):
+        base, _ = fold_classes(0)
+        train_ep = sample_episode(pool, 1, 1, seed=4, base_classes=base, candidate_classes=base)
+
+        def trained(evaluate_first):
+            model = SegModel(tiny_config(), mode)
+            if evaluate_first:
+                evaluate(model, novel_episodes)
+            train_episode(model, train_ep, AdamW(model.parameters(), lr=1e-2), LossWeights(), 0)
+            return model, evaluate(model, novel_episodes)
+
+        model, after = trained(evaluate_first=True)
+        fresh, fresh_after = trained(evaluate_first=False)
+        assert vars(after) == vars(fresh_after)
+        assert self.outputs(model, novel_episodes) == self.outputs(fresh, novel_episodes)
+        # The step moves the logits, so outputs of the untrained model would show.
+        assert self.outputs(model, novel_episodes) != self.outputs(SegModel(tiny_config(), mode),
+                                                                   novel_episodes)
+
+    def test_episode_that_raises_leaves_graph_mode_and_outputs(self, mode, pool, novel_episodes):
+        model = SegModel(tiny_config(), mode)
+        before = self.outputs(model, novel_episodes)
+        wrong_way = sample_episode(pool, 2, 1, seed=0)
+        with pytest.raises(ConfigurationError, match="2-way"):
+            evaluate(model, [novel_episodes[0], wrong_way, novel_episodes[1]])
+        assert self.outputs(model, novel_episodes) == before
+        assert model.forward(novel_episodes[0], train=True).logits.requires_grad
 
 
 class TestTrainEpisode:

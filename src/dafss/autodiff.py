@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from dafss.errors import DegenerateBatchError, GraphError, ShapeError
+from dafss.errors import DegenerateBatchError, GraphError, InputError, ShapeError
 
 NORM_EPS = 1e-5  # added to the variance by layer_norm and batch_norm
 BATCH_NORM_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
@@ -186,8 +186,9 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 ATTENTION_TILE_ROWS = 320
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0) -> Tensor:
-    """``softmax(c * q @ k.T, axis=1) @ v``, ``ATTENTION_TILE_ROWS`` query rows at a time.
+def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0,
+              key_bias: Optional[np.ndarray] = None) -> Tensor:
+    """``softmax(c * q @ k.T + key_bias, axis=1) @ v``, ``ATTENTION_TILE_ROWS`` query rows at a time.
 
     Keys are rows, ``[m, dk]``, as queries are. The ``[n, m]`` score matrix
     is never held whole: each tile of rows is scored, normalised and mixed
@@ -197,11 +198,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0) -> Tensor:
     transpose of ``k``, so a query of at most ``ATTENTION_TILE_ROWS`` rows
     gets that chain's exact bits, in the forward pass and in every gradient
     (the gradient of ``k`` being that of ``k_t``, transposed).
+
+    ``key_bias``, a constant ``[m]`` vector, is added to every row of the
+    scaled scores before the row max, and the softmax backward is the same
+    with or without it. A key row that stands for ``n`` equal keys (and
+    its value row for their ``n`` equal values) with a bias of ``log n``
+    gives the output of attention over the expanded keys; its gradient is
+    the expanded keys' gradients summed. With ``None`` the bits are the
+    chain's, as above.
     """
     if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2
             or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]):
         raise ShapeError(f"attention requires [n,k] x [m,k] x [m,d], got "
                          f"{q.shape} x {k.shape} x {v.shape}")
+    if key_bias is not None:
+        key_bias = np.asarray(key_bias, dtype=np.float64)
+        if key_bias.shape != (k.shape[0],):
+            raise ShapeError(f"attention key_bias of shape {key_bias.shape} does not match "
+                             f"{k.shape[0]} keys")
+        if not np.all(np.isfinite(key_bias)):
+            raise InputError(f"attention key_bias has a non-finite value at key "
+                             f"{int(np.argmin(np.isfinite(key_bias)))}")
     c = float(c)
     n = q.shape[0]
     k_t = k.data.T.copy()  # C-ordered, as the chain's k_t leaf holds it
@@ -215,6 +232,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0) -> Tensor:
         s = q.data[r] @ k_t
         if c != 1.0:
             s *= c
+        if key_bias is not None:
+            s += key_bias
         s -= np.max(s, axis=1, keepdims=True)
         np.exp(s, out=s)
         s /= np.sum(s, axis=1, keepdims=True)
@@ -465,7 +484,9 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Columns [lo, hi) of a matrix as a new tensor."""
+    """Columns [lo, hi) of a matrix as a new tensor whose data is a view of
+    ``x.data``, so a recorded graph holds no copy of the columns. No op
+    writes into the data of a tensor it did not create."""
     if x.data.ndim != 2:
         raise ShapeError(f"slice_cols expects a matrix, got shape {x.shape}")
     if not (0 <= lo <= hi <= x.shape[1]):
@@ -478,7 +499,40 @@ def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
         else:  # in place: no full-width buffer per slice
             x.grad[:, lo:hi] += g
 
-    return _node(x.data[:, lo:hi].copy(), (x,), backward)
+    out = _node(np.empty((x.shape[0], 0)), (x,), backward)
+    out.data = x.data[:, lo:hi]  # set after construction: Tensor() copies a view into C order
+    return out
+
+
+def take_rows(x: Tensor, idx) -> Tensor:
+    """Rows ``idx`` of a matrix, ``x.data[idx]``, for a 1-D integer ``idx``
+    whose entries may repeat or leave rows out.
+
+    The backward pass sums the gradient rows that share an index, and
+    gives unused rows a zero gradient, as one ``[U, N]`` one-hot product
+    for ``U`` rows of ``x`` and ``N`` indices. That costs O(U N d) and is
+    meant for ``U`` much smaller than ``N``: at U = 12, N = 826, d = 512
+    it took 0.5 ms, against 3.7 ms for ``np.add.at`` and 2.8 ms for a
+    sorted ``np.add.reduceat`` (one core, numpy 2.4 with OpenBLAS)."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"take_rows expects a matrix, got shape {x.shape}")
+    idx = np.asarray(idx)
+    if idx.ndim != 1:
+        raise ShapeError(f"take_rows expects a 1-D index, got shape {idx.shape}")
+    if idx.dtype.kind not in "iu":
+        raise InputError(f"take_rows index must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
+    bad = (idx < 0) | (idx >= x.shape[0])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InputError(f"take_rows index {idx[i]} at position {i} outside [0, {x.shape[0]})")
+
+    def backward(g: np.ndarray) -> None:
+        onehot = np.zeros((x.shape[0], len(idx)))
+        onehot[idx, np.arange(len(idx))] = 1.0
+        _accum(x, onehot @ g, owned=True)
+
+    return _node(x.data[idx], (x,), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -8,12 +8,15 @@ classifier heads of the consistency regularizer live in
 at most ``n_way+2``, so its multi-head self-attention (Vaswani et al.,
 arXiv:1706.03762) is stored as the factors it reads its weights through:
 one small core per head and one output projection (see :func:`run_expert`).
-An expert holds no query, key, value or output weight matrix.
+An expert holds no query, key, value or output weight matrix. It can refine
+the distinct rows of a query, each weighed by how often it occurs, in place
+of every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -54,9 +57,14 @@ def init_expert(rng: np.random.Generator, n_s: int, d_model: int, heads: int,
                         cores=cores, proj=parameter(value_blocks @ w_o, name=f"{prefix}.attn.proj"))
 
 
-def run_expert(corr: Tensor, params: ExpertParams) -> Tensor:
+def run_expert(corr: Tensor, params: ExpertParams, counts: Optional[np.ndarray] = None) -> Tensor:
     """Refine one correlation matrix into ``[N, d]`` features that depend on
     that input alone: ``LN(linear(C, lift) + mhsa)``, with no shift.
+
+    ``counts``, when given, says that row ``i`` of ``C`` stands for
+    ``counts[i]`` equal rows of a larger query. The attention then weighs
+    it as that many keys (a key bias of ``log counts[i]``), so output row
+    ``i`` is what a run over the whole query gives each of those rows.
 
     The lifted tokens ``h = C @ lift.w + 1 lift.b^T`` are ``C' @ L'`` with
     ``C' = [C, 1]`` (``[N, r]``, ``r = n_way+2``) and ``L' = [lift.w;
@@ -74,7 +82,8 @@ def run_expert(corr: Tensor, params: ExpertParams) -> Tensor:
     the residual. Free ``(L', K, P)`` span exactly the functions that
     ``(L', W, W_o)`` span when ``r <= d_h`` (``n_way <= 46`` at the default
     ``d_h = 48``); beyond that they span a superset. The cost is
-    O(N^2 r + N H r d) per expert instead of O(N^2 d + N d^2).
+    O(N^2 r + N H r d) per expert instead of O(N^2 d + N d^2); over the
+    ``U`` distinct rows of a query it is O(U^2 r + U H r d).
     """
     if corr.shape[1] != params.lift.w.shape[0]:
         raise ShapeError(
@@ -82,7 +91,9 @@ def run_expert(corr: Tensor, params: ExpertParams) -> Tensor:
         )
     n = corr.shape[0]
     c1 = ad.concat([corr, constant(np.ones((n, 1)))], axis=1)  # C' [N, r]
-    mixed = [ad.attention(ad.matmul(c1, core), c1, c1) for core in params.cores]  # [N, r] each
+    key_bias = None if counts is None else np.log(counts)
+    mixed = [ad.attention(ad.matmul(c1, core), c1, c1, key_bias=key_bias)
+             for core in params.cores]  # [N, r] each
     lifted_attention = ad.matmul(ad.concat(mixed, axis=1), params.proj)
     no_shift = constant(np.zeros(params.ln_gamma.shape[0]))
     return ad.layer_norm(ad.add(linear(corr, params.lift), lifted_attention),

@@ -4,7 +4,10 @@ Two variants share every stage except the expert block. The decoupled
 variant refines the geometric and semantic correlations in separate experts
 and trains with the alignment regularizers and their two classifier heads;
 the fused baseline sums the two correlation matrices and refines them in a
-single expert, with no heads and no alignment graph at all.
+single expert, with no heads and no alignment graph at all. The semantic
+expert refines only the distinct rows of its detached correlation and
+gathers its features back to every point; the geometric and fused experts,
+whose inputs carry a gradient per row, refine every row.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from dafss.arbitration import (
     merge_features,
     semantic_gate,
 )
-from dafss.autodiff import Tensor
+from dafss.autodiff import Tensor, constant
 from dafss.errors import ConfigurationError, is_integer, require
-from dafss.experts import init_expert, run_expert
+from dafss.experts import ExpertParams, init_expert, run_expert
 from dafss.features import (
     IFHead,
     TextStub,
@@ -67,6 +70,24 @@ def named_tensors(obj) -> dict[str, Tensor]:
 
     walk(obj)
     return out
+
+
+def _refine_semantic(corr_sem: Tensor, params: ExpertParams) -> Tensor:
+    """The semantic expert's ``[N, d]`` features, refined once per distinct
+    row of the correlation and gathered back to the N query points.
+
+    The semantic correlation comes from a frozen lookup keyed on texture id
+    and grid cell, so a query of hundreds of points holds at most a few tens of distinct
+    rows. Each distinct row weighs as the number of points it stands for
+    (see :func:`run_expert`), so every point's features are those of a run
+    over all N rows, and the expert costs O(U^2 r + U H r d) plus an
+    O(N d) gather for U distinct rows. The gradient stays exact because the
+    correlation is detached: no gradient is owed to the rows folded
+    together, and each parameter's gradient is the sum over the points of
+    each group, which the gather's backward forms."""
+    rows, inverse, counts = np.unique(corr_sem.data, axis=0, return_inverse=True,
+                                      return_counts=True)
+    return ad.take_rows(run_expert(constant(rows), params, counts), inverse.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -242,7 +263,7 @@ class SegModel:
         proto_loss = consist_loss = None
         if self.mode == "decoupled":
             r_geo = run_expert(corr.geo, self.geo_expert)
-            r_sem = run_expert(corr.sem, self.sem_expert)
+            r_sem = _refine_semantic(corr.sem, self.sem_expert)
             if train:
                 proto_loss = prototype_alignment_loss(geo_protos, sem_protos, self.align)
                 consist_loss = consistency_loss(head_probs(r_geo, self.geo_head),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dafss import autodiff as ad
 from dafss.autodiff import BATCH_NORM_MOMENTUM, NORM_EPS, Tensor, backward, constant, parameter
-from dafss.errors import DegenerateBatchError, GraphError, ShapeError
+from dafss.errors import DegenerateBatchError, GraphError, InputError, ShapeError
 from dafss.scenes import SceneConfig
 
 from conftest import central_difference, check_grads, relative_error
@@ -155,6 +155,36 @@ class TestAttention:
             out = ad.attention(q, k, v)
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
+
+    @pytest.mark.parametrize("tile_rows", [ad.ATTENTION_TILE_ROWS, 3])
+    def test_key_bias_of_log_counts_equals_expanded_keys(self, monkeypatch, tile_rows):
+        # Distinct keys and values, each weighed by a bias of log(count),
+        # against attention over the keys and values repeated count times.
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ROWS", tile_rows)
+        rng = np.random.default_rng(tile_rows)
+        counts = np.array([3, 1, 4, 2])
+        group = np.repeat(np.arange(len(counts)), counts)
+        rng.shuffle(group)
+        q = parameter(rng.standard_normal((8, 3)) * 2)
+        k = parameter(rng.standard_normal((len(counts), 3)) * 2)
+        v = parameter(rng.standard_normal((len(counts), 5)))
+        k_all, v_all = parameter(k.data[group]), parameter(v.data[group])
+        w = constant(rng.standard_normal((8, 5)))
+        got = TestAttention.run(ad.attention, (q, k, v), w, q, k, v, 0.6, np.log(counts))
+        ref = TestAttention.run(ad.attention, (q, k_all, v_all), w, q, k_all, v_all, 0.6)
+        for i in (2, 3):  # the expanded keys' and values' gradients, summed per group
+            ref[i] = np.stack([ref[i][group == u].sum(axis=0) for u in range(len(counts))])
+        for what, a, b in zip(("out", "q", "k", "v"), got, ref):
+            assert relative_error(a, b) <= 1e-13, what
+
+    @pytest.mark.parametrize("bias, error", [(np.zeros(3), ShapeError),
+                                             (np.zeros((1, 2)), ShapeError),
+                                             (np.array([0.0, np.inf]), InputError),
+                                             (np.array([np.nan, 0.0]), InputError)])
+    def test_key_bias_shape_and_finiteness(self, bias, error):
+        x = constant(np.zeros((2, 3)))
+        with pytest.raises(error, match="key_bias"):
+            ad.attention(x, x, x, key_bias=bias)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\) x \(2, 4\)"):
@@ -393,6 +423,8 @@ class TestConcat:
         left = ad.slice_cols(x, 0, 2)
         right = ad.slice_cols(x, 2, 5)
         np.testing.assert_array_equal(np.hstack([left.data, right.data]), x.data)
+        # A view, so a recorded graph holds no copy of the columns.
+        assert np.shares_memory(left.data, x.data) and np.shares_memory(right.data, x.data)
         weights = [rng.integers(-3, 4, (3, hi - lo)).astype(float) for lo, hi in SLICES]
 
         def loss():
@@ -405,6 +437,63 @@ class TestConcat:
             assert x.grad.tobytes() == padded_slice_grads(x.shape, weights, prior).tobytes()
         x.grad = None
         check_grads(lambda: ad.sum_all(ad.mul(ad.slice_cols(x, 1, 4), ad.slice_cols(x, 1, 4))), {"x": x}, tol=1e-4)
+
+
+def summed_rows(idx, g, n_rows):
+    """The gradient that ``take_rows`` owes its input: row ``u`` is the sum
+    of the rows of ``g`` at the positions where ``idx`` is ``u``."""
+    out = np.zeros((n_rows, g.shape[1]))
+    for i, u in enumerate(idx):
+        out[u] += g[i]
+    return out
+
+
+class TestTakeRows:
+    IDX = np.array([2, 0, 2, 2, 0, 4])  # repeats 0 and 2, leaves 1 and 3 out
+
+    def test_gradient_with_repeated_and_unused_rows(self, rng):
+        x = parameter(rng.standard_normal((5, 3)))
+        w = constant(rng.standard_normal((len(self.IDX), 3)))
+        out = ad.take_rows(x, self.IDX)
+        assert out.data.tobytes() == x.data[self.IDX].tobytes()
+        grads = backward(ad.sum_all(ad.mul(out, w)))
+        assert relative_error(grads[x], summed_rows(self.IDX, w.data, 5)) <= 1e-15
+        assert not grads[x][[1, 3]].any()
+        check_grads(lambda: ad.sum_all(ad.mul(ad.take_rows(x, self.IDX), ad.take_rows(x, self.IDX))),
+                    {"x": x}, tol=1e-6)
+
+    def test_second_backward_through_shared_subgraph_adds(self, rng):
+        # Integer weights keep every sum exact, whatever order rows arrive in.
+        x = parameter(rng.standard_normal((5, 3)))
+        w1, w2 = (rng.integers(-3, 4, (len(self.IDX), 3)).astype(float) for _ in range(2))
+        shared = ad.take_rows(ad.scale(x, 2.0), self.IDX)
+        backward(ad.sum_all(ad.mul(shared, constant(w1))))
+        first = x.grad.copy()
+        assert first.tobytes() == (2.0 * summed_rows(self.IDX, w1, 5)).tobytes()
+        backward(ad.sum_all(ad.mul(shared, constant(w2))))
+        assert x.grad.tobytes() == (first + 2.0 * summed_rows(self.IDX, w2, 5)).tobytes()
+
+    def test_empty_index_gives_zero_gradient(self, rng):
+        x = parameter(rng.standard_normal((3, 2)))
+        out = ad.take_rows(x, np.array([], dtype=np.int64))
+        assert out.shape == (0, 2)
+        backward(ad.sum_all(out))
+        assert x.grad.tobytes() == np.zeros((3, 2)).tobytes()
+
+    @pytest.mark.parametrize("idx, error, match", [
+        (np.array([0, 3]), InputError, "index 3 at position 1 outside"),
+        (np.array([-1, 0]), InputError, "index -1 at position 0 outside"),
+        (np.array([0.0, 1.0]), InputError, "integers"),
+        (np.array([True, False]), InputError, "integers"),
+        (np.array([[0, 1]]), ShapeError, "1-D"),
+    ])
+    def test_malformed_index(self, idx, error, match):
+        with pytest.raises(error, match=match):
+            ad.take_rows(constant(np.zeros((3, 2))), idx)
+
+    def test_input_must_be_a_matrix(self):
+        with pytest.raises(ShapeError, match="matrix"):
+            ad.take_rows(constant(np.zeros(3)), np.array([0]))
 
 
 class TestStopGradient:

@@ -42,11 +42,12 @@ def pool():
 
 def expert_features(monkeypatch, model, episode, train):
     """``model.forward`` once, returning the features each expert produced,
-    keyed by its parameter prefix ("geo", "sem" or "fused")."""
+    keyed by its parameter prefix ("geo", "sem" or "fused"). The semantic
+    expert's features hold one row per distinct row of its correlation."""
     seen = {}
 
-    def recording_expert(corr, params):
-        seen[params.lift.w.name.split(".")[0]] = out = run_expert(corr, params)
+    def recording_expert(corr, params, counts=None):
+        seen[params.lift.w.name.split(".")[0]] = out = run_expert(corr, params, counts)
         return out
 
     monkeypatch.setattr(model_module, "run_expert", recording_expert)
@@ -715,6 +716,41 @@ class TestTrainEpisode:
             if last < first:
                 wins += 1
         assert wins >= 4
+
+
+class TestDistinctSemanticRows:
+    """The semantic expert refines each distinct row of its correlation once
+    and gathers the result back to every point."""
+
+    @staticmethod
+    def logits_and_grads(model, episode, train):
+        out = model.forward(episode, train=train)
+        loss = seg_loss(out.logits, episode.query_labels)
+        if train:
+            loss = total_loss(loss, base_loss(out.base_logits, episode.base_class_labels),
+                              out.proto_loss, out.consist_loss, LossWeights())
+        backward(loss)
+        return out.logits.data, {n: p.grad for n, p in model.parameters().items()
+                                 if p.grad is not None}
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_forward_matches_expert_over_all_rows(self, episode, monkeypatch, train):
+        logits, grads = self.logits_and_grads(SegModel(tiny_config(), "decoupled"), episode, train)
+        monkeypatch.setattr(model_module, "_refine_semantic", run_expert)
+        ref_logits, ref_grads = self.logits_and_grads(SegModel(tiny_config(), "decoupled"),
+                                                      episode, train)
+        assert np.max(np.abs(logits - ref_logits)) <= 1e-12 * np.max(np.abs(ref_logits))
+        assert set(grads) == set(ref_grads) and "sem.attn.proj" in grads
+        largest = max(np.max(np.abs(g)) for g in ref_grads.values())
+        worst = max(np.max(np.abs(grads[n] - ref_grads[n])) for n in grads)
+        assert worst <= 1e-10 * largest
+
+    def test_semantic_expert_sees_fewer_rows_than_points(self, episode, monkeypatch):
+        seen = expert_features(monkeypatch, SegModel(tiny_config(), "decoupled"), episode,
+                               train=False)
+        n = len(episode.query)
+        assert seen["geo"].shape[0] == n
+        assert seen["sem"].shape[0] < n // 2
 
 
 class TestGradientFreezing:

@@ -196,7 +196,8 @@ def knn_weights(points: np.ndarray, k: int, radius: float) -> np.ndarray:
 
 
 def decode(r_final: Tensor, query_points: np.ndarray, params: DecoderParams) -> Tensor:
-    """k-NN smoothing, pointwise transform, classifier logits."""
-    smoother = constant(knn_weights(query_points, params.k, params.radius))
+    """k-NN smoothing (over every point of a query smaller than k), pointwise transform, logits."""
+    k = min(params.k, len(query_points))
+    smoother = constant(knn_weights(query_points, k, params.radius))
     agg = ad.matmul(smoother, r_final)
     return linear(ad.relu(linear(agg, params.conv)), params.out)

@@ -363,8 +363,8 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     # Split by sign to avoid overflow in exp.
-    s = np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                 np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
+    e = np.exp(-np.abs(x.data))
+    s = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g: np.ndarray) -> None:
         _accum(x, g * s * (1.0 - s), owned=True)

@@ -289,7 +289,7 @@ class TestDecoder:
         assert w[2, 2] == 1.0  # far point keeps only itself
 
     def test_decode_shapes_and_gradient(self, rng, monkeypatch):
-        monkeypatch.setattr(DecoderParams, "k", 2)  # 8 neighbours would exceed the 5 points
+        monkeypatch.setattr(DecoderParams, "k", 2)  # fewer neighbours than the 5 points
         monkeypatch.setattr(DecoderParams, "radius", 1.0)
         dec = init_decoder(rng, d_arb=6, n_classes=3)
         points = rng.uniform(-1, 1, (5, 3))
@@ -301,12 +301,21 @@ class TestDecoder:
         w = constant(rng.standard_normal((5, 3)))
         check_grads(lambda: ad.sum_all(ad.mul(decode(r, points, dec), w)), tensors, tol=1e-3)
 
+    def test_decode_smooths_a_query_smaller_than_k_over_every_point(self, rng, monkeypatch):
+        dec = init_decoder(rng, d_arb=6, n_classes=3)
+        points = rng.uniform(-0.1, 0.1, (5, 3))
+        r = constant(rng.standard_normal((5, 6)))
+        assert DecoderParams.k > 5
+        clipped = decode(r, points, dec).data
+        monkeypatch.setattr(DecoderParams, "k", 5)
+        assert clipped.tobytes() == decode(r, points, dec).data.tobytes()
+
 
 class TestEndToEndGradient:
     def test_full_stack_gradcheck(self, rng, monkeypatch):
         # merge -> inject+attend -> gate -> decode, finite differences over
         # every parameter of a miniature configuration
-        monkeypatch.setattr(DecoderParams, "k", 2)  # 8 neighbours would exceed the 4 points
+        monkeypatch.setattr(DecoderParams, "k", 2)  # fewer neighbours than the 4 points
         monkeypatch.setattr(DecoderParams, "radius", 1.0)
         p = init_arbitration(rng, d_in=10, d_arb=8, d_guid=4, n_layers=2, heads=2, d_bg=2)
         dec = init_decoder(rng, d_arb=8, n_classes=2)

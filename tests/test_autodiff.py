@@ -341,6 +341,14 @@ class TestElementwise:
             with pytest.raises(ShapeError):
                 op(constant(np.zeros(3)), constant(np.zeros(4)))
 
+    def test_sigmoid_saturates_without_overflow(self):
+        # exp only ever sees -|x|, so no overflow warning fails the test
+        x = parameter([-800.0, 800.0])
+        out = ad.sigmoid(x)
+        assert out.data[1] == 1.0
+        assert np.isfinite(out.data[0]) and out.data[0] >= 0.0
+        assert np.all(np.isfinite(backward(ad.sum_all(out))[x]))
+
     def test_sigmoid_gradient(self, rng):
         x = parameter(rng.standard_normal(6))
         check_grads(lambda: ad.sum_all(ad.sigmoid(x)), {"x": x}, tol=1e-4)

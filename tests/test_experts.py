@@ -20,15 +20,15 @@ def dense_draws(seed, n_s, d, heads):
 
 
 def dense_factors(lift, attn):
-    """``run_expert``'s ``K_h`` and ``P`` from dense weights, head by head."""
+    """``run_expert``'s ``K_h`` (a list) and ``mix = [L'; P]`` from dense
+    weights, head by head."""
     lifted = np.vstack([lift.w.data, lift.b.data])  # L'
     d = attn.wo.shape[0]
     dh = d // attn.heads
     q, k, v = (lifted @ attn.wqkv.data[:, g * d:(g + 1) * d] for g in range(3))
     heads = [slice(h * dh, (h + 1) * dh) for h in range(attn.heads)]
     cores = [q[:, s] @ k[:, s].T / np.sqrt(dh) for s in heads]
-    proj = np.vstack([v[:, s] @ attn.wo.data[s] for s in heads])
-    return cores, proj
+    return cores, np.vstack([lifted] + [v[:, s] @ attn.wo.data[s] for s in heads])
 
 
 class TestExperts:
@@ -45,17 +45,16 @@ class TestExperts:
         rng = np.random.default_rng(9)
         params = init_expert(rng, n_s, d, heads=h, prefix="e")
         lift, attn, ref_rng = dense_draws(9, n_s, d, h)
-        assert params.lift.w.data.tobytes() == lift.w.data.tobytes()
+        r = n_s + 1
+        assert params.cores.shape == (r, h * r) and params.mix.shape == ((h + 1) * r, d)
+        assert params.mix.data[:n_s].tobytes() == lift.w.data.tobytes()
+        assert not params.mix.data[r - 1].any()  # the zero lift bias
         assert rng.standard_normal(4).tobytes() == ref_rng.standard_normal(4).tobytes()
-        cores, proj = dense_factors(lift, attn)
-        for got, ref in zip(params.cores, cores):
-            assert got.shape == (n_s + 1, n_s + 1)
-            assert relative_error(got.data, ref) < 1e-14
-        assert params.proj.shape == (h * (n_s + 1), d)
-        assert relative_error(params.proj.data, proj) < 1e-14
-        assert list(named_tensors(params)) == (["e.lift_w", "e.lift_b", "e.ln_gamma"]
-                                               + [f"e.attn.core{i}" for i in range(h)]
-                                               + ["e.attn.proj"])
+        cores, mix = dense_factors(lift, attn)
+        for i, ref in enumerate(cores):
+            assert relative_error(params.cores.data[:, i * r:(i + 1) * r], ref) < 1e-14
+        assert relative_error(params.mix.data[r:], mix[r:]) < 1e-14
+        assert list(named_tensors(params)) == ["e.attn.cores", "e.attn.mix", "e.ln_gamma"]
 
     def test_decoupling_by_construction(self, rng):
         # the geometric output is a function of its own correlation only
@@ -70,15 +69,19 @@ class TestExperts:
 
     def test_single_token_hand_oracle(self, rng):
         # one token: softmax over a single key is exactly 1, so each head
-        # mixes C' into itself and the attention is [C', C'] @ P
+        # mixes C' into itself and the residual plus attention is
+        # C' L' + [C', C'] @ P, with mix = [L'; P] from dense weights
         n_s = 2
         params = init_expert(rng, n_s, 8, heads=2, prefix="e")
-        params.lift.b.data = rng.normal(0, 0.1, 8)
+        lift, attn, ref_rng = dense_draws(5, n_s, 8, 2)
+        lift.b.data = ref_rng.normal(0, 0.1, 8)
+        cores, mix = dense_factors(lift, attn)
+        params.cores.data, params.mix.data = np.hstack(cores), mix
         c = rng.uniform(-1, 1, (1, n_s))
         out = run_expert(constant(c), params).data
 
         c1 = np.hstack([c, np.ones((1, 1))])
-        pre = c @ params.lift.w.data + params.lift.b.data + np.hstack([c1, c1]) @ params.proj.data
+        pre = c @ lift.w.data + lift.b.data + np.hstack([c1, c1]) @ mix[n_s + 1:]
         manual = (pre - pre.mean()) / np.sqrt(pre.var() + 1e-5) * params.ln_gamma.data
         assert relative_error(out, manual) < 1e-10
 
@@ -135,12 +138,9 @@ class TestLowRankAttention:
         # Move the bias and the norm off their trivial init, and give the
         # expert the factors of the dense weights with that bias.
         lift.b.data = rng.normal(0, 0.1, d)
-        params.lift.b.data = lift.b.data.copy()
         params.ln_gamma.data = params.ln_gamma.data + rng.normal(0, 0.1, d)
-        cores, proj = dense_factors(lift, attn)
-        for core, value in zip(params.cores, cores):
-            core.data = value
-        params.proj.data = proj
+        cores, mix = dense_factors(lift, attn)
+        params.cores.data, params.mix.data = np.hstack(cores), mix
         corr = parameter(rng.uniform(-1, 1, (n, n_way + 1)), name="corr")
         w_ref = constant(rng.standard_normal((n, d)))
         no_shift = constant(np.zeros(d))
@@ -151,7 +151,7 @@ class TestLowRankAttention:
 
         # Only corr and ln_gamma are inputs of both functions. The gradient
         # w.r.t. lift is another function in each: lift reaches the dense
-        # attention's tokens, but only the residual of the factored one.
+        # attention's tokens, but only the identity head's block of mix.
         shared = {"corr": corr, "ln_gamma": params.ln_gamma}
 
         def run(expert):

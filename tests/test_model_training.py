@@ -5,6 +5,7 @@ import pytest
 
 from dafss import autodiff as ad
 from dafss import model as model_module
+from dafss.arbitration import DecoderParams
 from dafss.autodiff import Tensor, backward, constant
 from dafss.errors import ConfigurationError, InputError, NumericError, ShapeError
 from dafss.experts import run_expert
@@ -47,7 +48,7 @@ def expert_features(monkeypatch, model, episode, train):
     seen = {}
 
     def recording_expert(corr, params, counts=None):
-        seen[params.lift.w.name.split(".")[0]] = out = run_expert(corr, params, counts)
+        seen[params.ln_gamma.name.split(".")[0]] = out = run_expert(corr, params, counts)
         return out
 
     monkeypatch.setattr(model_module, "run_expert", recording_expert)
@@ -305,8 +306,7 @@ class TestModelStructure:
         model = SegModel(tiny_config(), "decoupled")
         expected = (["uf.hidden_w", "uf.hidden_b", "uf.out_w", "uf.out_b"]
                     + [f"{e}.{n}" for e in ("geo", "sem") for n in
-                       ("lift_w", "lift_b", "ln_gamma", "attn.core0", "attn.core1",
-                        "attn.proj", "cls_w", "cls_b")]
+                       ("attn.cores", "attn.mix", "ln_gamma", "cls_w", "cls_b")]
                     + ["align.proj_w", "align.proj_b", "arb.bn_gamma", "arb.bn_beta",
                        "arb.bn_mean", "arb.bn_var",
                        "arb.conv_w", "arb.conv_b", "arb.gate_w", "arb.gate_b"]
@@ -315,9 +315,9 @@ class TestModelStructure:
                     + ["dec.conv_w", "dec.conv_b", "dec.out_w", "dec.out_b", "base_w", "base_b"])
         assert list(model.state_dict()) == expected
 
-    @pytest.mark.parametrize("mode, count", [("decoupled", 46), ("fused", 32)])
+    @pytest.mark.parametrize("mode, count", [("decoupled", 36), ("fused", 27)])
     def test_state_dict_is_parameters_plus_running_statistics(self, mode, count):
-        # Default sizes: 44 and 30 parameters, the counts AdamW steps.
+        # Default sizes: 34 and 25 parameters, the counts AdamW steps.
         model = SegModel(ModelConfig(), mode)
         params, state = model.parameters(), model.state_dict()
         assert len(state) == count
@@ -418,7 +418,7 @@ class TestModelStructure:
         with pytest.raises(ConfigurationError, match="arb.bn_var"):
             SegModel(tiny_config(), "fused").load_state_dict({})
 
-    @pytest.mark.parametrize("key", ["geo.lift_w", "arb.bn_mean"])
+    @pytest.mark.parametrize("key", ["geo.attn.mix", "arb.bn_mean"])
     def test_load_checkpoint_missing_key_rejected(self, key):
         model = SegModel(tiny_config(), "decoupled")
         state = model.state_dict()
@@ -431,8 +431,11 @@ class TestModelStructure:
         ("decoupled", "arb.bn_state.running_mean", "arb.bn_mean"),
         ("decoupled", "arb.bn_state.running_var", "arb.bn_var"),
         ("decoupled", "arb.l0.attn.wq0", "arb.l0.attn.wqkv"),
-        ("decoupled", "geo.attn.wqkv", "geo.attn.core0"),
-        ("decoupled", "sem.attn.wo", "sem.attn.proj"),
+        ("decoupled", "geo.attn.wqkv", "geo.attn.cores"),
+        ("decoupled", "sem.attn.wo", "sem.attn.mix"),
+        ("decoupled", "geo.lift_w", "geo.attn.mix"),
+        ("decoupled", "geo.attn.core0", "geo.attn.cores"),
+        ("fused", "fused.attn.proj", "fused.attn.mix"),
         ("fused", "fused.ln_beta", "fused.ln_gamma"),
     ])
     def test_load_checkpoint_with_old_key_name_rejected(self, mode, old, new):
@@ -522,6 +525,18 @@ class TestPredict:
         bad = dataclasses.replace(ep, query=dataclasses.replace(ep.query, texture=texture))
         with pytest.raises(InputError, match=f"scene.texture id {texture_id} outside .* at point 1"):
             SegModel(tiny_config(), mode).predict(bad)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_query_smaller_than_decoder_k_trains_and_predicts(mode):
+    # a valid 7-point query: the decoder smooths over all of its points
+    pool = build_pool(SceneConfig(points_per_object=(1, 2), seed=1), 40)
+    ep = sample_episode(pool, 1, 1, seed=1)
+    assert len(ep.query) < DecoderParams.k
+    model = SegModel(tiny_config(), mode)
+    record = train_episode(model, ep, AdamW(model.parameters()), LossWeights(), step=0)
+    assert np.isfinite(record.loss_total)
+    assert model.predict(ep).shape == (len(ep.query),)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -740,7 +755,7 @@ class TestDistinctSemanticRows:
         ref_logits, ref_grads = self.logits_and_grads(SegModel(tiny_config(), "decoupled"),
                                                       episode, train)
         assert np.max(np.abs(logits - ref_logits)) <= 1e-12 * np.max(np.abs(ref_logits))
-        assert set(grads) == set(ref_grads) and "sem.attn.proj" in grads
+        assert set(grads) == set(ref_grads) and "sem.attn.mix" in grads
         largest = max(np.max(np.abs(g)) for g in ref_grads.values())
         worst = max(np.max(np.abs(grads[n] - ref_grads[n])) for n in grads)
         assert worst <= 1e-10 * largest

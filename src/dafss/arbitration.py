@@ -9,9 +9,10 @@ self-attention with a layer norm. Its tokens have full rank, so the
 attention keeps dense weights: one ``[d, 3d]`` q/k/v matrix, whose one
 product gives every head's q, k and v as column blocks, and a ``[d, d]``
 output matrix. The final features are amplified
-channel-wise by a sigmoid gate driven by the target-class embeddings, and a
-small inverse-distance k-NN smoother plus classifier turns them into
-per-point logits.
+channel-wise by a sigmoid gate driven by the target-class embeddings. The
+decoder smooths them over each point's k nearest neighbours, found by a
+block-local search and applied as one weighted row gather, and a small
+classifier turns them into per-point logits.
 """
 
 from __future__ import annotations
@@ -147,10 +148,14 @@ def semantic_gate(r_arb: Tensor, g_q: Tensor, params: ArbitrationParams) -> Tens
 # ---------------------------------------------------------------------------
 
 
+NEIGHBOUR_BLOCK_ROWS = 128  # points per block of the neighbour search
+
+
 @dataclass
 class DecoderParams:
-    """Two linear layers behind a k-NN smoother whose ``k`` and ``radius``
-    (metres) are the same for every model."""
+    """Two linear layers behind an inverse-distance smoother over each
+    point's ``k`` nearest neighbours within ``radius`` (metres); ``k`` and
+    ``radius`` are the same for every model."""
 
     conv: Linear  # [d_arb, d_arb]
     out: Linear  # [d_arb, n_way+1]
@@ -165,39 +170,81 @@ def init_decoder(rng: np.random.Generator, d_arb: int, n_classes: int) -> Decode
     )
 
 
-def knn_weights(points: np.ndarray, k: int, radius: float) -> np.ndarray:
-    """Row-stochastic [N, N] smoothing matrix over the k nearest neighbors.
+def neighbours(points: np.ndarray, k: int, radius: float) -> tuple:
+    """Each point's k nearest points ``idx`` ``[N, k]`` and their raw
+    inverse-distance weights ``w`` ``[N, k]``.
 
-    Weights are inverse distances; neighbors beyond the radius are dropped
-    (a point always keeps itself). k = 1 reduces to the identity. Ties at
-    the k-th distance go to the lower index, as in a stable sort."""
+    The k nearest go by (squared distance, index), so a tie at the k-th
+    distance goes to the lower index, as in a stable sort. A neighbour
+    beyond ``radius`` gets weight 0 (a point always keeps itself).
+
+    The search never forms the ``[N, N]`` distances. Points are sorted in
+    serpentine order of x/y cells of side ``2 * radius``, and each block of
+    ``NEIGHBOUR_BLOCK_ROWS`` consecutive points is compared only with the
+    points inside the block's bounding box grown by ``radius`` (with every
+    point, if that box holds fewer than k). The box holds every point
+    within ``radius`` of the block, so the neighbours with a weight are
+    exactly those of an all-pairs search, and their weights have the same
+    bits: candidates stay in index order, and squared distances are summed
+    one coordinate at a time. A zero-weight neighbour is the nearest the
+    box offers, which need not be the nearest overall."""
     n = len(points)
     if k > n:
         raise ConfigurationError(f"k = {k} exceeds the {n} available points")
-    d2 = np.zeros((n, n))
-    diff = np.empty((n, n))
-    for c in range(points.shape[1]):
-        np.subtract(points[:, None, c], points[None, :, c], out=diff)
-        diff *= diff
-        d2 += diff
-    nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    kth = np.max(np.take_along_axis(d2, nearest, axis=1), axis=1)
-    # Rows with more than k candidates at or below the k-th distance have a
-    # tie on the boundary; only a stable sort picks the same k there.
-    for i in np.flatnonzero(np.count_nonzero(d2 <= kth[:, None], axis=1) > k):
-        nearest[i] = np.argsort(d2[i], kind="stable")[:k]
-    rows = np.arange(n)[:, None]
-    dist = np.sqrt(np.take_along_axis(d2, nearest, axis=1))
-    keep = (nearest == rows) | ~(dist > radius)
+    cell = np.floor(points[:, :2] / (2 * radius)).astype(np.int64)
+    lane = np.where(cell[:, 0] % 2 == 1, -cell[:, 1], cell[:, 1])
+    order = np.lexsort((lane, cell[:, 0]))
+    idx = np.empty((n, k), dtype=np.intp)
+    d2 = np.empty((n, k))
+    for start in range(0, n, NEIGHBOUR_BLOCK_ROWS):
+        rows = order[start:start + NEIGHBOUR_BLOCK_ROWS]
+        block = points[rows]
+        # A pair's rounded distance is at least its rounded gap in each
+        # coordinate, and no gap to the block is smaller than the one to its
+        # min or max, so this box misses no point within radius.
+        near = (block.min(axis=0) - points <= radius) & (points - block.max(axis=0) <= radius)
+        cand = np.flatnonzero(np.all(near, axis=1))
+        if len(cand) < k:
+            cand = np.arange(n)
+        others = points[cand]
+        block_d2 = np.zeros((len(rows), len(cand)))
+        diff = np.empty_like(block_d2)
+        for c in range(points.shape[1]):
+            np.subtract(block[:, None, c], others[None, :, c], out=diff)
+            diff *= diff
+            block_d2 += diff
+        nearest = np.argpartition(block_d2, k - 1, axis=1)[:, :k]
+        nearest_d2 = np.take_along_axis(block_d2, nearest, axis=1)
+        # Rows with more than k candidates at or below the k-th distance have
+        # a tie on the boundary; only a stable sort picks the same k there.
+        ties = np.count_nonzero(block_d2 <= nearest_d2.max(axis=1)[:, None], axis=1) > k
+        for i in np.flatnonzero(ties):
+            nearest[i] = np.argsort(block_d2[i], kind="stable")[:k]
+            nearest_d2[i] = block_d2[i, nearest[i]]
+        idx[rows] = cand[nearest]
+        d2[rows] = nearest_d2
+    dist = np.sqrt(d2)
+    keep = (idx == np.arange(n)[:, None]) | ~(dist > radius)
+    return idx, np.where(keep, 1.0 / (dist + 1e-3), 0.0)
+
+
+def knn_weights(points: np.ndarray, k: int, radius: float) -> np.ndarray:
+    """The dense ``[N, N]`` row-stochastic view of :func:`neighbours`, for
+    ``bench/checks.py`` to compare with its reference: ``w`` scattered
+    into its rows and each row normalised. The decoder never forms it."""
+    idx, w = neighbours(points, k, radius)
+    n = len(points)
     weights = np.zeros((n, n))
-    weights[rows, nearest] = np.where(keep, 1.0 / (dist + 1e-3), 0.0)
+    weights[np.arange(n)[:, None], idx] = w
     weights /= weights.sum(axis=1, keepdims=True)
     return weights
 
 
 def decode(r_final: Tensor, query_points: np.ndarray, params: DecoderParams) -> Tensor:
-    """k-NN smoothing (over every point of a query smaller than k), pointwise transform, logits."""
-    k = min(params.k, len(query_points))
-    smoother = constant(knn_weights(query_points, k, params.radius))
-    agg = ad.matmul(smoother, r_final)
+    """Smoothing over each point's neighbours (over every point of a query
+    smaller than k) with weights normalised over its k, then a pointwise
+    transform and the logits. One weighted row gather does the smoothing,
+    so no ``[N, N]`` array is formed."""
+    idx, w = neighbours(query_points, min(params.k, len(query_points)), params.radius)
+    agg = ad.take_rows(r_final, idx, w / w.sum(axis=1, keepdims=True))
     return linear(ad.relu(linear(agg, params.conv)), params.out)

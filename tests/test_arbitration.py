@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dafss import autodiff as ad
 from dafss.arbitration import (
+    NEIGHBOUR_BLOCK_ROWS,
     DecoderParams,
     arbitrate,
     arbitration_layer,
@@ -14,11 +19,12 @@ from dafss.arbitration import (
     merge_features,
     mhsa,
     decode,
+    neighbours,
     semantic_gate,
 )
-from dafss.autodiff import NORM_EPS, constant, parameter
+from dafss.autodiff import NORM_EPS, backward, constant, parameter
 from dafss.errors import ConfigurationError, DegenerateBatchError
-from dafss.layers import init_weight
+from dafss.layers import init_weight, linear
 from dafss.model import named_tensors
 
 from conftest import check_grads, relative_error, value_weights
@@ -251,6 +257,53 @@ class TestKnnBitIdentity:
                                           knn_weights_loop(points, n, 0.7))
 
 
+@st.composite
+def point_clouds(draw):
+    """A point cloud of at most about 400 points, with a k and a radius.
+
+    Besides uniform points it can hold: a run of copies of one point that
+    is longer than a block, so that its copies sit on both sides of a block
+    boundary; half-grid coordinates, which tie at the k-th distance; far
+    isolated points, which keep only themselves; and a point count trimmed
+    to whole blocks, so that the isolated points, last in the serpentine
+    order, form a block whose box holds fewer than k points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extent = draw(st.sampled_from([0.5, 2.0, 5.6]))
+    points = rng.uniform(-extent / 2, extent / 2, (draw(st.integers(1, 260)), 3)) * [1.0, 1.0, 0.5]
+    copies = draw(st.sampled_from([0, 3, NEIGHBOUR_BLOCK_ROWS + 12]))
+    points = np.vstack([points, np.repeat(points[:1], copies, axis=0)])
+    if draw(st.booleans()):
+        points = np.round(points * 2) / 2
+    if draw(st.booleans()) and len(points) >= NEIGHBOUR_BLOCK_ROWS:
+        points = points[:len(points) - len(points) % NEIGHBOUR_BLOCK_ROWS]
+    isolated = draw(st.integers(0, 3))
+    far = extent + 10.0 * np.arange(1, isolated + 1)
+    points = np.vstack([points, np.column_stack([far, far, np.zeros(isolated)])])
+    points = points[rng.permutation(len(points))]
+    k = draw(st.integers(1, min(len(points), 12)))
+    return points, k, draw(st.floats(0.05, 2.0))
+
+
+class TestBlockNeighbourSearch:
+    @given(point_clouds())
+    @example((np.vstack([np.zeros((NEIGHBOUR_BLOCK_ROWS + 12, 3)), np.ones((20, 3))]), 12, 0.3))
+    @example((np.vstack([np.round(np.random.default_rng(3).uniform(-1, 1, (256, 3)) * 2) / 2,
+                         [[20.0, 20.0, 0.0], [30.0, 30.0, 0.0]]]), 5, 0.5))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_dense_view_equals_the_loop_reference(self, cloud):
+        points, k, radius = cloud
+        np.testing.assert_array_equal(knn_weights(points, k, radius),
+                                      knn_weights_loop(points, k, radius))
+
+    def test_rows_hold_the_k_nearest_by_distance_then_index(self):
+        # Ten copies of one point: each row picks the three lowest indices.
+        points = np.zeros((10, 3))
+        idx, w = neighbours(points, 3, 0.3)
+        assert idx.shape == w.shape == (10, 3)
+        np.testing.assert_array_equal(np.sort(idx, axis=1), np.tile([0, 1, 2], (10, 1)))
+        np.testing.assert_array_equal(w, np.full((10, 3), 1e3))
+
+
 class TestDecoder:
     def test_k1_is_identity_aggregation(self, rng):
         points = rng.uniform(-1, 1, (6, 3))
@@ -300,6 +353,50 @@ class TestDecoder:
         tensors.update(named_tensors(dec))
         w = constant(rng.standard_normal((5, 3)))
         check_grads(lambda: ad.sum_all(ad.mul(decode(r, points, dec), w)), tensors, tol=1e-3)
+
+    def test_decode_matches_the_dense_smoother(self, rng):
+        # About 800 points in objects strewn over a room, as in a dense
+        # evaluation query: several blocks, neighbours cut by the radius.
+        centres = rng.uniform(-2.8, 2.8, (8, 3)) * [1.0, 1.0, 0.5]
+        points = np.vstack([c + rng.uniform(-0.4, 0.4, (100, 3)) for c in centres])
+        dec = init_decoder(rng, d_arb=16, n_classes=2)
+        r = parameter(rng.standard_normal((len(points), 16)))
+        w = constant(rng.standard_normal((len(points), 2)))
+        smoother = constant(knn_weights(points, DecoderParams.k, DecoderParams.radius))
+
+        def dense_decode():
+            agg = ad.matmul(smoother, r)
+            return linear(ad.relu(linear(agg, dec.conv)), dec.out)
+
+        tensors = {"r": r, **named_tensors(dec)}
+        runs = []
+        for run in (lambda: decode(r, points, dec), dense_decode):
+            for t in tensors.values():
+                t.grad = None
+            logits = run()
+            backward(ad.sum_all(ad.mul(logits, w)))
+            runs.append((logits.data, {name: t.grad.copy() for name, t in tensors.items()}))
+        (got, got_grads), (ref, ref_grads) = runs
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        largest = max(np.max(np.abs(g)) for g in ref_grads.values())
+        for name, g in ref_grads.items():
+            assert np.max(np.abs(got_grads[name] - g)) <= 1e-10 * largest, name
+
+    def test_decode_holds_no_dense_matrix(self, rng):
+        # Below one [N, N] float64 array for a 3000-point query; a dense
+        # smoother holds three (distances, scratch and weights).
+        n = 3000
+        points = rng.uniform(-2.8, 2.8, (n, 3)) * [1.0, 1.0, 0.5]
+        dec = init_decoder(rng, d_arb=192, n_classes=2)
+        r = constant(rng.standard_normal((n, 192)))
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                decode(r, points, dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, f"decode peaked at {peak / 1e6:.1f} MB"
 
     def test_decode_smooths_a_query_smaller_than_k_over_every_point(self, rng, monkeypatch):
         dec = init_decoder(rng, d_arb=6, n_classes=3)

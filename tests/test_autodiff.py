@@ -504,6 +504,88 @@ class TestTakeRows:
             ad.take_rows(constant(np.zeros(3)), np.array([0]))
 
 
+def weighted_rows(x, idx, weights):
+    """Row ``i`` is ``sum_j weights[i, j] * x[idx[i, j]]``, one term at a time."""
+    out = np.zeros((len(idx), x.shape[1]))
+    for i in range(len(idx)):
+        for j in range(idx.shape[1]):
+            out[i] += weights[i, j] * x[idx[i, j]]
+    return out
+
+
+def spread_rows(idx, weights, g, n_rows):
+    """The gradient that the weighted ``take_rows`` owes its input: row
+    ``u`` sums ``weights[i, j] * g[i]`` over the positions where ``idx`` is ``u``."""
+    out = np.zeros((n_rows, g.shape[1]))
+    for i in range(len(idx)):
+        for j in range(idx.shape[1]):
+            out[idx[i, j]] += weights[i, j] * g[i]
+    return out
+
+
+class TestWeightedTakeRows:
+    # Row 0 reads row 2 twice, row 1 reads row 4 twice, row 3 reads row 1
+    # three times; rows 1 and 3 of x are read only with a zero weight here
+    # and there, and no result row is fed by row 3 alone.
+    IDX = np.array([[2, 0, 2], [4, 4, 1], [0, 3, 3], [1, 1, 1]])
+    WEIGHTS = np.array([[0.5, -1.25, 2.0], [0.0, 1.5, 0.75], [3.0, 0.0, -0.5], [1.0, 0.0, 0.25]])
+
+    @pytest.mark.parametrize("tile_rows", [ad.GATHER_TILE_ROWS, 3])
+    def test_forward_is_the_weighted_sum_of_the_rows(self, monkeypatch, rng, tile_rows):
+        monkeypatch.setattr(ad, "GATHER_TILE_ROWS", tile_rows)
+        x = rng.standard_normal((5, 3))
+        out = ad.take_rows(constant(x), self.IDX, self.WEIGHTS).data
+        assert out.shape == (4, 3)
+        assert relative_error(out, weighted_rows(x, self.IDX, self.WEIGHTS)) <= 1e-15
+
+    def test_gradient_with_repeated_indices_and_zero_weights(self, rng):
+        x = parameter(rng.standard_normal((5, 3)))
+        w = constant(rng.standard_normal((4, 3)))
+        grads = backward(ad.sum_all(ad.mul(ad.take_rows(x, self.IDX, self.WEIGHTS), w)))
+        assert relative_error(grads[x], spread_rows(self.IDX, self.WEIGHTS, w.data, 5)) <= 1e-15
+        x.grad = None
+        check_grads(lambda: ad.sum_all(ad.mul(ad.take_rows(x, self.IDX, self.WEIGHTS),
+                                              ad.take_rows(x, self.IDX[::-1], self.WEIGHTS))),
+                    {"x": x}, tol=1e-6)
+
+    def test_neighbour_sum_over_the_rows_themselves(self, rng):
+        # k > 1 indices into the result's own rows, as the decoder uses it.
+        x = parameter(rng.standard_normal((6, 4)))
+        idx = np.array([rng.permutation(6)[:3] for _ in range(6)])
+        weights = rng.uniform(0.0, 1.0, (6, 3))
+        weights[::2, 1] = 0.0
+        check_grads(lambda: ad.sum_all(ad.mul(ad.sigmoid(ad.take_rows(x, idx, weights)), x)),
+                    {"x": x}, tol=1e-6)
+
+    def test_second_backward_through_shared_subgraph_adds(self, rng):
+        # Integer weights and gradients keep every sum exact, whatever the order.
+        x = parameter(rng.standard_normal((5, 3)))
+        weights = np.array([[1.0, -2.0, 3.0], [0.0, 1.0, 2.0], [-1.0, 0.0, 1.0], [2.0, 0.0, 1.0]])
+        w1, w2 = (rng.integers(-3, 4, (4, 3)).astype(float) for _ in range(2))
+        shared = ad.take_rows(ad.scale(x, 2.0), self.IDX, weights)
+        backward(ad.sum_all(ad.mul(shared, constant(w1))))
+        first = x.grad.copy()
+        assert first.tobytes() == (2.0 * spread_rows(self.IDX, weights, w1, 5)).tobytes()
+        backward(ad.sum_all(ad.mul(shared, constant(w2))))
+        assert x.grad.tobytes() == (first + 2.0 * spread_rows(self.IDX, weights, w2, 5)).tobytes()
+
+    @pytest.mark.parametrize("idx, weights, error, match", [
+        (np.array([0, 1]), np.ones((2, 1)), ShapeError, r"\[M, k\] index.*\(2,\).*\(2, 1\)"),
+        (np.zeros((2, 2, 1), dtype=int), np.ones((2, 2, 1)), ShapeError, r"\[M, k\] index"),
+        (np.zeros((2, 2), dtype=int), np.ones((2, 3)), ShapeError, r"index \(2, 2\) and weights \(2, 3\)"),
+        (np.zeros((2, 2)), np.ones((2, 2)), InputError, "integers"),
+        (np.array([[0, 1], [2, 3]]), np.ones((2, 2)), InputError, "index 3 at position 1, 1 outside"),
+        (np.zeros((2, 2), dtype=int), np.array([[1.0, np.nan], [1.0, 1.0]]), InputError,
+         "weight nan at position 0, 1 is not finite"),
+        (np.zeros((2, 2), dtype=int), np.array([[1.0, 1.0], [-np.inf, 1.0]]), InputError,
+         "weight -inf at position 1, 0 is not finite"),
+        (np.zeros((2, 2), dtype=int), np.ones((2, 2), dtype=bool), InputError, "real numbers"),
+    ])
+    def test_malformed_index_or_weights(self, idx, weights, error, match):
+        with pytest.raises(error, match=match):
+            ad.take_rows(constant(np.zeros((3, 2))), idx, weights)
+
+
 class TestStopGradient:
     def test_identity_forward(self, rng):
         x = parameter(rng.standard_normal((3, 3)))

@@ -14,21 +14,40 @@ from dafss.training import LossWeights, train_episode
 
 # Of the largest |grad| in the model. Rounding noise reads about 1e-14 of
 # it; on this episode the least live tensor, fused.ln_gamma, reads 5.5e-4,
-# and the decoupled model's, align.proj_w, reads 3.7e-3.
+# and the decoupled model's least live block, geo.attn.cores[0], 2.0e-3.
 LIVE_FRACTION = 1e-8
 
 
+def head_blocks(name: str, grad: np.ndarray, params: dict) -> dict:
+    """``grad`` by name, or split per head for an expert's merged attention
+    tensors, whose heads share one tensor: each head's ``[r, r]`` column
+    block of ``<p>.attn.cores``, and each of the H+1 ``r``-row blocks of
+    ``<p>.attn.mix`` (block 0 is the residual lift, block h+1 head h's
+    values). One dead head then shows, however live the others are."""
+    prefix, _, field = name.rpartition(".attn.")
+    if field not in ("cores", "mix"):
+        return {name: grad}
+    r = params[f"{prefix}.attn.cores"].shape[0]
+    axis = 1 if field == "cores" else 0
+    return {f"{name}[{i}]": block
+            for i, block in enumerate(np.split(grad, grad.shape[axis] // r, axis=axis))}
+
+
 class GradientProbe:
-    """Stands in for the optimizer: keeps each parameter's largest |grad|
-    at the step and moves nothing."""
+    """Stands in for the optimizer: keeps the largest |grad| of each
+    parameter, or of each head's block of one, at the step and moves
+    nothing."""
 
     def __init__(self, params: dict):
         self.params = params
         self.peaks: dict = {}
 
     def step(self) -> None:
-        self.peaks = {name: 0.0 if p.grad is None else float(np.max(np.abs(p.grad)))
-                      for name, p in self.params.items()}
+        self.peaks = {}
+        for name, p in self.params.items():
+            grad = np.zeros_like(p.data) if p.grad is None else np.abs(p.grad)
+            self.peaks.update({label: float(np.max(block))
+                               for label, block in head_blocks(name, grad, self.params).items()})
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -1,9 +1,14 @@
 """Arbitration stack: fusion, guidance injection, attention layers, gating.
 
-The (concatenated) expert features are batch-normalized to reconcile their
-scales (the running statistics are named tensors without a gradient),
-projected per point and rectified. Each arbitration layer first rewrites the
-background channel partition of every token from base-class guidance
+The merge reconciles the scales of the expert pathways' features and
+projects them per point: ``relu(sum_p BN_p(r_p) @ W_p + b)``, a sum of
+per-pathway blocks, each with its own batch norm (whose running statistics
+are named tensors without a gradient) and its own rows ``W_p`` of the 1x1
+convolution. Batch norm acts per column, so this is the batch norm and
+product of the pathways' concatenation, and a pathway that holds one row
+per distinct input row stays at those rows until after its product.
+Each arbitration layer first rewrites the background channel partition of
+every token from base-class guidance
 (foreground channels pass through bitwise untouched), then applies residual
 self-attention with a layer norm. Its tokens have full rank, so the
 attention keeps dense weights: one ``[d, 3d]`` q/k/v matrix, whose one
@@ -67,18 +72,29 @@ class ArbitrationLayerParams:
 
 
 @dataclass
-class ArbitrationParams:
+class MergePathway:
+    """One expert pathway's batch norm and its rows of the merge convolution."""
+
     bn_gamma: Tensor
     bn_beta: Tensor
     bn_mean: Tensor  # running statistics: no gradient
     bn_var: Tensor
-    conv: Linear  # [d_in, d_arb], the per-point 1x1 convolution
+    conv_w: Tensor  # [d_p, d_arb]
+
+
+@dataclass
+class ArbitrationParams:
+    pathways: list  # MergePathway per merged pathway, in merge order
+    conv_b: Tensor  # [d_arb], shared by the pathways' blocks
     gate: Linear  # [d_guid, d_arb]
     layers: list  # after the tensors: parameter order follows field order
 
 
-def init_arbitration(rng: np.random.Generator, d_in: int, d_arb: int, d_guid: int,
+def init_arbitration(rng: np.random.Generator, pathways: dict, d_arb: int, d_guid: int,
                      n_layers: int, heads: int, d_bg: int) -> ArbitrationParams:
+    """``pathways`` maps each merged pathway's name to its feature width, in
+    merge order. The merge weight is drawn whole, ``[sum of widths, d_arb]``,
+    and split into the pathways' rows."""
     layers = []
     for i in range(n_layers):
         layers.append(ArbitrationLayerParams(
@@ -87,24 +103,47 @@ def init_arbitration(rng: np.random.Generator, d_in: int, d_arb: int, d_guid: in
             ln_gamma=parameter(np.ones(d_arb), name=f"arb.l{i}.ln_gamma"),
             ln_beta=parameter(np.zeros(d_arb), name=f"arb.l{i}.ln_beta"),
         ))
+    conv = init_linear(rng, sum(pathways.values()), d_arb, "arb.conv")
+    bounds = np.cumsum([0] + list(pathways.values()))
     return ArbitrationParams(
-        bn_gamma=parameter(np.ones(d_in), name="arb.bn_gamma"),
-        bn_beta=parameter(np.zeros(d_in), name="arb.bn_beta"),
-        bn_mean=Tensor(np.zeros(d_in), name="arb.bn_mean"),
-        bn_var=Tensor(np.ones(d_in), name="arb.bn_var"),
-        conv=init_linear(rng, d_in, d_arb, "arb.conv"),
+        pathways=[MergePathway(bn_gamma=parameter(np.ones(d), name=f"arb.{p}.bn_gamma"),
+                               bn_beta=parameter(np.zeros(d), name=f"arb.{p}.bn_beta"),
+                               bn_mean=Tensor(np.zeros(d), name=f"arb.{p}.bn_mean"),
+                               bn_var=Tensor(np.ones(d), name=f"arb.{p}.bn_var"),
+                               conv_w=parameter(conv.w.data[lo:hi].copy(), name=f"arb.{p}.conv_w"))
+                  for (p, d), lo, hi in zip(pathways.items(), bounds[:-1], bounds[1:])],
+        conv_b=conv.b,
         layers=layers,
         gate=init_linear(rng, d_guid, d_arb, "arb.gate"),
     )
 
 
-def merge_features(x: Tensor, params: ArbitrationParams, train: bool) -> Tensor:
-    """Batch norm -> per-point linear -> ReLU over expert features. Outputs are >= 0.
-    Train mode folds the batch's statistics into ``params.bn_mean``/``bn_var``."""
-    if x.shape[1] != params.conv.w.shape[0]:
-        raise ShapeError(f"merge input dim {x.shape[1]} != conv dim {params.conv.w.shape[0]}")
-    normed = ad.batch_norm(x, params.bn_gamma, params.bn_beta, params.bn_mean, params.bn_var, train)
-    return ad.relu(linear(normed, params.conv))
+def merge_features(blocks: list, params: ArbitrationParams, train: bool) -> Tensor:
+    """``relu(sum_p BN_p(x_p) @ W_p + b)`` over the pathways' features, one
+    ``(x_p, groups)`` block per entry of ``params.pathways``. Outputs are >= 0.
+
+    ``groups`` is None when ``x_p`` holds one row per point, or ``(inverse,
+    counts)`` when row ``i`` stands for the ``counts[i]`` points ``j`` with
+    ``inverse[j] == i``. Such a block is normalised with the statistics of
+    the points (see :func:`autodiff.batch_norm`) and multiplied at its own
+    rows; only its ``[rows, d_arb]`` product is gathered to the points.
+    Train mode folds the batch's statistics into each pathway's
+    ``bn_mean``/``bn_var``."""
+    if len(blocks) != len(params.pathways):
+        raise ShapeError(f"merge got {len(blocks)} pathway blocks, expected "
+                         f"{len(params.pathways)}")
+    total = None
+    for (x, groups), p in zip(blocks, params.pathways):
+        if x.shape[1] != p.conv_w.shape[0]:
+            raise ShapeError(f"merge input dim {x.shape[1]} != {p.conv_w.name} dim "
+                             f"{p.conv_w.shape[0]}")
+        inverse, counts = (None, None) if groups is None else groups
+        normed = ad.batch_norm(x, p.bn_gamma, p.bn_beta, p.bn_mean, p.bn_var, train, counts)
+        block = ad.matmul(normed, p.conv_w)
+        if inverse is not None:
+            block = ad.take_rows(block, inverse)
+        total = block if total is None else ad.add(total, block)
+    return ad.relu(ad.add_rowvec(total, params.conv_b))
 
 
 def inject_background_guidance(r: Tensor, g_base: Tensor, layer: ArbitrationLayerParams) -> Tensor:

@@ -286,11 +286,12 @@ def log_softmax(x: Tensor, axis: int) -> Tensor:
 
 
 def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
-               stats: Optional[tuple] = None) -> tuple:
+               stats: Optional[tuple] = None, counts: Optional[np.ndarray] = None) -> tuple:
     """``gamma * (x - mean) / sqrt(var + NORM_EPS) + beta``, standardised along ``axis``.
 
     ``mean`` and ``var`` are those of ``x`` along ``axis`` unless ``stats``
     gives fixed ``(mean, var)`` rows, which the gradient treats as constants.
+    ``counts`` (``axis=0`` only) weighs row ``i`` as ``counts[i]`` equal rows.
     Returns the output and the ``(mean, var)`` it used."""
     op = ("batch_norm", "layer_norm")[axis]
     if x.data.ndim != 2:
@@ -298,11 +299,16 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
     d = x.shape[1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"{op} affine shapes {gamma.shape}/{beta.shape} do not match d={d}")
-    if stats is None:
+    if stats is None and counts is None:
         # np.var's own steps on the one centred copy, so the bits are np.var's.
         mean = np.mean(x.data, axis=axis, keepdims=True)
         xhat = x.data - mean
         var = np.sum(xhat * xhat, axis=axis, keepdims=True) / x.shape[axis]
+    elif stats is None:
+        m_rows = counts.sum()
+        mean = (counts @ x.data)[None, :] / m_rows
+        xhat = x.data - mean
+        var = (counts @ (xhat * xhat))[None, :] / m_rows
     else:
         mean, var = stats
         xhat = x.data - mean
@@ -316,10 +322,15 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axis: int,
         _accum(beta, np.sum(g, axis=0), owned=True)
         if x.requires_grad:
             dxhat = g * gamma.data
-            if stats is None:
+            if stats is None and counts is None:
                 m1 = np.mean(dxhat, axis=axis, keepdims=True)
                 m2 = np.mean(dxhat * xhat, axis=axis, keepdims=True)
                 _accum(x, inv * (dxhat - m1 - xhat * m2), owned=True)
+            elif stats is None:
+                # g already sums the gradients of each row's counts[i] copies.
+                m1 = np.sum(dxhat, axis=0) / m_rows
+                m2 = np.sum(dxhat * xhat, axis=0) / m_rows
+                _accum(x, inv * (dxhat - counts[:, None] * (m1 + xhat * m2)), owned=True)
             else:
                 _accum(x, dxhat * inv, owned=True)
 
@@ -332,15 +343,29 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
-               running_var: Tensor, train: bool) -> Tensor:
+               running_var: Tensor, train: bool, counts: Optional[np.ndarray] = None) -> Tensor:
     """Per-column normalization, then affine. Training uses the batch's own
     statistics and folds them into the running ones, whose ``data`` it
-    rebinds; evaluation uses the running ones."""
+    rebinds; evaluation uses the running ones.
+
+    ``counts``, when given, says that row ``i`` of ``x`` stands for
+    ``counts[i]`` equal rows of a batch of ``M = sum(counts)`` rows. The
+    statistics are then that batch's, ``mean = counts @ x / M`` and ``var =
+    counts @ (x - mean)**2 / M``, and row ``i`` of the result is each of
+    its copies' output. The gradient arriving at row ``i`` must be the sum
+    over those copies, as a row gather's backward gives it; the gradient of
+    ``x`` is then the copies' gradients summed per row."""
+    if counts is not None:
+        counts = np.asarray(counts, dtype=np.float64)
+        if counts.shape != (x.shape[0],):
+            raise ShapeError(f"batch_norm counts of shape {counts.shape} do not match "
+                             f"{x.shape[0]} rows")
     if not train:
         return _normalize(x, gamma, beta, axis=0, stats=(running_mean.data, running_var.data))[0]
-    out, mean, var = _normalize(x, gamma, beta, axis=0)
-    if x.shape[0] < 2:
-        raise DegenerateBatchError(f"batch_norm train mode needs >= 2 rows, got {x.shape[0]}")
+    out, mean, var = _normalize(x, gamma, beta, axis=0, counts=counts)
+    m_rows = x.shape[0] if counts is None else int(counts.sum())
+    if m_rows < 2:
+        raise DegenerateBatchError(f"batch_norm train mode needs >= 2 rows, got {m_rows}")
     m = BATCH_NORM_MOMENTUM
     running_mean.data = (1.0 - m) * running_mean.data + m * mean[0]
     running_var.data = (1.0 - m) * running_var.data + m * var[0]

@@ -5,9 +5,11 @@ variant refines the geometric and semantic correlations in separate experts
 and trains with the alignment regularizers and their two classifier heads;
 the fused baseline sums the two correlation matrices and refines them in a
 single expert, with no heads and no alignment graph at all. The semantic
-expert refines only the distinct rows of its detached correlation and
-gathers its features back to every point; the geometric and fused experts,
-whose inputs carry a gradient per row, refine every row.
+expert refines only the distinct rows of its detached correlation, and its
+features stay at those rows through its classifier head and the merge's
+batch norm and product: only the head's class probabilities and the
+merge's ``[rows, d_arb]`` product are gathered to the points. The geometric
+and fused experts, whose inputs carry a gradient per row, refine every row.
 """
 
 from __future__ import annotations
@@ -72,22 +74,24 @@ def named_tensors(obj) -> dict[str, Tensor]:
     return out
 
 
-def _refine_semantic(corr_sem: Tensor, params: ExpertParams) -> Tensor:
-    """The semantic expert's ``[N, d]`` features, refined once per distinct
-    row of the correlation and gathered back to the N query points.
+def _refine_semantic(corr_sem: Tensor, params: ExpertParams) -> tuple:
+    """The semantic expert's features at the distinct rows of the
+    correlation, ``[U, d]``, and the grouping ``(inverse, counts)`` that
+    maps them to the N query points: point ``j`` holds row ``inverse[j]``,
+    and row ``i`` stands for ``counts[i]`` points.
 
     The semantic correlation comes from a frozen lookup keyed on texture id
     and grid cell, so a query of hundreds of points holds at most a few tens of distinct
     rows. Each distinct row weighs as the number of points it stands for
     (see :func:`run_expert`), so every point's features are those of a run
-    over all N rows, and the expert costs O(U^2 r + U H r d) plus an
-    O(N d) gather for U distinct rows. The gradient stays exact because the
-    correlation is detached: no gradient is owed to the rows folded
-    together, and each parameter's gradient is the sum over the points of
-    each group, which the gather's backward forms."""
+    over all N rows, and the expert costs O(U^2 r + U H r d) for U distinct
+    rows. The gradient stays exact because the correlation is detached: no
+    gradient is owed to the rows folded together, and each parameter's
+    gradient is the sum over the points of each group, which the gathers
+    after the head and the merge product form."""
     rows, inverse, counts = np.unique(corr_sem.data, axis=0, return_inverse=True,
                                       return_counts=True)
-    return ad.take_rows(run_expert(constant(rows), params, counts), inverse.reshape(-1))
+    return run_expert(constant(rows), params, counts), (inverse.reshape(-1), counts)
 
 
 @dataclass(frozen=True)
@@ -164,13 +168,13 @@ class SegModel:
             self.sem_expert = init_expert(rng, n_out, config.d_sem, config.heads, "sem")
             self.sem_head = init_linear(rng, config.d_sem, n_out, "sem.cls")
             self.align = init_linear(rng, config.d_uf, config.d_if, "align.proj")
-            merge_in = config.d_geo + config.d_sem
+            pathways = {"geo": config.d_geo, "sem": config.d_sem}
         else:
             self.geo_expert = init_expert(rng, n_out, config.d_geo, config.heads, "fused")
             self.geo_head = self.sem_expert = self.sem_head = self.align = None
-            merge_in = config.d_geo
+            pathways = {"fused": config.d_geo}
 
-        self.arb = init_arbitration(rng, d_in=merge_in, d_arb=config.d_arb,
+        self.arb = init_arbitration(rng, pathways, d_arb=config.d_arb,
                                     d_guid=config.d_if, n_layers=config.sam_layers,
                                     heads=config.heads, d_bg=config.d_bg)
         self.decoder = init_decoder(rng, config.d_arb, n_out)
@@ -263,15 +267,16 @@ class SegModel:
         proto_loss = consist_loss = None
         if self.mode == "decoupled":
             r_geo = run_expert(corr.geo, self.geo_expert)
-            r_sem = _refine_semantic(corr.sem, self.sem_expert)
+            r_sem, groups = _refine_semantic(corr.sem, self.sem_expert)
             if train:
                 proto_loss = prototype_alignment_loss(geo_protos, sem_protos, self.align)
-                consist_loss = consistency_loss(head_probs(r_geo, self.geo_head),
-                                                head_probs(r_sem, self.sem_head))
-            refined = ad.concat([r_geo, r_sem], axis=1)
+                consist_loss = consistency_loss(
+                    head_probs(r_geo, self.geo_head),
+                    ad.take_rows(head_probs(r_sem, self.sem_head), groups[0]))
+            blocks = [(r_geo, None), (r_sem, groups)]
         else:
-            refined = run_expert(ad.add(corr.geo, corr.sem), self.geo_expert)
-        merged = merge_features(refined, self.arb, train)
+            blocks = [(run_expert(ad.add(corr.geo, corr.sem), self.geo_expert), None)]
+        merged = merge_features(blocks, self.arb, train)
 
         g_base, g_q = text_guidance(self.config.base_class_ids, episode.novel_classes, self.text)
         arb_out = arbitrate(merged, g_base, self.arb)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from dafss import autodiff as ad
 from dafss.arbitration import (
     NEIGHBOUR_BLOCK_ROWS,
+    ArbitrationParams,
     DecoderParams,
+    MergePathway,
     arbitrate,
     arbitration_layer,
     init_arbitration,
@@ -22,8 +24,8 @@ from dafss.arbitration import (
     neighbours,
     semantic_gate,
 )
-from dafss.autodiff import NORM_EPS, backward, constant, parameter
-from dafss.errors import ConfigurationError, DegenerateBatchError
+from dafss.autodiff import NORM_EPS, Tensor, backward, constant, parameter
+from dafss.errors import ConfigurationError, DegenerateBatchError, ShapeError
 from dafss.layers import init_weight, linear
 from dafss.model import named_tensors
 
@@ -78,42 +80,116 @@ class TestMHSA:
 
 @pytest.fixture
 def params(rng):
-    return init_arbitration(rng, d_in=12, d_arb=8, d_guid=6, n_layers=1, heads=2, d_bg=2)
+    return init_arbitration(rng, {"geo": 4, "sem": 8}, d_arb=8, d_guid=6, n_layers=1, heads=2,
+                            d_bg=2)
+
+
+def concatenated(params):
+    """Single-pathway parameters holding the pathways' tensors side by side."""
+    return ArbitrationParams(pathways=[MergePathway(**{
+        f: Tensor(np.concatenate([getattr(p, f).data for p in params.pathways]), name=f)
+        for f in ("bn_gamma", "bn_beta", "bn_mean", "bn_var", "conv_w")})],
+        conv_b=params.conv_b, gate=params.gate, layers=params.layers)
 
 
 class TestMerge:
     def test_outputs_nonnegative(self, rng, params):
         r_geo = constant(rng.standard_normal((5, 4)))
         r_sem = constant(rng.standard_normal((5, 8)) * 4)
-        out = merge_features(ad.concat([r_geo, r_sem], axis=1), params, train=True)
+        out = merge_features([(r_geo, None), (r_sem, None)], params, train=True)
         assert np.all(out.data >= 0)
         assert out.shape == (5, 8)
 
     def test_zero_weights_zero_output_in_eval(self, rng, params):
-        params.conv.w.data[:] = 0.0
-        params.conv.b.data[:] = 0.0
-        out = merge_features(constant(rng.standard_normal((3, 12))), params, train=False)
+        for p in params.pathways:
+            p.conv_w.data[:] = 0.0
+        params.conv_b.data[:] = 0.0
+        blocks = [(constant(rng.standard_normal((3, d))), None) for d in (4, 8)]
+        out = merge_features(blocks, params, train=False)
         np.testing.assert_array_equal(out.data, np.zeros((3, 8)))
 
     def test_degenerate_batch_in_train(self, rng, params):
         with pytest.raises(DegenerateBatchError):
-            merge_features(constant(rng.standard_normal((1, 12))), params, train=True)
+            merge_features([(constant(rng.standard_normal((1, d))), None) for d in (4, 8)],
+                           params, train=True)
+
+    def test_one_block_per_pathway(self, rng, params):
+        with pytest.raises(ShapeError, match="1 pathway blocks, expected 2"):
+            merge_features([(constant(rng.standard_normal((3, 12))), None)], params, train=False)
+
+    def test_init_splits_one_draw_of_the_weight(self):
+        # The pathways' conv_w rows are one [12, 8] draw, split; the draws
+        # before and after it are those of a single 12-column pathway.
+        split = init_arbitration(np.random.default_rng(3), {"geo": 4, "sem": 8}, d_arb=8,
+                                 d_guid=6, n_layers=1, heads=2, d_bg=2)
+        whole = init_arbitration(np.random.default_rng(3), {"all": 12}, d_arb=8,
+                                 d_guid=6, n_layers=1, heads=2, d_bg=2)
+        assert (np.vstack([p.conv_w.data for p in split.pathways]).tobytes()
+                == whole.pathways[0].conv_w.data.tobytes())
+        rest = [n for n in named_tensors(whole) if not n.startswith("arb.all.")]
+        assert rest == [n for n in named_tensors(split)
+                        if not n.startswith(("arb.geo.", "arb.sem."))]
+        assert all(named_tensors(split)[n].data.tobytes() == named_tensors(whole)[n].data.tobytes()
+                   for n in rest)
+        assert list(named_tensors(split.pathways[1])) == [
+            f"arb.sem.{f}" for f in ("bn_gamma", "bn_beta", "bn_mean", "bn_var", "conv_w")]
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_sum_of_blocks_equals_merge_of_concatenation(self, rng, params, train):
+        for p in params.pathways:  # running statistics away from their start
+            p.bn_mean.data = rng.standard_normal(p.bn_mean.shape)
+            p.bn_var.data = rng.uniform(0.5, 2.0, p.bn_var.shape)
+        cat = concatenated(params)
+        r_geo = rng.standard_normal((6, 4))
+        r_sem = rng.standard_normal((6, 8)) * 3 + 1
+        out = merge_features([(constant(r_geo), None), (constant(r_sem), None)], params, train)
+        ref = merge_features([(constant(np.hstack([r_geo, r_sem])), None)], cat, train)
+        assert np.max(np.abs(out.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
+        for f in ("bn_mean", "bn_var"):
+            got = np.concatenate([getattr(p, f).data for p in params.pathways])
+            np.testing.assert_allclose(got, getattr(cat.pathways[0], f).data, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_grouped_block_equals_its_rows_gathered(self, rng, params, train):
+        # A block at its distinct rows, with the points' grouping, gives the
+        # output, statistics and gradients of that block gathered to the points.
+        inverse = np.array([2, 0, 0, 1, 2, 2, 0])
+        counts = np.bincount(inverse)
+        r_geo = constant(rng.standard_normal((7, 4)))
+        sem_rows = rng.standard_normal((3, 8)) * 2
+        w = constant(rng.standard_normal((7, 8)))
+        sides = []
+        for grouped in (True, False):
+            p = init_arbitration(np.random.default_rng(9), {"geo": 4, "sem": 8}, d_arb=8,
+                                 d_guid=6, n_layers=1, heads=2, d_bg=2)
+            r_sem = parameter(sem_rows)
+            block = ((r_sem, (inverse, counts)) if grouped
+                     else (ad.take_rows(r_sem, inverse), None))
+            out = merge_features([(r_geo, None), block], p, train)
+            backward(ad.sum_all(ad.mul(out, w)))
+            # running statistics by value, parameters by gradient
+            sides.append([out.data, r_sem.grad]
+                         + [t.data if t.grad is None else t.grad
+                            for t in named_tensors(p.pathways).values()])
+        for a, b in zip(*sides):
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
     def test_hand_composed_fixture(self, rng):
         # 2 points, hand-set BN/conv parameters, eval mode with known stats
-        p = init_arbitration(rng, d_in=3, d_arb=2, d_guid=2, n_layers=1, heads=1, d_bg=1)
-        p.bn_mean.data = np.array([1.0, 0.0, -1.0])
-        p.bn_var.data = np.array([4.0, 1.0, 1.0]) - NORM_EPS
-        p.bn_gamma.data[:] = [2.0, 1.0, 1.0]
-        p.bn_beta.data[:] = [0.0, 0.5, 0.0]
-        p.conv.w.data[:] = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
-        p.conv.b.data[:] = [0.1, -0.2]
+        p = init_arbitration(rng, {"fused": 3}, d_arb=2, d_guid=2, n_layers=1, heads=1, d_bg=1)
+        bn = p.pathways[0]
+        bn.bn_mean.data = np.array([1.0, 0.0, -1.0])
+        bn.bn_var.data = np.array([4.0, 1.0, 1.0]) - NORM_EPS
+        bn.bn_gamma.data[:] = [2.0, 1.0, 1.0]
+        bn.bn_beta.data[:] = [0.0, 0.5, 0.0]
+        bn.conv_w.data[:] = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+        p.conv_b.data[:] = [0.1, -0.2]
         x = np.array([[3.0, 1.0, 0.0], [0.0, -2.0, 2.0]])
-        out = merge_features(constant(x), p, train=False).data
+        out = merge_features([(constant(x), None)], p, train=False).data
 
-        normed = (x - p.bn_mean.data) / np.sqrt([4.0, 1.0, 1.0])
-        normed = normed * p.bn_gamma.data + p.bn_beta.data
-        manual = np.maximum(normed @ p.conv.w.data + p.conv.b.data, 0.0)
+        normed = (x - bn.bn_mean.data) / np.sqrt([4.0, 1.0, 1.0])
+        normed = normed * bn.bn_gamma.data + bn.bn_beta.data
+        manual = np.maximum(normed @ bn.conv_w.data + p.conv_b.data, 0.0)
         assert relative_error(out, manual) < 1e-10
 
 
@@ -145,7 +221,7 @@ class TestInjection:
         assert relative_error(out, manual) < 1e-12
 
     def test_foreground_untouched_at_every_stacked_layer(self, rng):
-        p = init_arbitration(rng, d_in=8, d_arb=8, d_guid=4, n_layers=2, heads=2, d_bg=2)
+        p = init_arbitration(rng, {"fused": 8}, d_arb=8, d_guid=4, n_layers=2, heads=2, d_bg=2)
         g = constant(rng.standard_normal(4))
         r = constant(rng.standard_normal((5, 8)))
         for layer in p.layers:
@@ -173,7 +249,7 @@ class TestArbitrationLayer:
         assert relative_error(out, manual) < 1e-10
 
     def test_two_layer_stack_equals_manual_composition(self, rng):
-        p = init_arbitration(rng, d_in=8, d_arb=8, d_guid=4, n_layers=2, heads=2, d_bg=2)
+        p = init_arbitration(rng, {"fused": 8}, d_arb=8, d_guid=4, n_layers=2, heads=2, d_bg=2)
         g = constant(rng.standard_normal(4))
         r = constant(rng.standard_normal((4, 8)))
         stacked = arbitrate(r, g, p).data
@@ -414,22 +490,24 @@ class TestEndToEndGradient:
         # every parameter of a miniature configuration
         monkeypatch.setattr(DecoderParams, "k", 2)  # fewer neighbours than the 4 points
         monkeypatch.setattr(DecoderParams, "radius", 1.0)
-        p = init_arbitration(rng, d_in=10, d_arb=8, d_guid=4, n_layers=2, heads=2, d_bg=2)
+        p = init_arbitration(rng, {"geo": 4, "sem": 6}, d_arb=8, d_guid=4, n_layers=2, heads=2,
+                             d_bg=2)
         dec = init_decoder(rng, d_arb=8, n_classes=2)
         r_geo = parameter(rng.standard_normal((4, 4)))
-        r_sem = constant(rng.standard_normal((4, 6)))
+        r_sem = parameter(rng.standard_normal((2, 6)))  # its 2 rows stand for the 4 points
+        groups = (np.array([1, 0, 0, 1]), np.array([2, 2]))
         g_base = constant(rng.standard_normal(4))
         g_q = constant(rng.standard_normal((1, 4)))
         points = rng.uniform(-1, 1, (4, 3))
         w = constant(rng.standard_normal((4, 2)))
 
         def make_loss():
-            merged = merge_features(ad.concat([r_geo, r_sem], axis=1), p, train=True)
+            merged = merge_features([(r_geo, None), (r_sem, groups)], p, train=True)
             arb = arbitrate(merged, g_base, p)
             gated = semantic_gate(arb, g_q, p)
             return ad.sum_all(ad.mul(decode(gated, points, dec), w))
 
-        tensors = {"r_geo": r_geo}
+        tensors = {"r_geo": r_geo, "r_sem": r_sem}
         tensors.update({n: t for n, t in named_tensors(p).items() if t.requires_grad})
         tensors.update(named_tensors(dec))
         check_grads(make_loss, tensors, tol=1e-3)

@@ -285,6 +285,82 @@ class TestBatchNorm:
         check_grads(make_loss, {"x": x, "gamma": gamma, "beta": beta}, tol=1e-4)
 
 
+class TestWeightedBatchNorm:
+    """``batch_norm(x, counts=c)`` is batch norm over ``np.repeat(x, c, 0)``,
+    its output gathered to those rows."""
+
+    COUNTS = np.array([3, 1, 5, 2])
+
+    @staticmethod
+    def grouped_and_expanded(x0, counts, train):
+        """Output, running statistics and gradients of the weighted batch
+        norm gathered to the expanded rows, and of plain batch norm over
+        them, under one upstream gradient."""
+        rng = np.random.default_rng(7)
+        d = x0.shape[1]
+        inverse = np.repeat(np.arange(len(counts)), counts)
+        g0, b0, up = rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal((len(inverse), d))
+        group_starts = np.r_[0, np.cumsum(counts)[:-1]]
+        sides = []
+        for grouped in (True, False):
+            x = parameter(x0 if grouped else x0[inverse])
+            gamma, beta = parameter(g0), parameter(b0)
+            mean, var = Tensor(np.full(d, 0.5), name="mean"), Tensor(np.full(d, 2.0), name="var")
+            out = ad.batch_norm(x, gamma, beta, mean, var, train, counts=counts if grouped else None)
+            if grouped:
+                out = ad.take_rows(out, inverse)
+            backward(ad.sum_all(ad.mul(out, constant(up))))
+            gx = x.grad if grouped else np.add.reduceat(x.grad, group_starts)
+            sides.append((out.data, mean.data, var.data, gx, gamma.grad, beta.grad))
+        return sides
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_equals_batch_norm_over_expanded_rows(self, rng, train):
+        x0 = rng.standard_normal((4, 6)) * 3 + 1
+        got, ref = self.grouped_and_expanded(x0, self.COUNTS, train)
+        for what, a, b in zip(("out", "running mean", "running var", "x grad summed per group",
+                               "gamma grad", "beta grad"), got, ref):
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b))), what
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_gradient(self, rng, train):
+        x = parameter(rng.standard_normal((4, 3)))
+        gamma = parameter(rng.standard_normal(3))
+        beta = parameter(rng.standard_normal(3))
+        inverse = np.repeat(np.arange(4), self.COUNTS)
+        w = constant(rng.standard_normal((len(inverse), 3)))
+
+        def make_loss():
+            mean, var = Tensor(np.full(3, 0.5), name="mean"), Tensor(np.full(3, 2.0), name="var")
+            out = ad.batch_norm(x, gamma, beta, mean, var, train, counts=self.COUNTS)
+            return ad.sum_all(ad.mul(ad.take_rows(out, inverse), w))
+
+        check_grads(make_loss, {"x": x, "gamma": gamma, "beta": beta}, tol=1e-4)
+
+    def test_one_row_standing_for_five_trains(self, rng):
+        # All points of a query can share one row; the batch then has 5 rows.
+        x0 = rng.standard_normal((1, 3))
+        mean, var = running_stats(3)
+        beta = rng.standard_normal(3)
+        out = ad.batch_norm(parameter(x0), parameter(np.ones(3)), constant(beta), mean, var,
+                            train=True, counts=np.array([5]))
+        np.testing.assert_array_equal(out.data, beta[None, :])
+        np.testing.assert_allclose(mean.data, BATCH_NORM_MOMENTUM * x0[0])
+        assert var.data.tobytes() == np.full(3, 1.0 - BATCH_NORM_MOMENTUM).tobytes()
+
+    def test_one_row_standing_for_one_is_degenerate(self):
+        mean, var = running_stats(3)
+        with pytest.raises(DegenerateBatchError, match="got 1"):
+            ad.batch_norm(constant(np.ones((1, 3))), constant(np.ones(3)), constant(np.zeros(3)),
+                          mean, var, train=True, counts=np.array([1]))
+        assert mean.data.tobytes() == np.zeros(3).tobytes()
+
+    def test_counts_must_match_rows(self):
+        with pytest.raises(ShapeError, match="counts"):
+            ad.batch_norm(constant(np.ones((3, 2))), constant(np.ones(2)), constant(np.zeros(2)),
+                          *running_stats(2), train=True, counts=np.array([2, 2]))
+
+
 def norm_reference(x, gamma, beta, g, axis, stats=None):
     """Forward and gradients by the np.var formula, stats from ``x`` unless given."""
     mu, var = stats if stats is not None else (np.mean(x, axis=axis, keepdims=True),

@@ -57,6 +57,11 @@ def expert_features(monkeypatch, model, episode, train):
     return seen
 
 
+def running_statistics(model):
+    """The bytes of every merge pathway's batch-norm running statistics."""
+    return [t.data.tobytes() for p in model.arb.pathways for t in (p.bn_mean, p.bn_var)]
+
+
 @pytest.fixture
 def episode(pool):
     base, _ = fold_classes(0)
@@ -307,21 +312,24 @@ class TestModelStructure:
         expected = (["uf.hidden_w", "uf.hidden_b", "uf.out_w", "uf.out_b"]
                     + [f"{e}.{n}" for e in ("geo", "sem") for n in
                        ("attn.cores", "attn.mix", "ln_gamma", "cls_w", "cls_b")]
-                    + ["align.proj_w", "align.proj_b", "arb.bn_gamma", "arb.bn_beta",
-                       "arb.bn_mean", "arb.bn_var",
-                       "arb.conv_w", "arb.conv_b", "arb.gate_w", "arb.gate_b"]
+                    + ["align.proj_w", "align.proj_b"]
+                    + [f"arb.{p}.{n}" for p in ("geo", "sem") for n in
+                       ("bn_gamma", "bn_beta", "bn_mean", "bn_var", "conv_w")]
+                    + ["arb.conv_b", "arb.gate_w", "arb.gate_b"]
                     + [f"arb.l0.{n}" for n in
                        ("inject_w", "inject_b", "ln_gamma", "ln_beta", "attn.wqkv", "attn.wo")]
                     + ["dec.conv_w", "dec.conv_b", "dec.out_w", "dec.out_b", "base_w", "base_b"])
         assert list(model.state_dict()) == expected
 
-    @pytest.mark.parametrize("mode, count", [("decoupled", 36), ("fused", 27)])
+    @pytest.mark.parametrize("mode, count", [("decoupled", 41), ("fused", 27)])
     def test_state_dict_is_parameters_plus_running_statistics(self, mode, count):
-        # Default sizes: 34 and 25 parameters, the counts AdamW steps.
+        # Default sizes: 37 and 25 parameters, the counts AdamW steps.
         model = SegModel(ModelConfig(), mode)
         params, state = model.parameters(), model.state_dict()
         assert len(state) == count
-        assert [n for n in state if n not in params] == ["arb.bn_mean", "arb.bn_var"]
+        pathways = {"decoupled": ("geo", "sem"), "fused": ("fused",)}[mode]
+        assert [n for n in state if n not in params] == [
+            f"arb.{p}.bn_{s}" for p in pathways for s in ("mean", "var")]
         assert [n for n in state if n in params] == list(params)
 
     def test_parameters_hold_no_statistic(self):
@@ -330,8 +338,9 @@ class TestModelStructure:
             model = SegModel(tiny_config(), mode)
             params = model.parameters()
             assert all(p.requires_grad for p in params.values())
-            assert model.arb.bn_mean not in params.values()
-            assert model.arb.bn_var not in params.values()
+            for p in model.arb.pathways:
+                assert p.bn_mean not in params.values()
+                assert p.bn_var not in params.values()
 
     def test_pathways_are_disjoint_expert_groups(self):
         pathways = {"decoupled": (("uf", "geo"), ("sem",)), "fused": (("uf", "fused"), ())}
@@ -344,10 +353,11 @@ class TestModelStructure:
 
     def test_fused_has_no_classifier_head(self):
         # the fused variant is the decoupled one without the semantic expert,
-        # the alignment projection and both classifier heads
-        fused = [n.replace("fused.", "geo.", 1) for n in SegModel(tiny_config(), "fused").parameters()]
+        # its merge pathway, the alignment projection and both classifier heads
+        fused = [n.replace("fused.", "geo.") for n in SegModel(tiny_config(), "fused").parameters()]
         decoupled = [n for n in SegModel(tiny_config(), "decoupled").parameters()
-                     if n.split(".")[0] not in ("sem", "align") and ".cls_" not in n]
+                     if n.split(".")[0] not in ("sem", "align") and ".cls_" not in n
+                     and not n.startswith("arb.sem.")]
         assert fused == decoupled
 
     def test_variants_share_logit_interface(self, episode):
@@ -415,10 +425,10 @@ class TestModelStructure:
                                       model.forward(episode, train=False).logits.data)
 
     def test_load_empty_checkpoint_rejected(self):
-        with pytest.raises(ConfigurationError, match="arb.bn_var"):
+        with pytest.raises(ConfigurationError, match="arb.fused.bn_var"):
             SegModel(tiny_config(), "fused").load_state_dict({})
 
-    @pytest.mark.parametrize("key", ["geo.attn.mix", "arb.bn_mean"])
+    @pytest.mark.parametrize("key", ["geo.attn.mix", "arb.sem.bn_mean"])
     def test_load_checkpoint_missing_key_rejected(self, key):
         model = SegModel(tiny_config(), "decoupled")
         state = model.state_dict()
@@ -428,8 +438,11 @@ class TestModelStructure:
 
     @pytest.mark.parametrize("mode, old, new", [
         ("decoupled", "uf.w1", "uf.hidden_w"), ("decoupled", "base.b", "base_b"),
-        ("decoupled", "arb.bn_state.running_mean", "arb.bn_mean"),
-        ("decoupled", "arb.bn_state.running_var", "arb.bn_var"),
+        ("decoupled", "arb.bn_state.running_mean", "arb.geo.bn_mean"),
+        ("decoupled", "arb.bn_state.running_var", "arb.geo.bn_var"),
+        ("decoupled", "arb.bn_gamma", "arb.geo.bn_gamma"),
+        ("decoupled", "arb.conv_w", "arb.sem.conv_w"),
+        ("fused", "arb.bn_mean", "arb.fused.bn_mean"),
         ("decoupled", "arb.l0.attn.wq0", "arb.l0.attn.wqkv"),
         ("decoupled", "geo.attn.wqkv", "geo.attn.cores"),
         ("decoupled", "sem.attn.wo", "sem.attn.mix"),
@@ -495,8 +508,8 @@ class TestModelStructure:
         model = SegModel(cfg, "decoupled")
         before = model.state_dict()
         state = {name: arr + 1.0 for name, arr in SegModel(cfg, "decoupled").state_dict().items()}
-        state["arb.conv_w"] = bad(state["arb.conv_w"])
-        with pytest.raises(ConfigurationError, match=f"'arb.conv_w'.*{match}"):
+        state["arb.sem.conv_w"] = bad(state["arb.sem.conv_w"])
+        with pytest.raises(ConfigurationError, match=f"'arb.sem.conv_w'.*{match}"):
             model.load_state_dict(state)
         after = model.state_dict()
         assert all(after[name].tobytes() == before[name].tobytes() for name in before)
@@ -653,10 +666,10 @@ class TestTrainEpisode:
         model = SegModel(tiny_config(), "decoupled")
         opt = AdamW(model.parameters(), lr=1e-3)
         model.base.w.data[0, 0] = np.nan
-        before = (model.arb.bn_mean.data.tobytes(), model.arb.bn_var.data.tobytes())
+        before = running_statistics(model)
         with pytest.raises(NumericError):
             train_episode(model, episode, opt, LossWeights(), step=0)
-        assert (model.arb.bn_mean.data.tobytes(), model.arb.bn_var.data.tobytes()) == before
+        assert running_statistics(model) == before
 
     @pytest.mark.parametrize("field", ["query_labels", "base_class_labels"])
     def test_label_one_short_raises_shape_error(self, episode, field):
@@ -671,10 +684,10 @@ class TestTrainEpisode:
         short = dataclasses.replace(episode, **{field: getattr(episode, field)[:-1]})
         model = SegModel(tiny_config(), "decoupled")
         opt = AdamW(model.parameters())
-        before = (model.arb.bn_mean.data.tobytes(), model.arb.bn_var.data.tobytes())
+        before = running_statistics(model)
         with pytest.raises(ShapeError):
             train_episode(model, short, opt, LossWeights(), step=0)
-        assert (model.arb.bn_mean.data.tobytes(), model.arb.bn_var.data.tobytes()) == before
+        assert running_statistics(model) == before
         assert all(p.grad is None for p in model.parameters().values())
         assert all(st.step_count == 0 for st in opt.state.values())
 
@@ -700,10 +713,10 @@ class TestTrainEpisode:
         merge = model_module.merge_features
         bumps = []
 
-        def counting_merge(x, params, train):
+        def counting_merge(blocks, params, train):
             model.counter.data += 1.0  # in place
             bumps.append(model.counter.data.copy())
-            return merge(x, params, train)
+            return merge(blocks, params, train)
 
         monkeypatch.setattr(model_module, "merge_features", counting_merge)
         model.base.w.data[0, 0] = np.nan
@@ -734,8 +747,9 @@ class TestTrainEpisode:
 
 
 class TestDistinctSemanticRows:
-    """The semantic expert refines each distinct row of its correlation once
-    and gathers the result back to every point."""
+    """The semantic expert refines each distinct row of its correlation once,
+    and its features stay at those rows through its classifier head and the
+    merge's batch norm and product."""
 
     @staticmethod
     def logits_and_grads(model, episode, train):
@@ -748,24 +762,88 @@ class TestDistinctSemanticRows:
         return out.logits.data, {n: p.grad for n, p in model.parameters().items()
                                  if p.grad is not None}
 
+    @staticmethod
+    def every_row(corr_sem, params):
+        """The semantic expert over every row, each row a group of its own."""
+        n = corr_sem.shape[0]
+        return run_expert(corr_sem, params), (np.arange(n), np.ones(n, dtype=np.int64))
+
+    @staticmethod
+    def concatenated_merge(blocks, params, train):
+        """The blocks gathered to the points and put side by side, through
+        one batch norm and one product built from the pathways' tensors."""
+        x = ad.concat([r if groups is None else ad.take_rows(r, groups[0]) for r, groups in blocks],
+                      axis=1)
+
+        def joined(field):
+            return ad.concat([getattr(p, field) for p in params.pathways], axis=0)
+
+        stats = [Tensor(np.concatenate([getattr(p, f).data for p in params.pathways]))
+                 for f in ("bn_mean", "bn_var")]
+        normed = ad.batch_norm(x, joined("bn_gamma"), joined("bn_beta"), *stats, train)
+        bounds = np.cumsum([0] + [p.bn_mean.shape[0] for p in params.pathways])
+        for p, lo, hi in zip(params.pathways, bounds[:-1], bounds[1:]):
+            p.bn_mean.data, p.bn_var.data = (s.data[lo:hi].copy() for s in stats)
+        return ad.relu(ad.add_rowvec(ad.matmul(normed, joined("conv_w")), params.conv_b))
+
     @pytest.mark.parametrize("train", [False, True])
     def test_forward_matches_expert_over_all_rows(self, episode, monkeypatch, train):
-        logits, grads = self.logits_and_grads(SegModel(tiny_config(), "decoupled"), episode, train)
-        monkeypatch.setattr(model_module, "_refine_semantic", run_expert)
-        ref_logits, ref_grads = self.logits_and_grads(SegModel(tiny_config(), "decoupled"),
-                                                      episode, train)
+        model = SegModel(tiny_config(), "decoupled")
+        logits, grads = self.logits_and_grads(model, episode, train)
+        monkeypatch.setattr(model_module, "_refine_semantic", self.every_row)
+        monkeypatch.setattr(model_module, "merge_features", self.concatenated_merge)
+        reference = SegModel(tiny_config(), "decoupled")
+        ref_logits, ref_grads = self.logits_and_grads(reference, episode, train)
         assert np.max(np.abs(logits - ref_logits)) <= 1e-12 * np.max(np.abs(ref_logits))
         assert set(grads) == set(ref_grads) and "sem.attn.mix" in grads
+        assert "arb.sem.conv_w" in grads and "arb.sem.bn_gamma" in grads
         largest = max(np.max(np.abs(g)) for g in ref_grads.values())
         worst = max(np.max(np.abs(grads[n] - ref_grads[n])) for n in grads)
         assert worst <= 1e-10 * largest
+        state, ref_state = model.state_dict(), reference.state_dict()
+        for name in ("arb.sem.bn_mean", "arb.sem.bn_var", "arb.geo.bn_mean", "arb.geo.bn_var"):
+            assert np.max(np.abs(state[name] - ref_state[name])) <= 1e-12 * np.max(
+                np.abs(ref_state[name])), name
 
     def test_semantic_expert_sees_fewer_rows_than_points(self, episode, monkeypatch):
-        seen = expert_features(monkeypatch, SegModel(tiny_config(), "decoupled"), episode,
-                               train=False)
-        n = len(episode.query)
+        # So do the semantic classifier head and the merge's semantic product.
+        model = SegModel(tiny_config(), "decoupled")
+        product_rows = {}
+        matmul = ad.matmul
+
+        def recording_matmul(a, b):
+            product_rows[b.name] = a.shape[0]
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", recording_matmul)
+        seen = expert_features(monkeypatch, model, episode, train=True)
+        n, u = len(episode.query), seen["sem"].shape[0]
         assert seen["geo"].shape[0] == n
-        assert seen["sem"].shape[0] < n // 2
+        assert u < n // 2
+        assert product_rows["sem.cls_w"] == product_rows["arb.sem.conv_w"] == u
+        assert product_rows["geo.cls_w"] == product_rows["arb.geo.conv_w"] == n
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_forward_forms_no_array_of_points_by_semantic_width(self, monkeypatch, train):
+        # d_sem = 28 and d_geo + d_sem = 40 are widths no other array has.
+        cfg = SceneConfig(seed=9)  # default density: over a hundred query points
+        base, _ = fold_classes(0)
+        episode = sample_episode(build_pool(cfg, 6), n_way=1, k_shot=1, seed=2, base_classes=base,
+                                 candidate_classes=base)
+        model = SegModel(tiny_config(d_sem=28), "decoupled")
+        shapes = []
+        node = ad._node
+
+        def recording_node(data, parents, backward):
+            out = node(data, parents, backward)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(ad, "_node", recording_node)
+        model.forward(episode, train=train)
+        n = len(episode.query)
+        assert n > 100 and (n, 12) in shapes and any(s[1:] == (28,) for s in shapes)
+        assert [s for s in shapes if s in ((n, 28), (n, 40))] == []
 
 
 class TestGradientFreezing:

@@ -57,21 +57,23 @@ def named_tensors(obj) -> dict[str, Tensor]:
     dataclasses depth first, in attribute order, so a tensor's position
     follows the order of the fields that hold it."""
     out: dict[str, Tensor] = {}
-
-    def walk(x) -> None:
-        if isinstance(x, Tensor):
-            if x.name in out:
-                raise ConfigurationError(f"two tensors are named {x.name!r}")
-            out[x.name] = x
-        elif isinstance(x, (list, tuple)):
-            for item in x:
-                walk(item)
-        elif hasattr(x, "__dict__"):
-            for value in vars(x).values():
-                walk(value)
-
-    walk(obj)
+    _walk(obj, out)
     return out
+
+
+def _walk(x, out: dict) -> None:
+    """Adds the tensors under ``x`` to ``out``. A module-level function, not
+    a closure, so a walk leaves no reference cycle for the cyclic collector."""
+    if isinstance(x, Tensor):
+        if x.name in out:
+            raise ConfigurationError(f"two tensors are named {x.name!r}")
+        out[x.name] = x
+    elif isinstance(x, (list, tuple)):
+        for item in x:
+            _walk(item, out)
+    elif hasattr(x, "__dict__"):
+        for value in vars(x).values():
+            _walk(value, out)
 
 
 def _refine_semantic(corr_sem: Tensor, params: ExpertParams) -> tuple:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dafss import autodiff as ad
 from dafss.autodiff import BATCH_NORM_MOMENTUM, NORM_EPS, Tensor, backward, constant, parameter
 from dafss.errors import DegenerateBatchError, GraphError, InputError, ShapeError
-from dafss.scenes import SceneConfig
 
 from conftest import central_difference, check_grads, relative_error
 
@@ -81,13 +80,22 @@ class TestSoftmax:
         np.testing.assert_array_equal(p.grad, s * (g - np.sum(g * s, axis=axis, keepdims=True)))
 
 
-def attention_chain(q, k_t, v, c):
+def attention_chain(q, k_t, v, c, key_bias=None):
     """The per-head chain that ``attention`` replaces, op by op, with the
     keys given as their transpose ``k_t``."""
     scores = ad.matmul(q, k_t)
     if c != 1.0:
         scores = ad.scale(scores, c)
+    if key_bias is not None:
+        scores = ad.add(scores, constant(np.broadcast_to(key_bias, scores.shape)))
     return ad.matmul(ad.softmax(scores, axis=1), v)
+
+
+def kept_tiles(out):
+    """The ``(e, l)`` tiles that a recorded ``attention`` node keeps."""
+    cells = dict(zip(out._backward.__code__.co_freevars,
+                     (cell.cell_contents for cell in out._backward.__closure__)))
+    return cells["tiles"]
 
 
 class TestAttention:
@@ -99,30 +107,38 @@ class TestAttention:
         backward(ad.sum_all(ad.mul(out, w)))
         return [out.data] + [t.grad for t in tensors]
 
+    @classmethod
+    def against_chain(cls, q, k, v, w, c, key_bias=None):
+        """Output and q, k, v gradients of ``attention`` and of the chain."""
+        k_t = parameter(k.data.T)
+        got = cls.run(ad.attention, (q, k, v), w, q, k, v, c, key_bias)
+        ref = cls.run(attention_chain, (q, k_t, v), w, q, k_t, v, c, key_bias)
+        ref[2] = ref[2].T  # the gradient of k is that of k_t, transposed
+        return got, ref
+
     @pytest.mark.parametrize("c", [1.0, 0.25, 1.0 / np.sqrt(3)])
-    @pytest.mark.parametrize("n", [1, 17, ad.ATTENTION_TILE_ROWS])
-    def test_one_tile_bitwise_equal_to_chain(self, n, c):
+    @pytest.mark.parametrize("n", [1, 17, 256])
+    def test_one_tile_matches_chain(self, n, c):
+        assert ad.ATTENTION_TILE_ELEMS // n >= n  # one tile of n rows over n keys
         rng = np.random.default_rng([n, int(1000 * c)])
         q = parameter(rng.standard_normal((n, 5)) * 3)
         k = parameter(rng.standard_normal((n, 5)) * 3)
         v = parameter(rng.standard_normal((n, 4)))
         w = constant(rng.standard_normal((n, 4)))
-        k_t = parameter(k.data.T)
-        got = self.run(ad.attention, (q, k, v), w, q, k, v, c)
-        ref = self.run(attention_chain, (q, k_t, v), w, q, k_t, v, c)
-        ref[2] = ref[2].T  # the gradient of k is that of k_t, transposed
+        got, ref = self.against_chain(q, k, v, w, c)
         for what, a, b in zip(("out", "q", "k", "v"), got, ref):
-            assert a.tobytes() == b.tobytes(), what
+            assert relative_error(a, b) <= 1e-13, what
 
     @pytest.mark.parametrize("c", [1.0, 0.7])
-    @pytest.mark.parametrize("n", [1, 7, 10])
+    @pytest.mark.parametrize("n", [4, 7, 10])
     def test_several_tiles_match_chain_and_finite_differences(self, monkeypatch, n, c):
-        monkeypatch.setattr(ad, "ATTENTION_TILE_ROWS", 3)
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ELEMS", 3 * n)  # 3 rows per tile over n keys
         rng = np.random.default_rng([n, int(10 * c)])
         # k and v are one shared tensor, as in the experts' factored attention.
         x = parameter(rng.standard_normal((n, 3)))
         core = parameter(rng.standard_normal((3, 3)))
         w = constant(rng.standard_normal((n, 3)))
+        assert len(kept_tiles(ad.attention(ad.matmul(x, core), x, x, c))) >= 2
 
         x_t = parameter(x.data.T)  # the chain's keys: a leaf of their own
 
@@ -141,27 +157,30 @@ class TestAttention:
             assert relative_error(a, b) <= 1e-12, what
         check_grads(lambda: loss(ad.attention, x), {"x": x, "core": core}, tol=1e-6)
 
-    def test_recorded_graph_keeps_only_softmax_tiles(self, monkeypatch, rng):
-        monkeypatch.setattr(ad, "ATTENTION_TILE_ROWS", 3)
+    def test_recorded_graph_keeps_only_exp_tiles_and_row_sums(self, monkeypatch, rng):
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ELEMS", 15)  # 3 rows per tile over 5 keys
         q = parameter(rng.standard_normal((7, 2)))
         k = constant(rng.standard_normal((5, 2)))
         v = constant(rng.standard_normal((5, 4)))
         out = ad.attention(q, k, v)
-        cells = dict(zip(out._backward.__code__.co_freevars,
-                         (cell.cell_contents for cell in out._backward.__closure__)))
-        assert [s.shape for s in cells["tiles"]] == [(3, 5), (3, 5), (1, 5)]
-        np.testing.assert_allclose(np.sum(np.vstack(cells["tiles"]), axis=1), 1.0, atol=1e-15)
+        tiles = kept_tiles(out)
+        assert [e.shape for e, _ in tiles] == [(3, 5), (3, 5), (1, 5)]
+        assert [l.shape for _, l in tiles] == [(3, 1), (3, 1), (1, 1)]
+        e = np.vstack([e for e, _ in tiles])
+        assert np.all(np.max(e, axis=1) == 1.0)  # exp(0) at each row's largest score
+        np.testing.assert_array_equal(np.vstack([l for _, l in tiles]),
+                                      np.sum(e, axis=1, keepdims=True))
         with ad.no_grad():
             out = ad.attention(q, k, v)
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
 
-    @pytest.mark.parametrize("tile_rows", [ad.ATTENTION_TILE_ROWS, 3])
-    def test_key_bias_of_log_counts_equals_expanded_keys(self, monkeypatch, tile_rows):
+    @pytest.mark.parametrize("tile_elems", [ad.ATTENTION_TILE_ELEMS, 12])
+    def test_key_bias_of_log_counts_equals_expanded_keys(self, monkeypatch, tile_elems):
         # Distinct keys and values, each weighed by a bias of log(count),
         # against attention over the keys and values repeated count times.
-        monkeypatch.setattr(ad, "ATTENTION_TILE_ROWS", tile_rows)
-        rng = np.random.default_rng(tile_rows)
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ELEMS", tile_elems)
+        rng = np.random.default_rng(tile_elems)
         counts = np.array([3, 1, 4, 2])
         group = np.repeat(np.arange(len(counts)), counts)
         rng.shuffle(group)
@@ -170,12 +189,53 @@ class TestAttention:
         v = parameter(rng.standard_normal((len(counts), 5)))
         k_all, v_all = parameter(k.data[group]), parameter(v.data[group])
         w = constant(rng.standard_normal((8, 5)))
+        tiles = len(kept_tiles(ad.attention(q, k, v, 0.6, np.log(counts))))
+        assert tiles == (1 if tile_elems > 12 else 3)  # 3 rows per tile at 12 over 4 keys
         got = TestAttention.run(ad.attention, (q, k, v), w, q, k, v, 0.6, np.log(counts))
         ref = TestAttention.run(ad.attention, (q, k_all, v_all), w, q, k_all, v_all, 0.6)
         for i in (2, 3):  # the expanded keys' and values' gradients, summed per group
             ref[i] = np.stack([ref[i][group == u].sum(axis=0) for u in range(len(counts))])
         for what, a, b in zip(("out", "q", "k", "v"), got, ref):
             assert relative_error(a, b) <= 1e-13, what
+
+    @pytest.mark.parametrize("case", ["scores_1e3", "equal_scores", "log_counts"])
+    def test_extreme_scores_stay_finite_and_match_chain(self, monkeypatch, case):
+        # Scores of magnitude 1e3 (exp of the unshifted ones overflows), a
+        # query row whose scores are all equal, and a key bias of log counts,
+        # over several tiles; pytest turns any floating-point warning into
+        # an error.
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ELEMS", 3 * 9)  # 3 rows per tile over 9 keys
+        rng = np.random.default_rng(7)
+        q = rng.standard_normal((8, 5)) * (20.0 if case == "scores_1e3" else 2.0)
+        k = rng.standard_normal((9, 5)) * (20.0 if case == "scores_1e3" else 2.0)
+        if case == "equal_scores":
+            q[3] = 0.0
+        bias = np.log(rng.integers(1, 50, size=9)) if case == "log_counts" else None
+        if case == "scores_1e3":
+            assert np.max(np.abs(q @ k.T)) > 1e3
+        v = rng.standard_normal((9, 4))
+        got, ref = self.against_chain(parameter(q), parameter(k), parameter(v),
+                                      constant(rng.standard_normal((8, 4))), 1.0, bias)
+        if case == "equal_scores":  # uniform weights: the mean value row
+            assert relative_error(got[0][3], np.mean(v, axis=0)) <= 1e-15
+        for what, a, b in zip(("out", "q", "k", "v"), got, ref):
+            assert np.all(np.isfinite(a)), what
+            assert relative_error(a, b) <= 1e-12, what
+
+    def test_losses_backpropagated_in_turn_equal_their_sum(self, monkeypatch, rng):
+        # One multi-tile self-attention graph, reused by two backward sweeps,
+        # against one sweep of the summed loss through a fresh graph.
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ELEMS", 2 * 9)  # 2 rows per tile over 9 keys
+        x = parameter(rng.standard_normal((9, 4)))
+        wa, wb = constant(rng.standard_normal((9, 4))), constant(rng.standard_normal((9, 4)))
+        out = ad.attention(x, x, x, 0.5)
+        assert len(kept_tiles(out)) >= 2
+        backward(ad.sum_all(ad.mul(out, wa)))
+        backward(ad.sum_all(ad.mul(out, wb)))
+        in_turn, x.grad = x.grad, None
+        out = ad.attention(x, x, x, 0.5)
+        backward(ad.add(ad.sum_all(ad.mul(out, wa)), ad.sum_all(ad.mul(out, wb))))
+        assert relative_error(in_turn, x.grad) <= 1e-13
 
     @pytest.mark.parametrize("bias, error", [(np.zeros(3), ShapeError),
                                              (np.zeros((1, 2)), ShapeError),
@@ -190,13 +250,6 @@ class TestAttention:
         with pytest.raises(ShapeError, match=r"\(2, 3\) x \(2, 4\)"):
             ad.attention(constant(np.zeros((2, 3))), constant(np.zeros((2, 4))),
                          constant(np.zeros((4, 1))))
-
-    def test_default_scenes_fit_one_tile(self):
-        # Every query of the default scene size runs as one tile, so training
-        # keeps the exact arithmetic of the unfused chain.
-        cfg = SceneConfig()
-        most_objects = cfg.plane_count[1] + cfg.box_count[1] + cfg.cylinder_count[1]
-        assert most_objects * cfg.points_per_object[1] <= ad.ATTENTION_TILE_ROWS
 
 
 class TestLogSoftmax:

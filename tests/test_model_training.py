@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -529,6 +530,23 @@ class TestPredict:
         assert model.forward(ep, train=False).logits.requires_grad  # graph mode is back
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_logits_without_a_graph_equal_recorded_logits_over_several_tiles(self, mode, pool,
+                                                                           monkeypatch):
+        _, novel = fold_classes(0)
+        ep = sample_episode(pool, 1, 1, seed=0, candidate_classes=novel)
+        n = len(ep.query)
+        # 4 query rows per tile wherever the keys are the query's points.
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ELEMS", 4 * n)
+        assert n > 2 * 4
+        model = SegModel(tiny_config(), mode)
+        recorded = model.forward(ep, train=False).logits
+        assert recorded.requires_grad
+        with ad.no_grad():
+            logits = model.forward(ep, train=False).logits
+        assert logits.data.tobytes() == recorded.data.tobytes()
+        np.testing.assert_array_equal(model.predict(ep), np.argmax(recorded.data, axis=1))
+
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("texture_id", [-1, 10])
     def test_texture_id_outside_the_table_names_it(self, mode, texture_id, pool):
         _, novel = fold_classes(0)
@@ -618,6 +636,24 @@ class TestTrainEpisode:
 
         r1, r2 = run(), run()
         assert [vars(a) for a in r1] == [vars(b) for b in r2]
+
+    def test_step_leaves_nothing_to_the_cyclic_collector(self, episode):
+        # Every object a decoupled training step creates is freed by
+        # reference counting: the collector, saving what it finds, finds
+        # nothing.
+        model = SegModel(tiny_config(), "decoupled")
+        opt = AdamW(model.parameters())
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.garbage.clear()
+            train_episode(model, episode, opt, LossWeights(), step=0)
+            gc.collect()
+            found = [type(x).__name__ for x in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert found == []
 
     def test_frozen_heads_bit_identical_after_training(self, pool):
         base, _ = fold_classes(0)

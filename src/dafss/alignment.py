@@ -19,7 +19,7 @@ from dafss.layers import Linear, linear
 
 def head_probs(refined: Tensor, head: Linear) -> Tensor:
     """Per-point class distribution ``softmax(refined @ w + b)``."""
-    return ad.softmax(linear(refined, head), axis=1)
+    return ad.softmax(linear(refined, head))
 
 
 def prototype_alignment_loss(geo_protos: Tensor, sem_protos: Tensor, proj: Linear) -> Tensor:

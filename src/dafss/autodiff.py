@@ -168,15 +168,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax(x: Tensor, axis: int) -> Tensor:
-    if axis >= x.data.ndim or axis < -x.data.ndim:
-        raise ShapeError(f"softmax axis {axis} out of range for shape {x.shape}")
-    s = x.data - np.max(x.data, axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the rows of a matrix with at least one column; each row sums to 1."""
+    if x.data.ndim != 2 or x.shape[1] == 0:
+        raise ShapeError(f"softmax expects a matrix with at least one column, got shape {x.shape}")
+    s = x.data - np.max(x.data, axis=1, keepdims=True)
     np.exp(s, out=s)
-    s /= np.sum(s, axis=axis, keepdims=True)
+    s /= np.sum(s, axis=1, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
-        t = g - np.sum(g * s, axis=axis, keepdims=True)
+        t = g - np.sum(g * s, axis=1, keepdims=True)
         t *= s
         _accum(x, t, owned=True)
 
@@ -195,7 +196,7 @@ ATTENTION_TILE_ELEMS = 65536
 
 def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0,
               key_bias: Optional[np.ndarray] = None) -> Tensor:
-    """``softmax(c * q @ k.T + key_bias, axis=1) @ v``, normalised after the value product.
+    """``softmax(c * q @ k.T + key_bias) @ v``, normalised after the value product.
 
     Keys are rows, ``[m, dk]``, as queries are. The ``[n, m]`` score matrix
     is never held whole: it is formed ``max(1, ATTENTION_TILE_ELEMS // m)``
@@ -222,8 +223,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0,
     expanded keys' gradients summed.
     """
     if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2
-            or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]):
-        raise ShapeError(f"attention requires [n,k] x [m,k] x [m,d], got "
+            or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0] or k.shape[0] == 0):
+        raise ShapeError(f"attention requires [n,k] x [m,k] x [m,d] with m >= 1, got "
                          f"{q.shape} x {k.shape} x {v.shape}")
     if key_bias is not None:
         key_bias = np.asarray(key_bias, dtype=np.float64)
@@ -288,16 +289,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0,
     return _node(out_data, (q, k, v), backward)
 
 
-def log_softmax(x: Tensor, axis: int) -> Tensor:
-    if axis >= x.data.ndim or axis < -x.data.ndim:
-        raise ShapeError(f"log_softmax axis {axis} out of range for shape {x.shape}")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+def log_softmax(x: Tensor) -> Tensor:
+    """Log-softmax over the rows of a matrix of at least one column."""
+    if x.data.ndim != 2 or x.shape[1] == 0:
+        raise ShapeError(f"log_softmax expects a matrix with at least one column, got shape {x.shape}")
+    shifted = x.data - np.max(x.data, axis=1, keepdims=True)
+    lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
     out_data = shifted - lse
     s = np.exp(out_data)
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, g - s * np.sum(g, axis=axis, keepdims=True), owned=True)
+        _accum(x, g - s * np.sum(g, axis=1, keepdims=True), owned=True)
 
     return _node(out_data, (x,), backward)
 

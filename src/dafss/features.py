@@ -24,7 +24,7 @@ from dafss import autodiff as ad
 from dafss.autodiff import Tensor, constant
 from dafss.errors import DegenerateSupportError, InputError, ShapeError
 from dafss.layers import init_linear, linear
-from dafss.scenes import Scene
+from dafss.scenes import N_CLASSES, Scene
 
 
 IF_CELLS = 64  # rows of the semantic head's positional table
@@ -46,16 +46,19 @@ class CorrelationPair:
 
 
 class UFHead:
-    """Pointwise two-layer MLP: (xyz, texture one-hot) -> geometric feature."""
+    """Pointwise two-layer MLP: (xyz, texture one-hot) -> geometric feature.
 
-    def __init__(self, rng: np.random.Generator, n_textures: int, d_out: int, hidden: int):
-        self.hidden = init_linear(rng, 3 + n_textures, hidden, "uf.hidden")
+    The one-hot has a column per catalog class (``N_CLASSES``), since a
+    texture id is a class id."""
+
+    def __init__(self, rng: np.random.Generator, d_out: int, hidden: int):
+        self.hidden = init_linear(rng, 3 + N_CLASSES, hidden, "uf.hidden")
         self.out = init_linear(rng, hidden, d_out, "uf.out")
 
 
-def _check_scene(scene: Scene, n_textures: int) -> None:
+def _check_scene(scene: Scene) -> None:
     """Raise unless ``scene.points`` is a finite ``[N, 3]`` array and
-    ``scene.texture`` holds N ids in ``[0, n_textures)``: what both encoders read."""
+    ``scene.texture`` holds N ids in ``[0, N_CLASSES)``: what both encoders read."""
     points, t = scene.points, scene.texture
     if points.ndim != 2 or points.shape[1] != 3 or t.shape != (len(points),):
         raise ShapeError(f"scene.points of shape {points.shape} and scene.texture of shape "
@@ -63,17 +66,16 @@ def _check_scene(scene: Scene, n_textures: int) -> None:
     nonfinite = ~np.all(np.isfinite(points), axis=1)
     if nonfinite.any():
         raise InputError(f"scene.points has a non-finite coordinate at point {np.argmax(nonfinite)}")
-    bad = (t < 0) | (t >= n_textures)
+    bad = (t < 0) | (t >= N_CLASSES)
     if bad.any():
         i = int(np.argmax(bad))
-        raise InputError(f"scene.texture id {t[i]} outside [0, {n_textures}) at point {i}")
+        raise InputError(f"scene.texture id {t[i]} outside [0, {N_CLASSES}) at point {i}")
 
 
 def uf_encode(scene: Scene, head: UFHead) -> Tensor:
     """Per-point geometric features, differentiable w.r.t. the head."""
-    n_textures = head.hidden.w.shape[0] - 3  # rows: xyz, then one per texture id
-    _check_scene(scene, n_textures)
-    x = constant(np.hstack([scene.points, np.eye(n_textures)[scene.texture]]))
+    _check_scene(scene)
+    x = constant(np.hstack([scene.points, np.eye(N_CLASSES)[scene.texture]]))
     return linear(ad.relu(linear(x, head.hidden)), head.out)
 
 
@@ -91,12 +93,14 @@ class IFHead:
     ``confusion`` is row-stochastic, ``1 - IF_CONFUSION`` on the diagonal and
     the rest spread evenly; ``cell`` hashes the ``IF_CELL_SIZE``-metre grid
     cell of a point into one of the ``IF_CELLS`` rows of ``pos_table``.
+    ``class_embed`` and ``confusion`` have a row per catalog class
+    (``N_CLASSES``).
     """
 
-    def __init__(self, rng: np.random.Generator, n_classes: int, d_out: int):
-        self.class_embed = rng.normal(0, 1.0, (n_classes, d_out))
+    def __init__(self, rng: np.random.Generator, d_out: int):
+        self.class_embed = rng.normal(0, 1.0, (N_CLASSES, d_out))
         self.class_embed /= np.linalg.norm(self.class_embed, axis=1, keepdims=True)
-        self.confusion = np.full((n_classes, n_classes), IF_CONFUSION / max(n_classes - 1, 1))
+        self.confusion = np.full((N_CLASSES, N_CLASSES), IF_CONFUSION / (N_CLASSES - 1))
         np.fill_diagonal(self.confusion, 1.0 - IF_CONFUSION)
         self.pos_table = rng.normal(0, 1.0, (IF_CELLS, d_out))
         self.pos_table /= np.linalg.norm(self.pos_table, axis=1, keepdims=True)
@@ -112,7 +116,7 @@ class IFHead:
 
 def if_encode(scene: Scene, head: IFHead) -> Tensor:
     """Per-point semantic features as a detached constant tensor."""
-    _check_scene(scene, len(head.class_embed))
+    _check_scene(scene)
     mixed = head.confusion[scene.texture] @ head.class_embed
     mixed = mixed + IF_POS_GAIN * head.pos_table[head._cells(scene.points)]
     norms = np.maximum(np.linalg.norm(mixed, axis=1, keepdims=True), 1e-12)
@@ -125,10 +129,11 @@ def if_encode(scene: Scene, head: IFHead) -> Tensor:
 
 
 class TextStub:
-    """Seeded class-id -> embedding table standing in for a text encoder."""
+    """Seeded class-id -> embedding table standing in for a text encoder,
+    one row per catalog class (``N_CLASSES``)."""
 
-    def __init__(self, rng: np.random.Generator, n_classes: int, d_out: int):
-        self.table = rng.normal(0, 1.0, (n_classes, d_out))
+    def __init__(self, rng: np.random.Generator, d_out: int):
+        self.table = rng.normal(0, 1.0, (N_CLASSES, d_out))
         self.table /= np.linalg.norm(self.table, axis=1, keepdims=True)
 
     def state_arrays(self) -> list[np.ndarray]:

@@ -160,9 +160,9 @@ class SegModel:
         rng = np.random.default_rng([config.seed, MODES.index(mode)])
 
         n_out = config.n_way + 1  # background plus one class per way
-        self.uf = UFHead(rng, n_textures=N_CLASSES, d_out=config.d_uf, hidden=config.uf_hidden)
-        self.if_head = IFHead(rng, n_classes=N_CLASSES, d_out=config.d_if)
-        self.text = TextStub(rng, n_classes=N_CLASSES, d_out=config.d_if)
+        self.uf = UFHead(rng, d_out=config.d_uf, hidden=config.uf_hidden)
+        self.if_head = IFHead(rng, d_out=config.d_if)
+        self.text = TextStub(rng, d_out=config.d_if)
 
         if mode == "decoupled":
             self.geo_expert = init_expert(rng, n_out, config.d_geo, config.heads, "geo")

@@ -1,4 +1,9 @@
-"""Adaptive-moment optimizer with decoupled weight decay."""
+"""Adaptive-moment optimizer with decoupled weight decay.
+
+The moment decay rates and the denominator's epsilon are fixed at Adam's
+defaults (Kingma & Ba, arXiv:1412.6980); the decay is decoupled from the
+moments as in AdamW (Loshchilov & Hutter, arXiv:1711.05101).
+"""
 
 from __future__ import annotations
 
@@ -32,24 +37,24 @@ class AdamW:
     the bias-corrected moment update. Parameters whose ``grad`` is ``None``
     are skipped entirely (they did not participate in the step). A step is
     all or nothing: every gradient is checked before any parameter moves.
+
+    Only ``lr`` and ``weight_decay`` are settable; the moment decay rates
+    ``beta1``, ``beta2`` and the denominator's ``eps`` are Adam's defaults.
     """
 
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
-                 weight_decay: float = 0.01, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 weight_decay: float = 0.01):
         self.params = dict(params)
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         for field, ok, rule in (("lr", self.lr > 0, "must be finite and positive"),
                                 ("weight_decay", self.weight_decay >= 0,
-                                 "must be finite and non-negative"),
-                                ("eps", self.eps > 0, "must be finite and positive")):
+                                 "must be finite and non-negative")):
             require(self, ok and np.isfinite(getattr(self, field)), field, rule)
-        for field in ("beta1", "beta2"):
-            require(self, 0 <= getattr(self, field) < 1, field, "must lie in [0, 1)")
         self.state: dict[str, OptimizerState] = {
             name: OptimizerState(np.zeros_like(p.data), np.zeros_like(p.data))
             for name, p in self.params.items()

@@ -8,7 +8,8 @@ canonical texture id; the ``texture_confusion`` knob makes geometrically
 different classes share one texture id within a scene, which is the
 controlled failure mode the rest of the pipeline is built to survive.
 Every coordinate carries ``NOISE_SIGMA`` of Gaussian jitter, and a scene
-holds at most ``MAX_POINTS`` points.
+holds at most ``MAX_POINTS`` points. Every scene draws its objects from
+the whole catalog.
 """
 
 from __future__ import annotations
@@ -58,13 +59,16 @@ def fold_classes(fold: int) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class SceneConfig:
+    """How many objects of each family a scene places, how many points each
+    object gets, and how often classes share a texture id. The class of an
+    object is drawn from its family's catalog classes."""
+
     plane_count: tuple[int, int] = (1, 2)
     box_count: tuple[int, int] = (1, 2)
     cylinder_count: tuple[int, int] = (1, 2)
     points_per_object: tuple[int, int] = (24, 48)
     texture_confusion: float = 0.0
     seed: int = 0
-    class_pool: tuple[int, ...] = tuple(range(N_CLASSES))
 
     def __post_init__(self):
         """Reject a setting that could not generate a valid scene."""
@@ -75,13 +79,11 @@ class SceneConfig:
             need(len(r) == 2 and is_integer(r[0]) and is_integer(r[1]) and 0 <= r[0] <= r[1],
                  field, "must be a range (lo, hi) of integers, 0 <= lo <= hi")
         need(self.points_per_object[0] >= 1, "points_per_object", "need a point per object")
-        pool = list(self.class_pool)
-        need(all(is_integer(c) for c in pool), "class_pool", "must be integers")
-        need(0 < len(pool) == len(set(pool)), "class_pool", "need unique class ids, at least one")
-        need(all(0 <= c < N_CLASSES for c in pool), "class_pool", f"must lie in [0, {N_CLASSES})")
-        covered = {CLASS_CATALOG[c][1] for c in pool}
-        need(sum(getattr(self, f"{fam}_count")[0] for fam in covered) >= 1, "class_pool",
-             "the families it covers must guarantee at least one object")
+        counts = [getattr(self, f"{fam}_count") for fam in FAMILIES]
+        if sum(lo for lo, _ in counts) < 1:
+            raise ConfigurationError(
+                f"{', '.join(f'{fam}_count' for fam in FAMILIES)} = "
+                f"{', '.join(map(repr, counts))}: their lower bounds must sum to at least 1")
         need(0.0 <= self.texture_confusion <= 1.0, "texture_confusion", "must lie in [0, 1]")
 
 
@@ -197,8 +199,8 @@ def generate_scene(config: SceneConfig, seed: int) -> Scene:
 
     chunks, labels = [], []
     for fam, count in zip(FAMILIES, counts):
-        pool = [c for c in config.class_pool if CLASS_CATALOG[c][1] == fam]
-        for _ in range(count if pool else 0):
+        pool = [c for c, entry in enumerate(CLASS_CATALOG) if entry[1] == fam]
+        for _ in range(count):
             cls = int(rng.choice(pool))
             n = int(rng.integers(config.points_per_object[0], config.points_per_object[1] + 1))
             pts = _SAMPLERS[fam](rng, CLASS_CATALOG[cls][2], n)
@@ -321,6 +323,9 @@ def read_scene(path) -> Scene:
         n_points, n_classes = int(fields[0]), int(fields[1])
     except ValueError:
         raise SceneParseError(2, f"counts must be integers, got {raw[1]!r}") from None
+    for what, count in (("point", n_points), ("class", n_classes)):
+        if count < 0:
+            raise SceneParseError(2, f"{what} count {count} is negative")
 
     rows = raw[2:]
     if len(rows) < n_points:

@@ -62,7 +62,7 @@ def _masked_cross_entropy(logits: Tensor, labels: np.ndarray, keep: np.ndarray,
         return constant(0.0)
     onehot = np.zeros((n, c))
     onehot[keep, labels[keep]] = 1.0
-    picked = ad.mul(ad.log_softmax(logits, axis=1), constant(onehot))
+    picked = ad.mul(ad.log_softmax(logits), constant(onehot))
     return ad.scale(ad.sum_all(picked), -1.0 / m)
 
 

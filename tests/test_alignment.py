@@ -126,19 +126,19 @@ class TestConsistency:
         # base values, which is exactly what the loss claims to compute.
         a = parameter(rng.standard_normal((3, 4)))
         b = parameter(rng.standard_normal((3, 4)))
-        p0 = ad.softmax(a, axis=1).data.copy()
-        q0 = ad.softmax(b, axis=1).data.copy()
+        p0 = ad.softmax(a).data.copy()
+        q0 = ad.softmax(b).data.copy()
 
         def kl_rows(p, anchor_vals):
             log_ratio = ad.sub(ad.safe_log(p), constant(np.log(anchor_vals)))
             return ad.scale(ad.sum_all(ad.mul(p, log_ratio)), 1.0 / p.shape[0])
 
         def surrogate():
-            p = ad.softmax(a, axis=1)
-            q = ad.softmax(b, axis=1)
+            p = ad.softmax(a)
+            q = ad.softmax(b)
             return ad.add(ad.scale(kl_rows(p, q0), 0.5), ad.scale(kl_rows(q, p0), 0.5))
 
-        loss = consistency_loss(ad.softmax(a, axis=1), ad.softmax(b, axis=1))
+        loss = consistency_loss(ad.softmax(a), ad.softmax(b))
         grads = backward(loss)
         from conftest import central_difference
 

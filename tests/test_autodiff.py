@@ -35,49 +35,60 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_uniform_on_equal_inputs(self):
-        out = ad.softmax(constant([0.0, 0.0, 0.0]), axis=0)
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, rtol=0, atol=1e-15)
+        out = ad.softmax(constant([[0.0, 0.0, 0.0]]))
+        np.testing.assert_allclose(out.data, [[1 / 3] * 3], rtol=0, atol=1e-15)
 
     @given(st.floats(-50, 50), st.floats(-30, 30), st.floats(-700, 700))
     @settings(max_examples=50, deadline=None)
     def test_shift_invariance(self, x, c, shift):
-        base = ad.softmax(constant([x, x + c]), axis=0).data
-        shifted = ad.softmax(constant([x + shift, x + c + shift]), axis=0).data
+        base = ad.softmax(constant([[x, x + c]])).data
+        shifted = ad.softmax(constant([[x + shift, x + c + shift]])).data
         np.testing.assert_allclose(base, shifted, rtol=0, atol=1e-12)
 
     def test_matches_direct_exp_sum(self):
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         expected = np.exp(x) / np.sum(np.exp(x))
-        out = ad.softmax(constant(x), axis=0)
+        out = ad.softmax(constant(x))
         assert relative_error(out.data, expected) < 1e-12
 
     def test_rows_sum_to_one(self, rng):
         x = constant(rng.standard_normal((5, 7)) * 30)
-        out = ad.softmax(x, axis=1)
+        out = ad.softmax(x)
         np.testing.assert_allclose(np.sum(out.data, axis=1), 1.0, atol=1e-9)
         assert np.all(out.data >= 0)
 
-    def test_axis_out_of_range(self):
-        with pytest.raises(ShapeError):
-            ad.softmax(constant(np.zeros((2, 2))), axis=2)
+    @pytest.mark.parametrize("op", [ad.softmax, ad.log_softmax], ids=["softmax", "log_softmax"])
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)], ids=["vector", "rank_3"])
+    def test_non_matrix_rejected(self, op, shape):
+        with pytest.raises(ShapeError, match="expects a matrix"):
+            op(constant(np.zeros(shape)))
+
+    @pytest.mark.parametrize("op", [ad.softmax, ad.log_softmax], ids=["softmax", "log_softmax"])
+    def test_no_columns_rejected(self, op):
+        # np.max over an empty row would raise numpy's ValueError instead.
+        with pytest.raises(ShapeError, match=r"at least one column, got shape \(2, 0\)"):
+            op(constant(np.zeros((2, 0))))
+
+    @pytest.mark.parametrize("op", [ad.softmax, ad.log_softmax], ids=["softmax", "log_softmax"])
+    def test_no_rows_accepted(self, op):
+        assert op(constant(np.zeros((0, 3)))).shape == (0, 3)
 
     def test_gradient(self, rng):
         x = parameter(rng.standard_normal((3, 4)))
         w = constant(rng.standard_normal((3, 4)))
-        check_grads(lambda: ad.sum_all(ad.mul(ad.softmax(x, axis=1), w)), {"x": x}, tol=1e-4)
+        check_grads(lambda: ad.sum_all(ad.mul(ad.softmax(x), w)), {"x": x}, tol=1e-4)
 
-    @pytest.mark.parametrize("axis", [0, 1, -1])
-    def test_bitwise_equal_to_textbook_formula(self, rng, axis):
-        # exp(x - max) / sum and s * (g - sum(g s)), one temporary each.
+    def test_bitwise_equal_to_textbook_formula(self, rng):
+        # exp(x - max) / sum and s * (g - sum(g s)) over each row, one temporary each.
         x = rng.standard_normal((6, 9)) * 20
         g = rng.standard_normal((6, 9))
-        e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-        s = e / np.sum(e, axis=axis, keepdims=True)
+        e = np.exp(x - np.max(x, axis=1, keepdims=True))
+        s = e / np.sum(e, axis=1, keepdims=True)
         p = parameter(x)
-        out = ad.softmax(p, axis=axis)
+        out = ad.softmax(p)
         backward(ad.sum_all(ad.mul(out, constant(g))))
         np.testing.assert_array_equal(out.data, s)
-        np.testing.assert_array_equal(p.grad, s * (g - np.sum(g * s, axis=axis, keepdims=True)))
+        np.testing.assert_array_equal(p.grad, s * (g - np.sum(g * s, axis=1, keepdims=True)))
 
 
 def attention_chain(q, k_t, v, c, key_bias=None):
@@ -88,7 +99,7 @@ def attention_chain(q, k_t, v, c, key_bias=None):
         scores = ad.scale(scores, c)
     if key_bias is not None:
         scores = ad.add(scores, constant(np.broadcast_to(key_bias, scores.shape)))
-    return ad.matmul(ad.softmax(scores, axis=1), v)
+    return ad.matmul(ad.softmax(scores), v)
 
 
 def kept_tiles(out):
@@ -251,18 +262,24 @@ class TestAttention:
             ad.attention(constant(np.zeros((2, 3))), constant(np.zeros((2, 4))),
                          constant(np.zeros((4, 1))))
 
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_zero_keys_rejected(self, requires_grad):
+        q = parameter(np.zeros((2, 3))) if requires_grad else constant(np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match=r"m >= 1, got \(2, 3\) x \(0, 3\) x \(0, 4\)"):
+            ad.attention(q, constant(np.zeros((0, 3))), constant(np.zeros((0, 4))))
+
 
 class TestLogSoftmax:
     def test_matches_log_of_softmax(self, rng):
         x = rng.standard_normal((4, 5))
-        ls = ad.log_softmax(constant(x), axis=1).data
-        s = ad.softmax(constant(x), axis=1).data
+        ls = ad.log_softmax(constant(x)).data
+        s = ad.softmax(constant(x)).data
         assert relative_error(ls, np.log(s)) < 1e-12
 
     def test_gradient(self, rng):
         x = parameter(rng.standard_normal((3, 4)))
         w = constant(rng.standard_normal((3, 4)))
-        check_grads(lambda: ad.sum_all(ad.mul(ad.log_softmax(x, axis=1), w)), {"x": x}, tol=1e-4)
+        check_grads(lambda: ad.sum_all(ad.mul(ad.log_softmax(x), w)), {"x": x}, tol=1e-4)
 
 
 class TestLayerNorm:
@@ -743,10 +760,10 @@ class TestNoGrad:
         a = parameter(rng.standard_normal((3, 4)))
         b = parameter(rng.standard_normal((4, 2)))
         with ad.no_grad():
-            out = ad.softmax(ad.matmul(a, b), axis=1)
+            out = ad.softmax(ad.matmul(a, b))
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
-        np.testing.assert_array_equal(out.data, ad.softmax(ad.matmul(a, b), axis=1).data)
+        np.testing.assert_array_equal(out.data, ad.softmax(ad.matmul(a, b)).data)
 
     def test_state_restored_after_nesting(self, rng):
         a = parameter(rng.standard_normal(3))
@@ -861,7 +878,7 @@ class TestBackward:
         def run():
             x = parameter(vals.copy())
             w = parameter(np.linspace(-1, 1, 16).reshape(4, 4))
-            loss = ad.sum_all(ad.mul(ad.softmax(ad.matmul(x, w), axis=1), constant(vals)))
+            loss = ad.sum_all(ad.mul(ad.softmax(ad.matmul(x, w)), constant(vals)))
             grads = backward(loss)
             return loss.data.copy(), grads[x].copy(), grads[w].copy()
 

@@ -42,13 +42,13 @@ class TestUFHead:
         scene = generate_scene(SceneConfig(points_per_object=(86, 86), plane_count=(2, 2),
                                            box_count=(2, 2), cylinder_count=(2, 2), seed=1), 0)
         cfg = ModelConfig()
-        head = UFHead(rng, n_textures=N_CLASSES, d_out=cfg.d_uf, hidden=cfg.uf_hidden)
+        head = UFHead(rng, d_out=cfg.d_uf, hidden=cfg.uf_hidden)
         out = uf_encode(scene, head)
         assert out.shape == (len(scene), cfg.d_uf)
 
     def test_permutation_equivariance(self, rng):
         scene = make_scene(rng)
-        head = UFHead(rng, n_textures=4, d_out=8, hidden=16)
+        head = UFHead(rng, d_out=8, hidden=16)
         out = uf_encode(scene, head).data
         perm = rng.permutation(len(scene))
         scene_p = Scene(points=scene.points[perm], texture=scene.texture[perm],
@@ -58,7 +58,7 @@ class TestUFHead:
 
     def test_gradient_wrt_params(self, rng):
         scene = make_scene(rng, n=6, n_classes=3)
-        head = UFHead(rng, n_textures=3, d_out=4, hidden=5)
+        head = UFHead(rng, d_out=4, hidden=5)
         w = constant(rng.standard_normal((6, 4)))
         check_grads(
             lambda: ad.sum_all(ad.mul(uf_encode(scene, head), w)),
@@ -75,18 +75,28 @@ def set_point(scene, i, value):
     scene.points[i, 1] = value
 
 
+@pytest.mark.parametrize("rows", [
+    lambda rng: UFHead(rng, d_out=8, hidden=16).hidden.w.shape[0] - 3,  # xyz, then the one-hot
+    lambda rng: len(IFHead(rng, d_out=8).class_embed),
+    lambda rng: len(TextStub(rng, d_out=8).table),
+], ids=["uf", "if", "text"])
+def test_heads_hold_a_row_per_catalog_class(rng, rows):
+    # texture ids and class ids are catalog class ids
+    assert rows(rng) == N_CLASSES
+
+
 class TestMalformedScene:
     """Both encoders reject, through one check, a scene they cannot read."""
 
     ENCODERS = {
-        "uf": lambda rng: (uf_encode, UFHead(rng, n_textures=4, d_out=8, hidden=16)),
-        "if": lambda rng: (if_encode, IFHead(rng, n_classes=4, d_out=8)),
+        "uf": lambda rng: (uf_encode, UFHead(rng, d_out=8, hidden=16)),
+        "if": lambda rng: (if_encode, IFHead(rng, d_out=8)),
     }
 
     @pytest.mark.parametrize("encoder", ["uf", "if"])
     @pytest.mark.parametrize("corrupt, error, message", [
-        (lambda s: set_texture(s, 3, 4), InputError,
-         "scene.texture id 4 outside \\[0, 4\\) at point 3"),
+        (lambda s: set_texture(s, 3, N_CLASSES), InputError,
+         f"scene.texture id {N_CLASSES} outside \\[0, {N_CLASSES}\\) at point 3"),
         (lambda s: set_texture(s, 0, 99), InputError, "texture id 99 outside"),
         (lambda s: set_texture(s, 5, -1), InputError, "scene.texture id -1 outside"),
         (lambda s: setattr(s, "texture", s.texture[:-1]), ShapeError,
@@ -110,7 +120,7 @@ class TestMalformedScene:
 class TestIFHead:
     def test_frozen_no_gradient_path(self, rng):
         scene = make_scene(rng)
-        head = IFHead(rng, n_classes=4, d_out=8)
+        head = IFHead(rng, d_out=8)
         feats = if_encode(scene, head)
         assert not feats.requires_grad
         y = parameter(rng.standard_normal(feats.shape))
@@ -119,24 +129,24 @@ class TestIFHead:
 
     def test_feature_norms_scaled(self, rng):
         scene = make_scene(rng)
-        head = IFHead(rng, n_classes=4, d_out=8)
+        head = IFHead(rng, d_out=8)
         feats = if_encode(scene, head).data
         np.testing.assert_allclose(np.linalg.norm(feats, axis=1), IF_FEATURE_NORM, atol=1e-9)
 
     def test_confusion_is_row_stochastic(self, rng):
-        head = IFHead(rng, n_classes=N_CLASSES, d_out=8)
+        head = IFHead(rng, d_out=8)
         off = ~np.eye(N_CLASSES, dtype=bool)
         assert np.all(np.diag(head.confusion) == 1.0 - IF_CONFUSION)
         assert np.all(head.confusion[off] == IF_CONFUSION / (N_CLASSES - 1))
         np.testing.assert_allclose(head.confusion.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_zero_off_mass_is_identity(self, rng, no_confusion):
-        head = IFHead(rng, n_classes=4, d_out=8)
-        assert head.confusion.tobytes() == np.eye(4).tobytes()
+        head = IFHead(rng, d_out=8)
+        assert head.confusion.tobytes() == np.eye(N_CLASSES).tobytes()
 
     def test_identity_confusion_separates_classes(self, rng, no_confusion):
         scene = make_scene(rng, n=60)
-        head = IFHead(rng, n_classes=4, d_out=16)
+        head = IFHead(rng, d_out=16)
         feats = if_encode(scene, head).data
         unit = feats / np.linalg.norm(feats, axis=1, keepdims=True)
         labels = scene.labels
@@ -148,11 +158,12 @@ class TestIFHead:
         assert min(within) > max(cross)
 
     def test_uniform_confusion_collapses_class_means(self, rng, monkeypatch):
-        monkeypatch.setattr(features, "IF_CONFUSION", 0.75)
+        monkeypatch.setattr(features, "IF_CONFUSION", (N_CLASSES - 1) / N_CLASSES)
         monkeypatch.setattr(features, "IF_POS_GAIN", 0.0)
         scene = make_scene(rng, n=80)
-        head = IFHead(rng, n_classes=4, d_out=8)
-        np.testing.assert_allclose(head.confusion, np.full((4, 4), 0.25))  # uniform rows
+        head = IFHead(rng, d_out=8)
+        np.testing.assert_allclose(head.confusion,  # uniform rows
+                                   np.full((N_CLASSES, N_CLASSES), 1 / N_CLASSES))
         feats = if_encode(scene, head).data
         means = [feats[scene.labels == c].mean(axis=0) for c in range(4)]
         for m in means[1:]:
@@ -161,7 +172,7 @@ class TestIFHead:
     def test_scale_invariance_of_correlations(self, rng):
         # scaling semantic features by a positive constant leaves cosines unchanged
         scene = make_scene(rng, n=10)
-        head = IFHead(rng, n_classes=4, d_out=8)
+        head = IFHead(rng, d_out=8)
         feats = if_encode(scene, head).data
         protos = rng.standard_normal((3, 8))
         c1 = ad.cosine_rows(constant(feats), constant(protos)).data
@@ -171,27 +182,27 @@ class TestIFHead:
 
 class TestTextStub:
     def test_single_base_class_mean(self, rng):
-        stub = TextStub(rng, n_classes=5, d_out=8)
+        stub = TextStub(rng, d_out=8)
         g_base, g_q = text_guidance([2], [0, 1], stub)
         np.testing.assert_array_equal(g_base.data, stub.table[2])
         assert g_q.shape == (2, 8)
 
     def test_symmetric_embeddings_cancel(self, rng):
-        stub = TextStub(rng, n_classes=2, d_out=4)
+        stub = TextStub(rng, d_out=4)
         stub.table[1] = -stub.table[0]
         g_base, _ = text_guidance([0, 1], [0], stub)
         np.testing.assert_allclose(g_base.data, np.zeros(4), atol=1e-15)
 
     def test_three_class_mean_matches_hand_computation(self, rng):
-        stub = TextStub(rng, n_classes=4, d_out=3)
+        stub = TextStub(rng, d_out=3)
         stub.table = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0], [2.0, 3.0, 0.0], [9.0, 9.0, 9.0]])
         g_base, _ = text_guidance([0, 1, 2], [3], stub)
         np.testing.assert_allclose(g_base.data, [1.0, 2.0, 1.0], atol=1e-12)
 
     def test_unknown_id(self, rng):
-        stub = TextStub(rng, n_classes=3, d_out=4)
-        with pytest.raises(InputError, match="class id 7 outside"):
-            text_guidance([7], [0], stub)
+        stub = TextStub(rng, d_out=4)
+        with pytest.raises(InputError, match=f"class id {N_CLASSES} outside"):
+            text_guidance([N_CLASSES], [0], stub)
         assert not text_guidance([0], [1], stub)[1].requires_grad
 
 
@@ -282,7 +293,7 @@ class TestCorrelations:
         # argmaxes on its own class column
         monkeypatch.setattr(features, "IF_POS_GAIN", 0.0)
         scene = make_scene(rng, n=30, n_classes=3)
-        if_head = IFHead(rng, n_classes=3, d_out=16)
+        if_head = IFHead(rng, d_out=16)
         feats = if_encode(scene, if_head)
         masks = [scene.labels == 1, scene.labels == 2]
         geo, sem = extract_prototypes(feats, feats, masks)

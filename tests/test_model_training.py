@@ -139,7 +139,7 @@ def seg_loss_reference(logits, labels):
     n, c = logits.shape
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    return ad.scale(ad.sum_all(ad.mul(ad.log_softmax(logits, axis=1), constant(onehot))), -1.0 / n)
+    return ad.scale(ad.sum_all(ad.mul(ad.log_softmax(logits), constant(onehot))), -1.0 / n)
 
 
 def base_loss_reference(aux_logits, base_labels):
@@ -148,7 +148,7 @@ def base_loss_reference(aux_logits, base_labels):
     n, c = aux_logits.shape
     onehot = np.zeros((n, c))
     onehot[keep, base_labels[keep]] = 1.0
-    picked = ad.mul(ad.log_softmax(aux_logits, axis=1), constant(onehot))
+    picked = ad.mul(ad.log_softmax(aux_logits), constant(onehot))
     return ad.scale(ad.sum_all(picked), -1.0 / int(keep.sum()))
 
 

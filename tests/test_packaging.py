@@ -1,5 +1,7 @@
 import ast
 import importlib
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,3 +44,30 @@ def test_library_imports_only_numpy_and_the_standard_library():
     foreign = {str(path.relative_to(PACKAGE)): sorted(imported_modules(path.read_text()) - ALLOWED_IMPORTS)
                for path in files}
     assert {name: mods for name, mods in foreign.items() if mods} == {}
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_property_fails(x):
+    assert x < 0
+
+
+def test_after_the_failure():
+    pass
+"""
+
+
+def test_failing_hypothesis_example_is_reported_and_the_run_goes_on(tmp_path):
+    # Under the repository's pytest settings a falsified property is an
+    # ordinary failure: its example is printed and later tests still run.
+    shutil.copy(PYPROJECT, tmp_path / "pyproject.toml")
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider",
+                           "test_probe.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "test_after_the_failure PASSED" in proc.stdout

@@ -187,40 +187,65 @@ def softmax(x: Tensor) -> Tensor:
 # Score elements per tile of attention, 512 KB of float64: rows per tile
 # are max(1, ATTENTION_TILE_ELEMS // m) over m keys, so a tile and the
 # backward's gradient tile of the same size fit a 2 MB L2 cache together.
-# At m = 826, d_k = 3 (one thread, 2-core VM, numpy 2.4 with OpenBLAS), a
-# forward pass took 1.9 ms with 79-row tiles, against 2.9 ms for one tile of
-# all rows (and 2.4 ms with 16384-element tiles); over one [826, 48] query
-# the budgets from 32768 to 262144 elements were within noise of each other.
+# At m = n = 826 (one thread, 2-core VM, numpy 2.4 with OpenBLAS), d_k = 3,
+# a forward pass took 1.2 ms with 79-row tiles, against 1.9 ms for one tile
+# of all rows and 1.4 ms with 16384-element tiles, and forward plus backward
+# 3.2 ms, against 5.3 ms and 3.5 ms; at d_k = 48 the forward took 4.1-4.8 ms
+# at every budget from 16384 elements to one tile, and forward plus backward
+# 12.3 ms here against 10.9 ms for one tile.
 ATTENTION_TILE_ELEMS = 65536
+# A row of attention whose exp sum falls below this is formed again from
+# its exact row max: its bound overshot its largest score by about 460 or more.
+ROW_SUM_FLOOR = 1e-200
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0,
               key_bias: Optional[np.ndarray] = None) -> Tensor:
-    """``softmax(c * q @ k.T + key_bias) @ v``, normalised after the value product.
+    """``softmax(c * q @ k.T + key_bias) @ v``, with ``exp`` the one pass over a score tile.
 
     Keys are rows, ``[m, dk]``, as queries are. The ``[n, m]`` score matrix
     is never held whole: it is formed ``max(1, ATTENTION_TILE_ELEMS // m)``
-    query rows at a time, from the queries scaled once, ``(c * q) @ k.T``.
-    Each tile's row max is subtracted and ``e = exp`` taken in place; the
-    tile's output is ``(e @ v) / l`` with ``l`` the row sums of ``e``, so
-    only the ``[rows, dv]`` product is divided, never the tile. A recorded
-    graph keeps only the ``e`` tiles (each row's largest entry exactly 1)
-    and their row sums, and its backward, with ``g' = g / l``, is
+    query rows at a time. Each row ``i`` is shifted by a bound on its
+    scores rather than by their max,
 
-        dv = e^T g',    t = (g' v^T - rowsum(g' v^T * e) / l) * e,
-        dq = c * t k,   dk = c * t^T q.
+        bound_i = |c q_i| * max_j |k_j| + max(key_bias) >= max_j s_ij
+
+    by Cauchy-Schwarz, so no ``exp`` overflows, and the shift cancels in the
+    normalisation. Both the shift and the bias ride on the score product:
+    one product ``[c q, 1, -bound] @ [k^T; key_bias; 1]`` gives the shifted
+    tile, ``e = exp`` is taken in place, and one product ``e @ [v, 1]``
+    gives ``e @ v`` and the row sums ``l`` together. Only the ``[rows, dv]``
+    block is divided by ``l``, never the tile.
+
+    A row whose ``l`` falls below ``ROW_SUM_FLOOR`` had its bound overshoot
+    its largest score by hundreds, and its ``e`` lost its precision to
+    underflow; it is formed again shifted by its exact row max. Training
+    and evaluating the default models overshot by at most 3.9 at d_k = 3
+    and 18.4 at d_k = 48, so only scores far outside that range take this
+    path.
+
+    A recorded graph keeps only the ``e`` tiles (no entry above 1 but by
+    rounding) and their row sums. With ``g' = g / l`` and ``out`` the
+    output rows, ``rowsum(g' v^T * e) / l = rowsum(g' * out)``, so the
+    backward is
+
+        dv = e^T g',    t = ([g', -rowsum(g' * out)] @ [v^T; 1]) * e,
+        dq = c * t k,   dk = c * t^T q,
+
+    and touches each tile once besides its products.
 
     This differs from the chain ``matmul, scale, softmax, matmul`` in
     rounding only, not in its bits: the tests hold outputs and gradients
     within 1e-13 relative of the chain's, and within 1e-12 for scores of
-    magnitude 1e3 and for rows whose scores are all equal.
+    magnitude 1e3, for rows whose scores are all equal and for rows that
+    take the exact-max path.
 
     ``key_bias``, a constant ``[m]`` vector, is added to every row of the
-    scaled scores before the row max, and the backward is the same with or
-    without it. A key row that stands for ``n`` equal keys (and its value
-    row for their ``n`` equal values) with a bias of ``log n`` gives the
-    output of attention over the expanded keys; its gradient is the
-    expanded keys' gradients summed.
+    scaled scores, and the backward is the same with or without it. A key
+    row that stands for ``n`` equal keys (and its value row for their ``n``
+    equal values) with a bias of ``log n`` gives the output of attention
+    over the expanded keys; its gradient is the expanded keys' gradients
+    summed.
     """
     if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2
             or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0] or k.shape[0] == 0):
@@ -235,47 +260,63 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0,
             raise InputError(f"attention key_bias has a non-finite value at key "
                              f"{int(np.argmin(np.isfinite(key_bias)))}")
     c = float(c)
-    n, m = q.shape[0], k.shape[0]
-    cq = q.data * c if c != 1.0 else q.data
-    k_t = k.data.T.copy()
+    (n, dk), (m, dv) = q.shape, v.shape
+    # qs = [c q, 1, -bound] and kb = [k^T; key_bias; 1]: qs @ kb = s - bound.
+    qs = np.empty((n, dk + 2))
+    cq = np.multiply(q.data, c, out=qs[:, :dk])
+    qs[:, dk] = 1.0
+    kb = np.empty((dk + 2, m))
+    kb[:dk] = k.data.T
+    kb[dk] = 0.0 if key_bias is None else key_bias
+    kb[dk + 1] = 1.0
+    bound = qs[:, dk + 1]
+    np.sqrt(np.einsum("ij,ij->i", cq, cq), out=bound)
+    bound *= -float(np.einsum("ij,ij->i", k.data, k.data).max()) ** 0.5
+    if key_bias is not None:
+        bound -= key_bias.max()
+    vb = np.empty((m, dv + 1))  # [v, 1]: e @ vb = [e @ v, l]
+    vb[:, :dv] = v.data
+    vb[:, dv] = 1.0
     step = max(1, ATTENTION_TILE_ELEMS // m)
     rows = [slice(lo, lo + step) for lo in range(0, n, step)]
     # Tiles are kept only for a graph that will be recorded, so a forward pass
     # without one holds a single tile at a time.
     record = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     tiles = []
-    out_data = np.empty((n, v.shape[1]))
+    out_data = np.empty((n, dv))
     for r in rows:
-        e = cq[r] @ k_t
-        if key_bias is not None:
-            e += key_bias
-        e -= np.max(e, axis=1, keepdims=True)
+        e = qs[r] @ kb
         np.exp(e, out=e)
-        l = np.sum(e, axis=1, keepdims=True)
-        o = out_data[r]
-        np.matmul(e, v.data, out=o)
-        o /= l
+        p = e @ vb
+        if p[:, dv].min() < ROW_SUM_FLOOR:
+            low = np.flatnonzero(p[:, dv] < ROW_SUM_FLOOR)
+            s = qs[r.start + low, :dk + 1] @ kb[:dk + 1]  # exact scores, no bound
+            s -= np.max(s, axis=1, keepdims=True)
+            e[low] = np.exp(s, out=s)
+            p[low] = s @ vb
+        l = p[:, dv:]
+        np.divide(p[:, :dv], l, out=out_data[r])
         if record:
-            tiles.append((e, l))
+            tiles.append((e, l.copy()))  # a view would keep all of p alive
 
     def backward(g: np.ndarray) -> None:
         gq = np.empty_like(q.data) if q.requires_grad else None
-        gk = gv = None
+        gk = np.zeros((dk, m)) if k.requires_grad else None
+        gv = np.zeros((m, dv)) if v.requires_grad else None
         for r, (e, l) in zip(rows, tiles):
-            gr = g[r] / l
-            if v.requires_grad:
-                p = e.T @ gr
-                gv = p if gv is None else np.add(gv, p, out=gv)
-            if not (q.requires_grad or k.requires_grad):
+            gb = np.empty((e.shape[0], dv + 1))  # [g', -rowsum(g' * out)]
+            gr = np.divide(g[r], l, out=gb[:, :dv])
+            if gv is not None:
+                gv += e.T @ gr
+            if gq is None and gk is None:
                 continue
-            t = gr @ v.data.T
-            t -= (np.einsum("ij,ij->i", t, e) / l[:, 0])[:, None]  # no [rows, m] temporary
+            np.negative(np.einsum("ij,ij->i", gr, out_data[r]), out=gb[:, dv])
+            t = gb @ vb.T
             t *= e
             if gq is not None:
-                np.matmul(t, k_t.T, out=gq[r])
-            if k.requires_grad:
-                p = q.data[r].T @ t  # [dk, m]
-                gk = p if gk is None else np.add(gk, p, out=gk)
+                np.matmul(t, k.data, out=gq[r])
+            if gk is not None:
+                gk += q.data[r].T @ t
         if gv is not None:
             _accum(v, gv, owned=True)
         # t is the gradient of the scaled scores (c * q) @ k.T
@@ -367,18 +408,26 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     statistics and folds them into the running ones, whose ``data`` it
     rebinds; evaluation uses the running ones.
 
-    ``counts``, when given, says that row ``i`` of ``x`` stands for
-    ``counts[i]`` equal rows of a batch of ``M = sum(counts)`` rows. The
-    statistics are then that batch's, ``mean = counts @ x / M`` and ``var =
-    counts @ (x - mean)**2 / M``, and row ``i`` of the result is each of
-    its copies' output. The gradient arriving at row ``i`` must be the sum
-    over those copies, as a row gather's backward gives it; the gradient of
-    ``x`` is then the copies' gradients summed per row."""
+    ``counts``, when given, integers of at least 1, says that row ``i`` of
+    ``x`` stands for ``counts[i]`` equal rows of a batch of ``M =
+    sum(counts)`` rows. The statistics are then that batch's, ``mean =
+    counts @ x / M`` and ``var = counts @ (x - mean)**2 / M``, and row
+    ``i`` of the result is each of its copies' output. The gradient
+    arriving at row ``i`` must be the sum over those copies, as a row
+    gather's backward gives it; the gradient of ``x`` is then the copies'
+    gradients summed per row."""
     if counts is not None:
-        counts = np.asarray(counts, dtype=np.float64)
+        counts = np.asarray(counts)
         if counts.shape != (x.shape[0],):
             raise ShapeError(f"batch_norm counts of shape {counts.shape} do not match "
                              f"{x.shape[0]} rows")
+        if counts.dtype.kind not in "iu":
+            raise InputError(f"batch_norm counts must be an integer array, "
+                             f"got dtype {counts.dtype}")
+        if np.any(counts < 1):
+            i = int(np.argmax(counts < 1))
+            raise InputError(f"batch_norm count {counts[i]} at row {i} is below 1")
+        counts = counts.astype(np.float64)
     if not train:
         return _normalize(x, gamma, beta, axis=0, stats=(running_mean.data, running_var.data))[0]
     out, mean, var = _normalize(x, gamma, beta, axis=0, counts=counts)

@@ -58,7 +58,7 @@ class UFHead:
 
 def _check_scene(scene: Scene) -> None:
     """Raise unless ``scene.points`` is a finite ``[N, 3]`` array and
-    ``scene.texture`` holds N ids in ``[0, N_CLASSES)``: what both encoders read."""
+    ``scene.texture`` holds N integer ids in ``[0, N_CLASSES)``: what both encoders read."""
     points, t = scene.points, scene.texture
     if points.ndim != 2 or points.shape[1] != 3 or t.shape != (len(points),):
         raise ShapeError(f"scene.points of shape {points.shape} and scene.texture of shape "
@@ -66,6 +66,8 @@ def _check_scene(scene: Scene) -> None:
     nonfinite = ~np.all(np.isfinite(points), axis=1)
     if nonfinite.any():
         raise InputError(f"scene.points has a non-finite coordinate at point {np.argmax(nonfinite)}")
+    if t.dtype.kind not in "iu":  # floats and bools are not texture ids
+        raise InputError(f"scene.texture must be an integer array, got dtype {t.dtype}")
     bad = (t < 0) | (t >= N_CLASSES)
     if bad.any():
         i = int(np.argmax(bad))

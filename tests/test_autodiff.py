@@ -178,9 +178,10 @@ class TestAttention:
         assert [e.shape for e, _ in tiles] == [(3, 5), (3, 5), (1, 5)]
         assert [l.shape for _, l in tiles] == [(3, 1), (3, 1), (1, 1)]
         e = np.vstack([e for e, _ in tiles])
-        assert np.all(np.max(e, axis=1) == 1.0)  # exp(0) at each row's largest score
-        np.testing.assert_array_equal(np.vstack([l for _, l in tiles]),
-                                      np.sum(e, axis=1, keepdims=True))
+        assert np.all(np.max(e, axis=1) <= 1.0)  # scores shifted by a bound on each row's largest
+        # The row sums come out of the value product, so in rounding only.
+        np.testing.assert_allclose(np.vstack([l for _, l in tiles]),
+                                   np.sum(e, axis=1, keepdims=True), rtol=1e-15, atol=0)
         with ad.no_grad():
             out = ad.attention(q, k, v)
         assert not out.requires_grad
@@ -232,6 +233,43 @@ class TestAttention:
         for what, a, b in zip(("out", "q", "k", "v"), got, ref):
             assert np.all(np.isfinite(a)), what
             assert relative_error(a, b) <= 1e-12, what
+
+    @pytest.mark.parametrize("key_bias", [False, True])
+    def test_rows_far_below_their_bound_match_chain(self, monkeypatch, key_bias):
+        # Queries orthogonal to the one long key have scores far below the
+        # bound |c q_i| max_j |k_j| + max(key_bias); shifted by it, their exp
+        # would underflow to zero, so they are formed again from their exact
+        # max. Tiles of 3 rows mix them with rows along the long key.
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ELEMS", 3 * 6)  # 3 rows per tile over 6 keys
+        rng = np.random.default_rng(11)
+        k = rng.standard_normal((6, 4))
+        k[0] = [100.0, 0.0, 0.0, 0.0]
+        q = rng.standard_normal((8, 4))
+        q[1::2, 0] = 0.0
+        q[1::2] *= 20.0 / np.linalg.norm(q[1::2], axis=1, keepdims=True)
+        bias = np.log(rng.integers(1, 50, size=6)) if key_bias else None
+        c = 0.5
+        scores = c * q @ k.T + (0.0 if bias is None else bias)
+        bound = (np.linalg.norm(c * q, axis=1) * np.max(np.linalg.norm(k, axis=1))
+                 + (0.0 if bias is None else np.max(bias)))
+        overshoot = bound - np.max(scores, axis=1)
+        assert np.all(overshoot[1::2] > 745) and np.all(overshoot[::2] < 745)
+        v = rng.standard_normal((6, 3))
+        got, ref = self.against_chain(parameter(q), parameter(k), parameter(v),
+                                      constant(rng.standard_normal((8, 3))), c, bias)
+        for what, a, b in zip(("out", "q", "k", "v"), got, ref):
+            assert np.all(np.isfinite(a)), what
+            assert relative_error(a, b) <= 1e-12, what
+
+    def test_no_query_rows(self, rng):
+        q = parameter(np.zeros((0, 3)))
+        k, v = parameter(rng.standard_normal((5, 3))), parameter(rng.standard_normal((5, 4)))
+        out = ad.attention(q, k, v, 0.5)
+        assert out.shape == (0, 4)
+        backward(ad.sum_all(out))
+        assert q.grad.shape == (0, 3)
+        for t in (k, v):
+            np.testing.assert_array_equal(t.grad, np.zeros(t.shape))
 
     def test_losses_backpropagated_in_turn_equal_their_sum(self, monkeypatch, rng):
         # One multi-tile self-attention graph, reused by two backward sweeps,
@@ -429,6 +467,20 @@ class TestWeightedBatchNorm:
         with pytest.raises(ShapeError, match="counts"):
             ad.batch_norm(constant(np.ones((3, 2))), constant(np.ones(2)), constant(np.zeros(2)),
                           *running_stats(2), train=True, counts=np.array([2, 2]))
+
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("counts, message", [
+        ([3, -1], "count -1 at row 1 is below 1"),
+        ([2, 0], "count 0 at row 1 is below 1"),
+        ([1.5, 0.7], "must be an integer array, got dtype float64"),
+        ([True, True], "must be an integer array, got dtype bool"),
+    ], ids=["negative", "zero", "fractional", "bool"])
+    def test_counts_must_be_positive_integers(self, train, counts, message):
+        mean, var = running_stats(2)
+        with pytest.raises(InputError, match=message):
+            ad.batch_norm(constant(np.ones((2, 2))), constant(np.ones(2)), constant(np.zeros(2)),
+                          mean, var, train=train, counts=np.array(counts))
+        assert mean.data.tobytes() == np.zeros(2).tobytes()
 
 
 def norm_reference(x, gamma, beta, g, axis, stats=None):

@@ -101,6 +101,10 @@ class TestMalformedScene:
         (lambda s: set_texture(s, 5, -1), InputError, "scene.texture id -1 outside"),
         (lambda s: setattr(s, "texture", s.texture[:-1]), ShapeError,
          "scene.texture of shape \\(39,\\) are not"),
+        (lambda s: setattr(s, "texture", s.texture + 0.0), InputError,
+         "scene.texture must be an integer array, got dtype float64"),
+        (lambda s: setattr(s, "texture", s.texture > 0), InputError,
+         "scene.texture must be an integer array, got dtype bool"),
         (lambda s: setattr(s, "points", s.points[:, :2]), ShapeError,
          "scene.points of shape \\(40, 2\\) and .* are not \\[N, 3\\] and \\[N\\]"),
         (lambda s: set_point(s, 7, np.nan), InputError,
@@ -108,7 +112,8 @@ class TestMalformedScene:
         (lambda s: set_point(s, 2, -np.inf), InputError,
          "scene.points has a non-finite coordinate at point 2"),
     ], ids=["texture_past_table", "texture_far_past_table", "negative_texture",
-            "short_texture", "points_not_xyz", "nan_coordinate", "infinite_coordinate"])
+            "short_texture", "float_texture", "bool_texture", "points_not_xyz", "nan_coordinate",
+            "infinite_coordinate"])
     def test_rejected_naming_the_field(self, rng, encoder, corrupt, error, message):
         encode, head = self.ENCODERS[encoder](rng)
         scene = make_scene(rng)

@@ -12,8 +12,8 @@ every token from base-class guidance
 (foreground channels pass through bitwise untouched), then applies residual
 self-attention with a layer norm. Its tokens have full rank, so the
 attention keeps dense weights: one ``[d, 3d]`` q/k/v matrix, whose one
-product gives every head's q, k and v as column blocks, and a ``[d, d]``
-output matrix. The final features are amplified
+product gives every head's q, k and v as column blocks of one attention
+call, and a ``[d, d]`` output matrix. The final features are amplified
 channel-wise by a sigmoid gate driven by the target-class embeddings. The
 decoder smooths them over each point's k nearest neighbours, found by a
 block-local search and applied as one weighted row gather, and a small
@@ -47,20 +47,12 @@ def init_attention(rng: np.random.Generator, d: int, heads: int, prefix: str) ->
                            wo=init_weight(rng, d, d, f"{prefix}.wo"), heads=heads)
 
 
-def _head_qkv(x: Tensor, attn: AttentionParams) -> list:
-    """Each head's ``(q, k, v)`` of the token rows ``x``: column blocks of
-    the one product ``x @ wqkv``."""
-    qkv = ad.matmul(x, attn.wqkv)
-    d, dh = attn.wo.shape[0], attn.wo.shape[0] // attn.heads
-    return [tuple(ad.slice_cols(qkv, g * d + h * dh, g * d + (h + 1) * dh) for g in range(3))
-            for h in range(attn.heads)]
-
-
 def mhsa(x: Tensor, attn: AttentionParams) -> Tensor:
-    """Scaled dot-product self-attention over token rows of [t, d]."""
-    inv_sqrt = 1.0 / np.sqrt(attn.wo.shape[0] // attn.heads)
-    heads = [ad.attention(q, k, v, inv_sqrt) for q, k, v in _head_qkv(x, attn)]
-    return ad.matmul(ad.concat(heads, axis=1), attn.wo)
+    """Scaled dot-product self-attention over token rows of [t, d], every head in one call."""
+    d, h = attn.wo.shape[0], attn.heads
+    qkv = ad.matmul(x, attn.wqkv)
+    q, k, v = (ad.slice_cols(qkv, g * d, (g + 1) * d) for g in range(3))
+    return ad.matmul(ad.attention(q, k, v, 1.0 / np.sqrt(d // h), heads=h), attn.wo)
 
 
 @dataclass

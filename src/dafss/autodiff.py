@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from dafss.errors import DegenerateBatchError, GraphError, InputError, ShapeError
+from dafss.errors import DegenerateBatchError, GraphError, InputError, ShapeError, is_integer
 
 NORM_EPS = 1e-5  # added to the variance by layer_norm and batch_norm
 BATCH_NORM_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
@@ -200,7 +200,7 @@ ROW_SUM_FLOOR = 1e-200
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0,
-              key_bias: Optional[np.ndarray] = None) -> Tensor:
+              key_bias: Optional[np.ndarray] = None, heads: int = 1) -> Tensor:
     """``softmax(c * q @ k.T + key_bias) @ v``, with ``exp`` the one pass over a score tile.
 
     Keys are rows, ``[m, dk]``, as queries are. The ``[n, m]`` score matrix
@@ -246,86 +246,94 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0,
     equal values) with a bias of ``log n`` gives the output of attention
     over the expanded keys; its gradient is the expanded keys' gradients
     summed.
+
+    With ``heads = H``, ``q`` is ``[n, H*dk]``, head ``h`` in column block ``h``,
+    and ``k`` and ``v`` hold a block per head or one all heads share (``dk``
+    wide if ``H > 1``). Each head keeps its own tiles and has the bits of its
+    own call; a shared block is set up once and its gradient summed.
     """
-    if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2
-            or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0] or k.shape[0] == 0):
-        raise ShapeError(f"attention requires [n,k] x [m,k] x [m,d] with m >= 1, got "
-                         f"{q.shape} x {k.shape} x {v.shape}")
-    if key_bias is not None:
-        key_bias = np.asarray(key_bias, dtype=np.float64)
-        if key_bias.shape != (k.shape[0],):
-            raise ShapeError(f"attention key_bias of shape {key_bias.shape} does not match "
-                             f"{k.shape[0]} keys")
-        if not np.all(np.isfinite(key_bias)):
-            raise InputError(f"attention key_bias has a non-finite value at key "
-                             f"{int(np.argmin(np.isfinite(key_bias)))}")
+    if not (is_integer(heads) and heads >= 1 and q.data.ndim == k.data.ndim == v.data.ndim == 2
+            and q.shape[1] % heads == 0 and k.shape[0] == v.shape[0] >= 1
+            and k.shape[1] in (q.shape[1] // heads, q.shape[1])
+            and (heads == 1 or v.shape[1] in (q.shape[1] // heads, q.shape[1]))):
+        raise ShapeError(f"attention of {heads!r} heads requires [n,H*dk] x [m,dk|H*dk] x [m,d|H*d], "
+                         f"d = dk if H > 1, m >= 1, got {q.shape} x {k.shape} x {v.shape}")
+    bias = np.zeros(k.shape[0]) if key_bias is None else np.asarray(key_bias, dtype=np.float64)
+    if bias.shape != (k.shape[0],):
+        raise ShapeError(f"attention key_bias of shape {bias.shape} does not match "
+                         f"{k.shape[0]} keys")
+    if not np.all(np.isfinite(bias)):
+        raise InputError(f"attention key_bias has a non-finite value at key "
+                         f"{int(np.argmin(np.isfinite(bias)))}")
     c = float(c)
-    (n, dk), (m, dv) = q.shape, v.shape
-    # qs = [c q, 1, -bound] and kb = [k^T; key_bias; 1]: qs @ kb = s - bound.
-    qs = np.empty((n, dk + 2))
-    cq = np.multiply(q.data, c, out=qs[:, :dk])
-    qs[:, dk] = 1.0
-    kb = np.empty((dk + 2, m))
-    kb[:dk] = k.data.T
-    kb[dk] = 0.0 if key_bias is None else key_bias
-    kb[dk + 1] = 1.0
-    bound = qs[:, dk + 1]
-    np.sqrt(np.einsum("ij,ij->i", cq, cq), out=bound)
-    bound *= -float(np.einsum("ij,ij->i", k.data, k.data).max()) ** 0.5
-    if key_bias is not None:
-        bound -= key_bias.max()
-    vb = np.empty((m, dv + 1))  # [v, 1]: e @ vb = [e @ v, l]
-    vb[:, :dv] = v.data
-    vb[:, dv] = 1.0
+    n, m, dk = q.shape[0], k.shape[0], q.shape[1] // heads
+    dv = v.shape[1] if heads == 1 else dk
+    n_kb, n_vb = (1 if t.shape[1] == d else heads for t, d in ((k, dk), (v, dv)))
     step = max(1, ATTENTION_TILE_ELEMS // m)
     rows = [slice(lo, lo + step) for lo in range(0, n, step)]
     # Tiles are kept only for a graph that will be recorded, so a forward pass
     # without one holds a single tile at a time.
     record = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     tiles = []
-    out_data = np.empty((n, dv))
-    for r in rows:
-        e = qs[r] @ kb
-        np.exp(e, out=e)
-        p = e @ vb
-        if p[:, dv].min() < ROW_SUM_FLOOR:
-            low = np.flatnonzero(p[:, dv] < ROW_SUM_FLOOR)
-            s = qs[r.start + low, :dk + 1] @ kb[:dk + 1]  # exact scores, no bound
-            s -= np.max(s, axis=1, keepdims=True)
-            e[low] = np.exp(s, out=s)
-            p[low] = s @ vb
-        l = p[:, dv:]
-        np.divide(p[:, :dv], l, out=out_data[r])
-        if record:
-            tiles.append((e, l.copy()))  # a view would keep all of p alive
+    out_data = np.empty((n, heads * dv))
+    qs = np.empty((n, dk + 2))  # [c q_h, 1, -bound] @ kb = [k_h^T; key_bias; 1] is s - bound
+    qs[:, dk] = 1.0
+    kbs, vbs = [], []  # per distinct block, built at the first head that reads it
+    for h in range(heads):
+        if h < n_kb:
+            kj, kb = k.data[:, h * dk:(h + 1) * dk], np.empty((dk + 2, m))
+            kb[:dk], kb[dk], kb[dk + 1] = kj.T, bias, 1.0
+            kbs.append((kj, kb, float(np.einsum("ij,ij->i", kj, kj).max()) ** 0.5))
+        if h < n_vb:  # [v_h, 1]: e @ vb = [e @ v_h, l]
+            vbs.append(np.hstack([v.data[:, h * dv:(h + 1) * dv], np.ones((m, 1))]))
+        (_, kb, k_norm), vb = kbs[h % n_kb], vbs[h % n_vb]
+        cq = np.multiply(q.data[:, h * dk:(h + 1) * dk], c, out=qs[:, :dk])
+        np.sqrt(np.einsum("ij,ij->i", cq, cq), out=qs[:, dk + 1])
+        qs[:, dk + 1] *= -k_norm
+        qs[:, dk + 1] -= bias.max()
+        for r in rows:
+            e = qs[r] @ kb
+            np.exp(e, out=e)
+            p = e @ vb
+            if p[:, dv].min() < ROW_SUM_FLOOR:
+                low = np.flatnonzero(p[:, dv] < ROW_SUM_FLOOR)
+                s = qs[r.start + low, :dk + 1] @ kb[:dk + 1]  # exact scores, no bound
+                s -= np.max(s, axis=1, keepdims=True)
+                e[low] = np.exp(s, out=s)
+                p[low] = s @ vb
+            l = p[:, dv:]
+            np.divide(p[:, :dv], l, out=out_data[r, h * dv:(h + 1) * dv])
+            if record:
+                tiles.append((e, l.copy()))  # a view would keep all of p alive
 
     def backward(g: np.ndarray) -> None:
         gq = np.empty_like(q.data) if q.requires_grad else None
-        gk = np.zeros((dk, m)) if k.requires_grad else None
-        gv = np.zeros((m, dv)) if v.requires_grad else None
-        for r, (e, l) in zip(rows, tiles):
+        gk = np.zeros((n_kb, dk, m)) if k.requires_grad else None  # contiguous per block,
+        gv = np.zeros((n_vb, m, dv)) if v.requires_grad else None  # as += per tile is faster
+        for (h, r), (e, l) in zip([(h, r) for h in range(heads) for r in rows], tiles):
+            qc, oc = slice(h * dk, (h + 1) * dk), slice(h * dv, (h + 1) * dv)
             gb = np.empty((e.shape[0], dv + 1))  # [g', -rowsum(g' * out)]
-            gr = np.divide(g[r], l, out=gb[:, :dv])
+            gr = np.divide(g[r, oc], l, out=gb[:, :dv])
             if gv is not None:
-                gv += e.T @ gr
+                gv[h % n_vb] += e.T @ gr
             if gq is None and gk is None:
                 continue
-            np.negative(np.einsum("ij,ij->i", gr, out_data[r]), out=gb[:, dv])
-            t = gb @ vb.T
+            np.negative(np.einsum("ij,ij->i", gr, out_data[r, oc]), out=gb[:, dv])
+            t = gb @ vbs[h % n_vb].T
             t *= e
             if gq is not None:
-                np.matmul(t, k.data, out=gq[r])
+                np.matmul(t, kbs[h % n_kb][0], out=gq[r, qc])
             if gk is not None:
-                gk += q.data[r].T @ t
+                gk[h % n_kb] += q.data[r, qc].T @ t
         if gv is not None:
-            _accum(v, gv, owned=True)
+            _accum(v, np.hstack(gv), owned=True)
         # t is the gradient of the scaled scores (c * q) @ k.T
         if gq is not None:
             gq *= c
             _accum(q, gq, owned=True)
         if gk is not None:
             gk *= c
-            _accum(k, gk.T)
+            _accum(k, gk.reshape(-1, m).T)
 
     return _node(out_data, (q, k, v), backward)
 
@@ -451,7 +459,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accum(x, g * mask, owned=True)
 
-    return _node(np.where(mask, x.data, 0.0), (x,), backward)
+    return _node(np.maximum(x.data, 0.0), (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:

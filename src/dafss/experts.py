@@ -8,8 +8,8 @@ classifier heads of the consistency regularizer live in
 at most ``n_way+2``, so its multi-head self-attention (Vaswani et al.,
 arXiv:1706.03762) is stored as the factors it reads its weights through:
 the heads' cores in one matrix, and one output matrix for the residual and
-every head (see :func:`run_expert`). It can refine the distinct rows of a
-query, each weighed by how often it occurs, in place of every row.
+every head, one attention call serving all heads (see :func:`run_expert`).
+It can refine just the distinct rows of a query, weighed by their counts.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ def run_expert(corr: Tensor, params: ExpertParams, counts: Optional[np.ndarray] 
     """Refine one correlation matrix into ``[N, d]`` features that depend on
     that input alone: ``LN([C', A_1 C', ..., A_H C'] @ mix)``, with no shift,
     ``C' = [C, 1]`` (``[N, r]``, ``r = n_way+2``), ``A_h = softmax(C' K_h
-    C'^T)`` and ``K_h`` column block h of ``cores``.
+    C'^T)`` and ``K_h`` column block h of ``cores``: one attention call with
+    queries ``C' @ cores`` and ``C'`` as every head's keys and values.
 
     ``counts``, when given, says that row ``i`` of ``C`` stands for
     ``counts[i]`` equal rows of a larger query. The attention then weighs
@@ -90,8 +91,7 @@ def run_expert(corr: Tensor, params: ExpertParams, counts: Optional[np.ndarray] 
     c1 = ad.concat([corr, constant(np.ones((n, 1)))], axis=1)  # C' [N, r]
     key_bias = None if counts is None else np.log(counts)
     queries = ad.matmul(c1, params.cores)  # [N, H r]: head h's are column block h
-    heads = [ad.attention(ad.slice_cols(queries, h * r, (h + 1) * r), c1, c1, key_bias=key_bias)
-             for h in range(queries.shape[1] // r)]  # [N, r] each
+    heads = ad.attention(queries, c1, c1, key_bias=key_bias, heads=queries.shape[1] // r)
     no_shift = constant(np.zeros(params.ln_gamma.shape[0]))
-    return ad.layer_norm(ad.matmul(ad.concat([c1] + heads, axis=1), params.mix),
+    return ad.layer_norm(ad.matmul(ad.concat([c1, heads], axis=1), params.mix),
                          params.ln_gamma, no_shift)

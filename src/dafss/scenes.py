@@ -47,12 +47,9 @@ FAMILIES = ("plane", "box", "cylinder")  # each has a ``<family>_count`` range i
 
 def fold_classes(fold: int) -> tuple[list[int], list[int]]:
     """(base_classes, novel_classes) for the two-fold protocol."""
-    if fold == 0:
-        novel = [6, 7, 8, 9]
-    elif fold == 1:
-        novel = [0, 1, 2, 3]
-    else:
-        raise ConfigurationError(f"fold must be 0 or 1, got {fold}")
+    if not (is_integer(fold) and fold in (0, 1)):
+        raise ConfigurationError(f"fold must be the integer 0 or 1, got {fold!r}")
+    novel = [6, 7, 8, 9] if fold == 0 else [0, 1, 2, 3]
     base = [c for c in range(N_CLASSES) if c not in novel]
     return base, novel
 
@@ -229,6 +226,8 @@ def generate_scene(config: SceneConfig, seed: int) -> Scene:
 
 def build_pool(config: SceneConfig, n_scenes: int) -> list:
     """n_scenes scenes generated from consecutive seeds."""
+    if not (is_integer(n_scenes) and n_scenes >= 1):
+        raise ConfigurationError(f"n_scenes = {n_scenes!r}: must be an integer of at least 1")
     return [generate_scene(config, i) for i in range(n_scenes)]
 
 

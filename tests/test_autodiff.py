@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -307,6 +308,106 @@ class TestAttention:
             ad.attention(q, constant(np.zeros((0, 3))), constant(np.zeros((0, 4))))
 
 
+def per_head_calls(q, k, v, heads, c, key_bias=None):
+    """``attention`` of ``heads`` heads as one call per head on its column
+    blocks (a block of ``k`` or ``v`` as wide as a head's is shared)."""
+    dk = q.shape[1] // heads
+
+    def block(t, h):
+        return t if t.shape[1] == dk else ad.slice_cols(t, h * dk, (h + 1) * dk)
+
+    return ad.concat([ad.attention(ad.slice_cols(q, h * dk, (h + 1) * dk), block(k, h),
+                                   block(v, h), c, key_bias) for h in range(heads)], axis=1)
+
+
+class TestMultiHeadAttention:
+    HEADS, DK, N, M = 3, 4, 8, 6
+
+    @classmethod
+    def inputs(cls, rng, shared_k=False, shared_v=False):
+        """q, k and v; a shared k or v is one head wide."""
+        def width(shared):
+            return cls.DK if shared else cls.HEADS * cls.DK
+
+        return (parameter(rng.standard_normal((cls.N, cls.HEADS * cls.DK)) * 2),
+                parameter(rng.standard_normal((cls.M, width(shared_k))) * 2),
+                parameter(rng.standard_normal((cls.M, width(shared_v)))))
+
+    @pytest.mark.parametrize("tile_elems", [ad.ATTENTION_TILE_ELEMS, 3 * M])
+    @pytest.mark.parametrize("key_bias", [False, True])
+    @pytest.mark.parametrize("shared_k, shared_v", [(False, False), (True, True), (True, False),
+                                                    (False, True)])
+    def test_equals_one_call_per_head(self, monkeypatch, shared_k, shared_v, key_bias, tile_elems):
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ELEMS", tile_elems)  # 3 rows per tile at 3 * M
+        rng = np.random.default_rng([shared_k, shared_v, key_bias, tile_elems])
+        q, k, v = self.inputs(rng, shared_k, shared_v)
+        bias = np.log(rng.integers(1, 6, size=self.M)) if key_bias else None
+        w = constant(rng.standard_normal((self.N, self.HEADS * self.DK)))
+        out = ad.attention(q, k, v, 0.6, bias, heads=self.HEADS)
+        assert len(kept_tiles(out)) == self.HEADS * (1 if tile_elems > 3 * self.M else 3)
+        got = TestAttention.run(lambda *a: ad.attention(*a, heads=self.HEADS),
+                                (q, k, v), w, q, k, v, 0.6, bias)
+        ref = TestAttention.run(per_head_calls, (q, k, v), w, q, k, v, self.HEADS, 0.6, bias)
+        for what, a, b in zip(("out", "q", "k", "v"), got, ref):
+            assert relative_error(a, b) <= 1e-13, what
+
+    def test_one_head_alone_takes_the_exact_max_path(self, monkeypatch):
+        # Head 1's even rows are orthogonal to the one long key of its
+        # block, so their scores fall far below their bound and are formed
+        # again from their exact max; heads 0 and 2 stay on the bound.
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ELEMS", 3 * self.M)
+        rng = np.random.default_rng(5)
+        q, k, v = self.inputs(rng)
+        k.data[0, 4:8] = [100.0, 0.0, 0.0, 0.0]
+        q.data[::2, 4] = 0.0
+        q.data[::2, 4:8] *= 20.0 / np.linalg.norm(q.data[::2, 4:8], axis=1, keepdims=True)
+        overshoot = [np.linalg.norm(q.data[:, b], axis=1) * np.max(np.linalg.norm(k.data[:, b], axis=1))
+                     - np.max(q.data[:, b] @ k.data[:, b].T, axis=1)
+                     for b in (slice(0, 4), slice(4, 8), slice(8, 12))]
+        assert np.all(overshoot[1][::2] > 745) and np.all(overshoot[1][1::2] < 745)
+        assert np.all(overshoot[0] < 745) and np.all(overshoot[2] < 745)
+        w = constant(rng.standard_normal((self.N, self.HEADS * self.DK)))
+        got = TestAttention.run(lambda *a: ad.attention(*a, heads=self.HEADS), (q, k, v), w, q, k, v)
+        ref = TestAttention.run(per_head_calls, (q, k, v), w, q, k, v, self.HEADS, 1.0)
+        for what, a, b in zip(("out", "q", "k", "v"), got, ref):
+            assert np.all(np.isfinite(a)), what
+            assert relative_error(a, b) <= 1e-13, what
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_gradient_vs_finite_differences(self, monkeypatch, rng, shared):
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ELEMS", 3 * self.M)  # several tiles per head
+        if shared:  # one tensor as keys, values and the queries' factor, as in the experts
+            x = parameter(rng.standard_normal((self.M, self.DK)))
+            core = parameter(rng.standard_normal((self.DK, self.HEADS * self.DK)))
+            tensors = {"x": x, "core": core}
+
+            def attend():
+                return ad.attention(ad.matmul(x, core), x, x, 0.7, heads=self.HEADS)
+        else:
+            q, k, v = self.inputs(rng)
+            tensors = {"q": q, "k": k, "v": v}
+
+            def attend():
+                return ad.attention(q, k, v, 0.7, heads=self.HEADS)
+        w = constant(rng.standard_normal(attend().shape))
+        check_grads(lambda: ad.sum_all(ad.mul(attend(), w)), tensors, tol=1e-6)
+
+    @pytest.mark.parametrize("heads", [0, -2, 2.0, True, "3", None])
+    def test_heads_must_be_a_positive_integer(self, heads):
+        x = constant(np.zeros((2, 6)))
+        with pytest.raises(ShapeError, match=re.escape(repr(heads)) + r" heads.*got \(2, 6\) x "
+                                             r"\(2, 6\) x \(2, 6\)"):
+            ad.attention(x, x, x, heads=heads)
+
+    @pytest.mark.parametrize("q_cols, k_cols, v_cols", [(7, 7, 7), (6, 4, 3), (6, 6, 4), (6, 3, 5),
+                                                        (6, 2, 1)])
+    def test_widths_that_are_not_one_or_all_heads_rejected(self, q_cols, k_cols, v_cols):
+        q, k, v = (constant(np.zeros((2, d))) for d in (q_cols, k_cols, v_cols))
+        with pytest.raises(ShapeError, match=rf"3 heads.*got \(2, {q_cols}\) x \(2, {k_cols}\) "
+                                             rf"x \(2, {v_cols}\)"):
+            ad.attention(q, k, v, heads=3)
+
+
 class TestLogSoftmax:
     def test_matches_log_of_softmax(self, rng):
         x = rng.standard_normal((4, 5))
@@ -530,6 +631,15 @@ class TestElementwise:
     def test_relu_definition(self):
         out = ad.relu(constant([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+
+    def test_relu_has_the_bits_of_the_masked_copy(self, rng):
+        # Signed zeros, subnormals and infinities both ways, among random
+        # values of either sign; only a NaN would differ (np.maximum keeps it).
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.concatenate([[0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, np.inf, -np.inf],
+                            rng.standard_normal(200)])
+        assert ad.relu(constant(x)).data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        assert np.isnan(ad.relu(constant([np.nan])).data[0])
 
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(constant([0.0])).data[0] == 0.5

@@ -24,7 +24,7 @@ from dafss.training import (
     train_run,
 )
 
-from conftest import relative_error
+from conftest import central_difference, relative_error
 
 
 def tiny_config(**kw):
@@ -408,6 +408,21 @@ class TestModelStructure:
         model = SegModel(tiny_config(), "fused")
         out = model.forward(episode, train=True)
         assert out.proto_loss is None and out.consist_loss is None
+
+    @pytest.mark.parametrize("sam_layers", [1, 2])
+    @pytest.mark.parametrize("mode, experts", [("decoupled", 2), ("fused", 1)])
+    def test_one_attention_call_per_expert_and_arbitration_layer(self, episode, monkeypatch,
+                                                                 mode, experts, sam_layers):
+        model = SegModel(tiny_config(sam_layers=sam_layers), mode)
+        calls, attention = [], ad.attention
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("heads", 1))
+            return attention(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "attention", counting)
+        model.forward(episode, train=True)
+        assert calls == [model.config.heads] * (experts + sam_layers)
 
     def test_param_counts_reported(self):
         counts = {mode: sum(p.data.size for p in SegModel(tiny_config(), mode).parameters().values())
@@ -891,3 +906,30 @@ class TestGradientFreezing:
         # every gradient belongs to a registered trainable parameter
         registered = set(model.parameters().values())
         assert all(t in registered for t in grads)
+
+
+class TestWholeModelGradient:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sampled_entries_match_central_differences(self, episode, mode):
+        # The consistency term's gradient is by design not its derivative
+        # (each side is a stop-gradient anchor for the other), so it weighs zero.
+        model = SegModel(tiny_config(), mode)
+        weights = LossWeights(lambda_consistency=0.0)
+        statistics = [(t, t.data.copy()) for t in named_tensors(model).values()
+                      if not t.requires_grad]
+
+        def loss():
+            out = model.forward(episode, train=True)
+            for t, data in statistics:  # train mode folds the batch into them
+                t.data = data.copy()
+            return total_loss(seg_loss(out.logits, episode.query_labels),
+                              base_loss(out.base_logits, episode.base_class_labels),
+                              out.proto_loss, out.consist_loss, weights)
+
+        grads = backward(loss())
+        rng = np.random.default_rng(17)
+        for name, p in model.parameters().items():
+            idx = rng.choice(p.data.size, size=min(3, p.data.size), replace=False)
+            analytic = grads.get(p, np.zeros(p.shape)).reshape(-1)[idx]
+            numeric = central_difference(loss, p, eps=1e-6, indices=idx)
+            assert relative_error(analytic, numeric) <= 1e-6, name

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,17 @@ class TestGeneration:
         assert len(base1) == 6 and len(novel1) == 4
         assert set(novel0).isdisjoint(novel1)
         assert set(base0) | set(novel0) == set(range(N_CLASSES))
+        assert fold_classes(np.int64(1)) == (base1, novel1)
+
+    @pytest.mark.parametrize("fold", [True, 1.0, 2, -1, "0", None])
+    def test_fold_must_be_the_integer_0_or_1(self, fold):
+        with pytest.raises(ConfigurationError, match=f"got {re.escape(repr(fold))}$"):
+            fold_classes(fold)
+
+    @pytest.mark.parametrize("n_scenes", [0, -1, True, 2.5, "3"])
+    def test_pool_size_must_be_a_positive_integer(self, n_scenes):
+        with pytest.raises(ConfigurationError, match=f"^n_scenes = {re.escape(repr(n_scenes))}: "):
+            build_pool(small_config(), n_scenes)
 
 
 def sample_box_loop(rng, spec, n):

@@ -40,11 +40,10 @@ class AttentionParams:
     heads: int  # H
 
 
-def init_attention(rng: np.random.Generator, d: int, heads: int, prefix: str) -> AttentionParams:
+def init_attention(rng: np.random.Generator, d: int, heads: int) -> AttentionParams:
     """Draws the 3H ``[d, d/H]`` blocks of ``wqkv`` in column order, then ``wo``."""
-    blocks = [init_weight(rng, d, d // heads, f"{prefix}.wqkv").data for _ in range(3 * heads)]
-    return AttentionParams(wqkv=parameter(np.hstack(blocks), name=f"{prefix}.wqkv"),
-                           wo=init_weight(rng, d, d, f"{prefix}.wo"), heads=heads)
+    wqkv = np.hstack([init_weight(rng, d, d // heads) for _ in range(3 * heads)])
+    return AttentionParams(wqkv=parameter(wqkv), wo=parameter(init_weight(rng, d, d)), heads=heads)
 
 
 def mhsa(x: Tensor, attn: AttentionParams) -> Tensor:
@@ -82,31 +81,25 @@ class ArbitrationParams:
     layers: list  # after the tensors: parameter order follows field order
 
 
-def init_arbitration(rng: np.random.Generator, pathways: dict, d_arb: int, d_guid: int,
+def init_arbitration(rng: np.random.Generator, widths: list, d_arb: int, d_guid: int,
                      n_layers: int, heads: int, d_bg: int) -> ArbitrationParams:
-    """``pathways`` maps each merged pathway's name to its feature width, in
-    merge order. The merge weight is drawn whole, ``[sum of widths, d_arb]``,
-    and split into the pathways' rows."""
-    layers = []
-    for i in range(n_layers):
-        layers.append(ArbitrationLayerParams(
-            inject=init_linear(rng, d_bg + d_guid, d_bg, f"arb.l{i}.inject"),
-            attn=init_attention(rng, d_arb, heads, prefix=f"arb.l{i}.attn"),
-            ln_gamma=parameter(np.ones(d_arb), name=f"arb.l{i}.ln_gamma"),
-            ln_beta=parameter(np.zeros(d_arb), name=f"arb.l{i}.ln_beta"),
-        ))
-    conv = init_linear(rng, sum(pathways.values()), d_arb, "arb.conv")
-    bounds = np.cumsum([0] + list(pathways.values()))
+    """``widths`` holds each merged pathway's feature width, in merge order.
+    The merge weight is drawn whole, ``[sum of widths, d_arb]``, and split
+    into the pathways' rows."""
+    layers = [ArbitrationLayerParams(inject=init_linear(rng, d_bg + d_guid, d_bg),
+                                     attn=init_attention(rng, d_arb, heads),
+                                     ln_gamma=parameter(np.ones(d_arb)),
+                                     ln_beta=parameter(np.zeros(d_arb)))
+              for _ in range(n_layers)]
+    conv_w = np.split(init_weight(rng, sum(widths), d_arb), np.cumsum(widths)[:-1])
     return ArbitrationParams(
-        pathways=[MergePathway(bn_gamma=parameter(np.ones(d), name=f"arb.{p}.bn_gamma"),
-                               bn_beta=parameter(np.zeros(d), name=f"arb.{p}.bn_beta"),
-                               bn_mean=Tensor(np.zeros(d), name=f"arb.{p}.bn_mean"),
-                               bn_var=Tensor(np.ones(d), name=f"arb.{p}.bn_var"),
-                               conv_w=parameter(conv.w.data[lo:hi].copy(), name=f"arb.{p}.conv_w"))
-                  for (p, d), lo, hi in zip(pathways.items(), bounds[:-1], bounds[1:])],
-        conv_b=conv.b,
+        pathways=[MergePathway(bn_gamma=parameter(np.ones(d)), bn_beta=parameter(np.zeros(d)),
+                               bn_mean=Tensor(np.zeros(d)), bn_var=Tensor(np.ones(d)),
+                               conv_w=parameter(w.copy()))
+                  for d, w in zip(widths, conv_w)],
+        conv_b=parameter(np.zeros(d_arb)),
         layers=layers,
-        gate=init_linear(rng, d_guid, d_arb, "arb.gate"),
+        gate=init_linear(rng, d_guid, d_arb),
     )
 
 
@@ -125,10 +118,10 @@ def merge_features(blocks: list, params: ArbitrationParams, train: bool) -> Tens
         raise ShapeError(f"merge got {len(blocks)} pathway blocks, expected "
                          f"{len(params.pathways)}")
     total = None
-    for (x, groups), p in zip(blocks, params.pathways):
+    for i, ((x, groups), p) in enumerate(zip(blocks, params.pathways)):
         if x.shape[1] != p.conv_w.shape[0]:
-            raise ShapeError(f"merge input dim {x.shape[1]} != {p.conv_w.name} dim "
-                             f"{p.conv_w.shape[0]}")
+            raise ShapeError(f"merge input dim {x.shape[1]} != dim {p.conv_w.shape[0]} "
+                             f"of pathway {i}")
         inverse, counts = (None, None) if groups is None else groups
         normed = ad.batch_norm(x, p.bn_gamma, p.bn_beta, p.bn_mean, p.bn_var, train, counts)
         block = ad.matmul(normed, p.conv_w)
@@ -196,8 +189,8 @@ class DecoderParams:
 
 def init_decoder(rng: np.random.Generator, d_arb: int, n_classes: int) -> DecoderParams:
     return DecoderParams(
-        conv=init_linear(rng, d_arb, d_arb, "dec.conv"),
-        out=init_linear(rng, d_arb, n_classes, "dec.out"),
+        conv=init_linear(rng, d_arb, d_arb),
+        out=init_linear(rng, d_arb, n_classes),
     )
 
 

@@ -61,13 +61,12 @@ _keep_freed_heap()
 class Tensor:
     """A dense array plus the bookkeeping needed for reverse-mode autodiff."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward", "_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_done")
 
-    def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self.name = name
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._done = False
@@ -82,13 +81,12 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(data, name: Optional[str] = None) -> Tensor:
+def parameter(data) -> Tensor:
     """A leaf tensor that participates in optimization."""
-    return Tensor(data, requires_grad=True, name=name)
+    return Tensor(data, requires_grad=True)
 
 
 def constant(data) -> Tensor:

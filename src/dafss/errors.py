@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the checks of a setting."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class InputError(ValueError):
@@ -61,3 +61,8 @@ def require(owner, ok: bool, field: str, rule: str) -> None:
 def is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; a bool is not one."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real number; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)

@@ -32,17 +32,15 @@ class ExpertParams:
     ln_gamma: Tensor  # [d]; no shift: the merge batch norm would cancel it
 
 
-def init_expert(rng: np.random.Generator, n_s: int, d_model: int, heads: int,
-                prefix: str) -> ExpertParams:
+def init_expert(rng: np.random.Generator, n_s: int, d_model: int, heads: int) -> ExpertParams:
     """Draws an ``[n_s, d]`` lift weight (its bias is zero), then the 3H
     ``[d, d_h]`` blocks of a q/k/v matrix ``W`` (q heads, then k, then v)
     and a ``[d, d]`` output matrix ``W_o``, and keeps only ``cores`` and
     ``mix`` as :func:`run_expert` defines them from those draws."""
-    lifted = np.vstack([init_weight(rng, n_s, d_model, "lift").data,
-                        np.zeros((1, d_model))])  # L' [r, d]
+    lifted = np.vstack([init_weight(rng, n_s, d_model), np.zeros((1, d_model))])  # L' [r, d]
     dh = d_model // heads
-    w = np.hstack([init_weight(rng, d_model, dh, "w").data for _ in range(3 * heads)])
-    w_o = init_weight(rng, d_model, d_model, "w_o").data
+    w = np.hstack([init_weight(rng, d_model, dh) for _ in range(3 * heads)])
+    w_o = init_weight(rng, d_model, d_model)
     qkv = lifted @ w
     r = n_s + 1
     cores, value_blocks = np.zeros((r, heads * r)), np.zeros((heads * r, d_model))
@@ -50,10 +48,9 @@ def init_expert(rng: np.random.Generator, n_s: int, d_model: int, heads: int,
         q, k, v = (qkv[:, g * d_model + h * dh:g * d_model + (h + 1) * dh] for g in range(3))
         cores[:, h * r:(h + 1) * r] = (q @ k.T) * (1.0 / np.sqrt(dh))
         value_blocks[h * r:(h + 1) * r, h * dh:(h + 1) * dh] = v
-    return ExpertParams(cores=parameter(cores, name=f"{prefix}.attn.cores"),
-                        mix=parameter(np.vstack([lifted, value_blocks @ w_o]),
-                                      name=f"{prefix}.attn.mix"),
-                        ln_gamma=parameter(np.ones(d_model), name=f"{prefix}.ln_gamma"))
+    return ExpertParams(cores=parameter(cores),
+                        mix=parameter(np.vstack([lifted, value_blocks @ w_o])),
+                        ln_gamma=parameter(np.ones(d_model)))
 
 
 def run_expert(corr: Tensor, params: ExpertParams, counts: Optional[np.ndarray] = None) -> Tensor:

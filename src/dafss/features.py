@@ -52,8 +52,8 @@ class UFHead:
     texture id is a class id."""
 
     def __init__(self, rng: np.random.Generator, d_out: int, hidden: int):
-        self.hidden = init_linear(rng, 3 + N_CLASSES, hidden, "uf.hidden")
-        self.out = init_linear(rng, hidden, d_out, "uf.out")
+        self.hidden = init_linear(rng, 3 + N_CLASSES, hidden)
+        self.out = init_linear(rng, hidden, d_out)
 
 
 def _check_scene(scene: Scene) -> None:

@@ -15,9 +15,9 @@ from dafss import autodiff as ad
 from dafss.autodiff import Tensor, parameter
 
 
-def init_weight(rng: np.random.Generator, d_in: int, d_out: int, name: str) -> Tensor:
-    """A ``[d_in, d_out]`` weight drawn from ``N(0, 1/d_in)``."""
-    return parameter(rng.normal(0, 1.0 / np.sqrt(d_in), (d_in, d_out)), name=name)
+def init_weight(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
+    """A ``[d_in, d_out]`` weight array drawn from ``N(0, 1/d_in)``."""
+    return rng.normal(0, 1.0 / np.sqrt(d_in), (d_in, d_out))
 
 
 @dataclass
@@ -26,10 +26,9 @@ class Linear:
     b: Tensor  # [d_out]
 
 
-def init_linear(rng: np.random.Generator, d_in: int, d_out: int, prefix: str) -> Linear:
-    """Weight ``<prefix>_w`` by :func:`init_weight`, zero bias ``<prefix>_b``."""
-    return Linear(w=init_weight(rng, d_in, d_out, f"{prefix}_w"),
-                  b=parameter(np.zeros(d_out), name=f"{prefix}_b"))
+def init_linear(rng: np.random.Generator, d_in: int, d_out: int) -> Linear:
+    """Weight ``w`` by :func:`init_weight`, zero bias ``b``."""
+    return Linear(w=parameter(init_weight(rng, d_in, d_out)), b=parameter(np.zeros(d_out)))
 
 
 def linear(x: Tensor, layer: Linear) -> Tensor:

@@ -31,7 +31,7 @@ from dafss.arbitration import (
     semantic_gate,
 )
 from dafss.autodiff import Tensor, constant
-from dafss.errors import ConfigurationError, is_integer, require
+from dafss.errors import ConfigurationError, InputError, ShapeError, is_integer, require
 from dafss.experts import ExpertParams, init_expert, run_expert
 from dafss.features import (
     IFHead,
@@ -50,30 +50,29 @@ MODES = ("decoupled", "fused")
 
 
 def named_tensors(obj) -> dict[str, Tensor]:
-    """Every tensor under ``obj`` by name: parameters, and state no gradient
-    moves, such as batch-norm running statistics.
+    """Every tensor under ``obj`` by its path: parameters, and state no
+    gradient moves, such as batch-norm running statistics.
 
     Walks tensors, lists, tuples and the attributes of plain objects and
     dataclasses depth first, in attribute order, so a tensor's position
-    follows the order of the fields that hold it."""
-    out: dict[str, Tensor] = {}
-    _walk(obj, out)
-    return out
+    follows the order of the fields that hold it. A path joins attribute
+    names and list indices with dots (``arb.layers.0.attn.wqkv``). A tensor
+    reached by two paths raises, for an optimizer would step it twice."""
+    found: dict[int, tuple] = {}
+    _walk(obj, "", found)
+    return dict(found.values())
 
 
-def _walk(x, out: dict) -> None:
-    """Adds the tensors under ``x`` to ``out``. A module-level function, not
-    a closure, so a walk leaves no reference cycle for the cyclic collector."""
+def _walk(x, path: str, found: dict) -> None:
+    """Adds ``id: (path, tensor)`` to ``found`` for each tensor under ``x``. A
+    module-level function, not a closure, so a walk leaves no reference cycle."""
     if isinstance(x, Tensor):
-        if x.name in out:
-            raise ConfigurationError(f"two tensors are named {x.name!r}")
-        out[x.name] = x
-    elif isinstance(x, (list, tuple)):
-        for item in x:
-            _walk(item, out)
-    elif hasattr(x, "__dict__"):
-        for value in vars(x).values():
-            _walk(value, out)
+        if id(x) in found:
+            raise ConfigurationError(f"one tensor is both {found[id(x)][0]!r} and {path!r}")
+        found[id(x)] = (path, x)
+    elif isinstance(x, (list, tuple)) or hasattr(x, "__dict__"):
+        for key, value in enumerate(x) if isinstance(x, (list, tuple)) else vars(x).items():
+            _walk(value, f"{path}.{key}" if path else str(key), found)
 
 
 def _refine_semantic(corr_sem: Tensor, params: ExpertParams) -> tuple:
@@ -164,23 +163,22 @@ class SegModel:
         self.if_head = IFHead(rng, d_out=config.d_if)
         self.text = TextStub(rng, d_out=config.d_if)
 
+        self.geo_expert = init_expert(rng, n_out, config.d_geo, config.heads)
         if mode == "decoupled":
-            self.geo_expert = init_expert(rng, n_out, config.d_geo, config.heads, "geo")
-            self.geo_head = init_linear(rng, config.d_geo, n_out, "geo.cls")
-            self.sem_expert = init_expert(rng, n_out, config.d_sem, config.heads, "sem")
-            self.sem_head = init_linear(rng, config.d_sem, n_out, "sem.cls")
-            self.align = init_linear(rng, config.d_uf, config.d_if, "align.proj")
-            pathways = {"geo": config.d_geo, "sem": config.d_sem}
+            self.geo_head = init_linear(rng, config.d_geo, n_out)
+            self.sem_expert = init_expert(rng, n_out, config.d_sem, config.heads)
+            self.sem_head = init_linear(rng, config.d_sem, n_out)
+            self.align = init_linear(rng, config.d_uf, config.d_if)
+            widths = [config.d_geo, config.d_sem]
         else:
-            self.geo_expert = init_expert(rng, n_out, config.d_geo, config.heads, "fused")
             self.geo_head = self.sem_expert = self.sem_head = self.align = None
-            pathways = {"fused": config.d_geo}
+            widths = [config.d_geo]
 
-        self.arb = init_arbitration(rng, pathways, d_arb=config.d_arb,
+        self.arb = init_arbitration(rng, widths, d_arb=config.d_arb,
                                     d_guid=config.d_if, n_layers=config.sam_layers,
                                     heads=config.heads, d_bg=config.d_bg)
         self.decoder = init_decoder(rng, config.d_arb, n_out)
-        self.base = init_linear(rng, config.d_arb, len(config.base_class_ids), "base")
+        self.base = init_linear(rng, config.d_arb, len(config.base_class_ids))
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -240,12 +238,17 @@ class SegModel:
         geo_parts, sem_parts = [], []
         mask_cols: list[list[np.ndarray]] = [[] for _ in range(episode.n_way)]
         for way, shots in enumerate(episode.support):
-            for shot in shots:
+            for i, shot in enumerate(shots):
+                n, mask, which = len(shot.scene), np.asarray(shot.mask), f"way {way}, shot {i}"
+                if mask.dtype != bool:
+                    raise InputError(f"support mask of {which} has dtype {mask.dtype}, not bool")
+                if mask.shape != (n,):
+                    raise ShapeError(f"support mask of {which} has shape {mask.shape}, its scene "
+                                     f"has {n} points")
                 geo_parts.append(uf_encode(shot.scene, self.uf))
                 sem_parts.append(if_encode(shot.scene, self.if_head))
-                n = len(shot.scene)
                 for other in range(episode.n_way):
-                    mask_cols[other].append(shot.mask if other == way else np.zeros(n, dtype=bool))
+                    mask_cols[other].append(mask if other == way else np.zeros(n, dtype=bool))
         geo = geo_parts[0] if len(geo_parts) == 1 else ad.concat(geo_parts, axis=0)
         sem = sem_parts[0] if len(sem_parts) == 1 else ad.concat(sem_parts, axis=0)
         masks = [np.concatenate(cols) for cols in mask_cols]

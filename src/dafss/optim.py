@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dafss.autodiff import Tensor
-from dafss.errors import NumericError, require
+from dafss.errors import NumericError, is_real, require
 
 # Elements per block of an update: six blocks of float64 (gradient, two
 # moments, parameter, two work buffers) fit a 2 MB L2 cache.
@@ -49,12 +49,12 @@ class AdamW:
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
                  weight_decay: float = 0.01):
         self.params = dict(params)
-        self.lr = float(lr)
-        self.weight_decay = float(weight_decay)
-        for field, ok, rule in (("lr", self.lr > 0, "must be finite and positive"),
-                                ("weight_decay", self.weight_decay >= 0,
-                                 "must be finite and non-negative")):
-            require(self, ok and np.isfinite(getattr(self, field)), field, rule)
+        self.lr, self.weight_decay = lr, weight_decay  # unconverted: a rejection shows them
+        require(self, is_real(lr) and np.isfinite(lr) and lr > 0, "lr",
+                "must be a finite, positive number")
+        require(self, is_real(weight_decay) and np.isfinite(weight_decay) and weight_decay >= 0,
+                "weight_decay", "must be a finite, non-negative number")
+        self.lr, self.weight_decay = float(lr), float(weight_decay)
         self.state: dict[str, OptimizerState] = {
             name: OptimizerState(np.zeros_like(p.data), np.zeros_like(p.data))
             for name, p in self.params.items()

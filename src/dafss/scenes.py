@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from dafss.errors import (CapacityError, ConfigurationError, SamplingError, SceneParseError,
-                          is_integer, require)
+                          is_integer, is_real, require)
 
 ROOM_HALF = 2.8  # lateral placement bound, meters
 NOISE_SIGMA = 0.01  # std of the Gaussian jitter on every coordinate, meters
@@ -81,7 +81,8 @@ class SceneConfig:
             raise ConfigurationError(
                 f"{', '.join(f'{fam}_count' for fam in FAMILIES)} = "
                 f"{', '.join(map(repr, counts))}: their lower bounds must sum to at least 1")
-        need(0.0 <= self.texture_confusion <= 1.0, "texture_confusion", "must lie in [0, 1]")
+        need(is_real(self.texture_confusion) and 0.0 <= self.texture_confusion <= 1.0,
+             "texture_confusion", "must be a number in [0, 1]")
 
 
 @dataclass(eq=False)

@@ -9,7 +9,8 @@ import numpy as np
 
 from dafss import autodiff as ad
 from dafss.autodiff import Tensor, backward, constant
-from dafss.errors import InputError, NumericError, ShapeError, UndefinedMetricError, require
+from dafss.errors import (InputError, NumericError, ShapeError, UndefinedMetricError, is_real,
+                          require)
 from dafss.metrics import confusion_matrix, miou
 from dafss.model import SegModel, named_tensors
 from dafss.optim import AdamW
@@ -27,8 +28,8 @@ class LossWeights:
     def __post_init__(self):
         for field in ("lambda_base", "lambda_proto", "lambda_consistency"):
             value = getattr(self, field)
-            require(self, np.isfinite(value) and value >= 0, field,
-                    "must be finite and non-negative")
+            require(self, is_real(value) and np.isfinite(value) and value >= 0, field,
+                    "must be a finite, non-negative number")
 
 
 @dataclass

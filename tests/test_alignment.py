@@ -38,7 +38,7 @@ class TestPrototypeAlignment:
     def test_anchor_gets_zero_gradient(self, rng):
         geo = parameter(rng.standard_normal((3, 2)))
         sem = parameter(rng.standard_normal((3, 4)))
-        params = init_linear(rng, 2, 4, "align.proj")
+        params = init_linear(rng, 2, 4)
         grads = backward(prototype_alignment_loss(geo, sem, params))
         assert sem not in grads and sem.grad is None
         assert geo in grads and params.w in grads
@@ -51,7 +51,7 @@ class TestPrototypeAlignment:
     def test_nonnegative_and_gradient(self, rng):
         geo = parameter(rng.standard_normal((3, 2)))
         sem = constant(rng.standard_normal((3, 4)))
-        params = init_linear(rng, 2, 4, "align.proj")
+        params = init_linear(rng, 2, 4)
         loss = prototype_alignment_loss(geo, sem, params)
         assert loss.item() >= 0.0
         tensors = {"geo": geo, "w": params.w, "b": params.b}
@@ -149,18 +149,18 @@ class TestConsistency:
 
 class TestHeadProbs:
     def test_zero_classifier_gives_uniform(self, rng):
-        head = init_linear(rng, 8, 4, "e.cls")
+        head = init_linear(rng, 8, 4)
         head.w.data[:] = 0.0
         probs = head_probs(constant(rng.standard_normal((5, 8))), head).data
         np.testing.assert_allclose(probs, 0.25, atol=1e-15)
 
     def test_rows_sum_to_one(self, rng):
-        head = init_linear(rng, 8, 3, "e.cls")
+        head = init_linear(rng, 8, 3)
         probs = head_probs(constant(rng.standard_normal((6, 8))), head).data
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_argmax_matches_bruteforce(self, rng):
-        head = init_linear(rng, 6, 3, "e.cls")
+        head = init_linear(rng, 6, 3)
         head.b.data = rng.standard_normal(3)
         refined = rng.standard_normal((10, 6))
         probs = head_probs(constant(refined), head).data

@@ -38,22 +38,22 @@ class TestMHSA:
         # wqkv holds the draws of 3h per-head [d, d/h] weights, q heads
         # first, then k, then v, side by side; wo is drawn after them.
         rng = np.random.default_rng(5)
-        attn = init_attention(rng, d, h, "t")
+        attn = init_attention(rng, d, h)
         ref_rng = np.random.default_rng(5)
-        blocks = [init_weight(ref_rng, d, d // h, "ref").data for _ in range(3 * h)]
+        blocks = [init_weight(ref_rng, d, d // h) for _ in range(3 * h)]
         assert attn.wqkv.shape == (d, 3 * d) and attn.heads == h
         for i, block in enumerate(blocks):
             got = attn.wqkv.data[:, i * (d // h):(i + 1) * (d // h)]
             assert got.tobytes() == block.tobytes(), f"block {i}"
-        assert attn.wo.data.tobytes() == init_weight(ref_rng, d, d, "ref").data.tobytes()
+        assert attn.wo.data.tobytes() == init_weight(ref_rng, d, d).tobytes()
         assert rng.standard_normal(4).tobytes() == ref_rng.standard_normal(4).tobytes()
-        assert list(named_tensors(attn)) == ["t.wqkv", "t.wo"]
+        assert list(named_tensors(attn)) == ["wqkv", "wo"]
 
     def test_single_token_hand_computation(self, rng):
         # one token: softmax over a single key is exactly 1, so the output
         # is concat_h(x @ Wv_h) @ Wo computed by hand
         d, h = 6, 2
-        attn = init_attention(rng, d, h, "t")
+        attn = init_attention(rng, d, h)
         x = rng.standard_normal((1, d))
         out = mhsa(constant(x), attn).data
         manual = np.hstack([x @ value_weights(attn, i) for i in range(h)]) @ attn.wo.data
@@ -61,7 +61,7 @@ class TestMHSA:
 
     def test_permutation_equivariance(self, rng):
         d, h = 8, 2
-        attn = init_attention(rng, d, h, "t")
+        attn = init_attention(rng, d, h)
         x = rng.standard_normal((5, d))
         out = mhsa(constant(x), attn).data
         perm = rng.permutation(5)
@@ -70,7 +70,7 @@ class TestMHSA:
 
     def test_gradient(self, rng):
         d, h = 8, 2
-        attn = init_attention(rng, d, h, "t")
+        attn = init_attention(rng, d, h)
         x = parameter(rng.standard_normal((3, d)))
         w = constant(rng.standard_normal((3, d)))
         tensors = {"x": x}
@@ -80,14 +80,14 @@ class TestMHSA:
 
 @pytest.fixture
 def params(rng):
-    return init_arbitration(rng, {"geo": 4, "sem": 8}, d_arb=8, d_guid=6, n_layers=1, heads=2,
+    return init_arbitration(rng, [4, 8], d_arb=8, d_guid=6, n_layers=1, heads=2,
                             d_bg=2)
 
 
 def concatenated(params):
     """Single-pathway parameters holding the pathways' tensors side by side."""
     return ArbitrationParams(pathways=[MergePathway(**{
-        f: Tensor(np.concatenate([getattr(p, f).data for p in params.pathways]), name=f)
+        f: Tensor(np.concatenate([getattr(p, f).data for p in params.pathways]))
         for f in ("bn_gamma", "bn_beta", "bn_mean", "bn_var", "conv_w")})],
         conv_b=params.conv_b, gate=params.gate, layers=params.layers)
 
@@ -120,19 +120,19 @@ class TestMerge:
     def test_init_splits_one_draw_of_the_weight(self):
         # The pathways' conv_w rows are one [12, 8] draw, split; the draws
         # before and after it are those of a single 12-column pathway.
-        split = init_arbitration(np.random.default_rng(3), {"geo": 4, "sem": 8}, d_arb=8,
+        split = init_arbitration(np.random.default_rng(3), [4, 8], d_arb=8,
                                  d_guid=6, n_layers=1, heads=2, d_bg=2)
-        whole = init_arbitration(np.random.default_rng(3), {"all": 12}, d_arb=8,
+        whole = init_arbitration(np.random.default_rng(3), [12], d_arb=8,
                                  d_guid=6, n_layers=1, heads=2, d_bg=2)
         assert (np.vstack([p.conv_w.data for p in split.pathways]).tobytes()
                 == whole.pathways[0].conv_w.data.tobytes())
-        rest = [n for n in named_tensors(whole) if not n.startswith("arb.all.")]
-        assert rest == [n for n in named_tensors(split)
-                        if not n.startswith(("arb.geo.", "arb.sem."))]
+        rest = [n for n in named_tensors(whole) if not n.startswith("pathways.")]
+        assert rest == [n for n in named_tensors(split) if not n.startswith("pathways.")]
         assert all(named_tensors(split)[n].data.tobytes() == named_tensors(whole)[n].data.tobytes()
                    for n in rest)
-        assert list(named_tensors(split.pathways[1])) == [
-            f"arb.sem.{f}" for f in ("bn_gamma", "bn_beta", "bn_mean", "bn_var", "conv_w")]
+        assert list(named_tensors(split))[:10] == [
+            f"pathways.{i}.{f}" for i in (0, 1)
+            for f in ("bn_gamma", "bn_beta", "bn_mean", "bn_var", "conv_w")]
 
     @pytest.mark.parametrize("train", [True, False])
     def test_sum_of_blocks_equals_merge_of_concatenation(self, rng, params, train):
@@ -160,7 +160,7 @@ class TestMerge:
         w = constant(rng.standard_normal((7, 8)))
         sides = []
         for grouped in (True, False):
-            p = init_arbitration(np.random.default_rng(9), {"geo": 4, "sem": 8}, d_arb=8,
+            p = init_arbitration(np.random.default_rng(9), [4, 8], d_arb=8,
                                  d_guid=6, n_layers=1, heads=2, d_bg=2)
             r_sem = parameter(sem_rows)
             block = ((r_sem, (inverse, counts)) if grouped
@@ -176,7 +176,7 @@ class TestMerge:
 
     def test_hand_composed_fixture(self, rng):
         # 2 points, hand-set BN/conv parameters, eval mode with known stats
-        p = init_arbitration(rng, {"fused": 3}, d_arb=2, d_guid=2, n_layers=1, heads=1, d_bg=1)
+        p = init_arbitration(rng, [3], d_arb=2, d_guid=2, n_layers=1, heads=1, d_bg=1)
         bn = p.pathways[0]
         bn.bn_mean.data = np.array([1.0, 0.0, -1.0])
         bn.bn_var.data = np.array([4.0, 1.0, 1.0]) - NORM_EPS
@@ -221,7 +221,7 @@ class TestInjection:
         assert relative_error(out, manual) < 1e-12
 
     def test_foreground_untouched_at_every_stacked_layer(self, rng):
-        p = init_arbitration(rng, {"fused": 8}, d_arb=8, d_guid=4, n_layers=2, heads=2, d_bg=2)
+        p = init_arbitration(rng, [8], d_arb=8, d_guid=4, n_layers=2, heads=2, d_bg=2)
         g = constant(rng.standard_normal(4))
         r = constant(rng.standard_normal((5, 8)))
         for layer in p.layers:
@@ -249,7 +249,7 @@ class TestArbitrationLayer:
         assert relative_error(out, manual) < 1e-10
 
     def test_two_layer_stack_equals_manual_composition(self, rng):
-        p = init_arbitration(rng, {"fused": 8}, d_arb=8, d_guid=4, n_layers=2, heads=2, d_bg=2)
+        p = init_arbitration(rng, [8], d_arb=8, d_guid=4, n_layers=2, heads=2, d_bg=2)
         g = constant(rng.standard_normal(4))
         r = constant(rng.standard_normal((4, 8)))
         stacked = arbitrate(r, g, p).data
@@ -490,7 +490,7 @@ class TestEndToEndGradient:
         # every parameter of a miniature configuration
         monkeypatch.setattr(DecoderParams, "k", 2)  # fewer neighbours than the 4 points
         monkeypatch.setattr(DecoderParams, "radius", 1.0)
-        p = init_arbitration(rng, {"geo": 4, "sem": 6}, d_arb=8, d_guid=4, n_layers=2, heads=2,
+        p = init_arbitration(rng, [4, 6], d_arb=8, d_guid=4, n_layers=2, heads=2,
                              d_bg=2)
         dec = init_decoder(rng, d_arb=8, n_classes=2)
         r_geo = parameter(rng.standard_normal((4, 4)))

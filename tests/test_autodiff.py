@@ -446,7 +446,7 @@ class TestLayerNorm:
 
 def running_stats(d):
     """Fresh batch-norm running statistics: zero mean, unit variance."""
-    return Tensor(np.zeros(d), name="mean"), Tensor(np.ones(d), name="var")
+    return Tensor(np.zeros(d)), Tensor(np.ones(d))
 
 
 class TestBatchNorm:
@@ -514,7 +514,7 @@ class TestWeightedBatchNorm:
         for grouped in (True, False):
             x = parameter(x0 if grouped else x0[inverse])
             gamma, beta = parameter(g0), parameter(b0)
-            mean, var = Tensor(np.full(d, 0.5), name="mean"), Tensor(np.full(d, 2.0), name="var")
+            mean, var = Tensor(np.full(d, 0.5)), Tensor(np.full(d, 2.0))
             out = ad.batch_norm(x, gamma, beta, mean, var, train, counts=counts if grouped else None)
             if grouped:
                 out = ad.take_rows(out, inverse)
@@ -540,7 +540,7 @@ class TestWeightedBatchNorm:
         w = constant(rng.standard_normal((len(inverse), 3)))
 
         def make_loss():
-            mean, var = Tensor(np.full(3, 0.5), name="mean"), Tensor(np.full(3, 2.0), name="var")
+            mean, var = Tensor(np.full(3, 0.5)), Tensor(np.full(3, 2.0))
             out = ad.batch_norm(x, gamma, beta, mean, var, train, counts=self.COUNTS)
             return ad.sum_all(ad.mul(ad.take_rows(out, inverse), w))
 
@@ -613,8 +613,8 @@ class TestNormsBitwise:
             out = ad.layer_norm(x, gamma, beta)
             ref = norm_reference(x0, g0, b0, up, axis=1)
         else:
-            mean = Tensor(rng.standard_normal(shape[1]), name="mean")
-            var = Tensor(rng.uniform(0.5, 2.0, shape[1]), name="var")
+            mean = Tensor(rng.standard_normal(shape[1]))
+            var = Tensor(rng.uniform(0.5, 2.0, shape[1]))
             stats = (mean.data, var.data) if kind == "batch_eval" else None
             ref = norm_reference(x0, g0, b0, up, axis=0, stats=stats)
             running_var = 0.9 * var.data + 0.1 * np.var(x0, axis=0)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ def dense_draws(seed, n_s, d, heads):
     """The draws ``init_expert`` makes, from a second generator on the same
     seed: ``lift``, then the dense q/k/v and output weights of ``mhsa``."""
     rng = np.random.default_rng(seed)
-    return init_linear(rng, n_s, d, "ref.lift"), init_attention(rng, d, heads, "ref.attn"), rng
+    return init_linear(rng, n_s, d), init_attention(rng, d, heads), rng
 
 
 def dense_factors(lift, attn):
@@ -34,8 +36,8 @@ def dense_factors(lift, attn):
 class TestExperts:
     def test_output_shapes_at_paper_defaults(self, rng):
         n_s, n_q = 2, 7
-        geo = init_expert(rng, n_s, 192, heads=4, prefix="geo")
-        sem = init_expert(rng, n_s, 512, heads=4, prefix="sem")
+        geo = init_expert(rng, n_s, 192, heads=4)
+        sem = init_expert(rng, n_s, 512, heads=4)
         c = constant(rng.uniform(-1, 1, (n_q, n_s)))
         assert run_expert(c, geo).shape == (n_q, 192)
         assert run_expert(c, sem).shape == (n_q, 512)
@@ -43,7 +45,7 @@ class TestExperts:
     @pytest.mark.parametrize("n_s, d, h", [(2, 8, 2), (3, 12, 4), (2, 192, 4)])
     def test_init_keeps_the_factors_of_dense_draws(self, n_s, d, h):
         rng = np.random.default_rng(9)
-        params = init_expert(rng, n_s, d, heads=h, prefix="e")
+        params = init_expert(rng, n_s, d, heads=h)
         lift, attn, ref_rng = dense_draws(9, n_s, d, h)
         r = n_s + 1
         assert params.cores.shape == (r, h * r) and params.mix.shape == ((h + 1) * r, d)
@@ -54,12 +56,12 @@ class TestExperts:
         for i, ref in enumerate(cores):
             assert relative_error(params.cores.data[:, i * r:(i + 1) * r], ref) < 1e-14
         assert relative_error(params.mix.data[r:], mix[r:]) < 1e-14
-        assert list(named_tensors(params)) == ["e.attn.cores", "e.attn.mix", "e.ln_gamma"]
+        assert list(named_tensors(params)) == ["cores", "mix", "ln_gamma"]
 
     def test_decoupling_by_construction(self, rng):
         # the geometric output is a function of its own correlation only
         n_s, n_q = 3, 5
-        geo = init_expert(rng, n_s, 16, heads=2, prefix="geo")
+        geo = init_expert(rng, n_s, 16, heads=2)
         c_geo = rng.uniform(-1, 1, (n_q, n_s))
         c_sem = rng.uniform(-1, 1, (n_q, n_s))
         before = run_expert(constant(c_geo), geo).data
@@ -72,7 +74,7 @@ class TestExperts:
         # mixes C' into itself and the residual plus attention is
         # C' L' + [C', C'] @ P, with mix = [L'; P] from dense weights
         n_s = 2
-        params = init_expert(rng, n_s, 8, heads=2, prefix="e")
+        params = init_expert(rng, n_s, 8, heads=2)
         lift, attn, ref_rng = dense_draws(5, n_s, 8, 2)
         lift.b.data = ref_rng.normal(0, 0.1, 8)
         cores, mix = dense_factors(lift, attn)
@@ -89,7 +91,7 @@ class TestExperts:
     def test_output_without_graph_equals_recorded_bitwise(self, rng, n):
         # ``predict`` runs the experts under ``no_grad``, training records a
         # graph; the stored factors must give both the same bytes.
-        params = init_expert(rng, 2, 16, heads=4, prefix="e")
+        params = init_expert(rng, 2, 16, heads=4)
         c = constant(rng.uniform(-1, 1, (n, 2)))
         recorded = run_expert(c, params)
         with ad.no_grad():
@@ -98,23 +100,23 @@ class TestExperts:
         assert free.data.tobytes() == recorded.data.tobytes()
 
     def test_shape_mismatch(self, rng):
-        params = init_expert(rng, 3, 8, heads=2, prefix="e")
+        params = init_expert(rng, 3, 8, heads=2)
         with pytest.raises(ShapeError):
             run_expert(constant(np.zeros((4, 2))), params)
 
     def test_gradient_isolation_between_experts(self, rng):
-        geo = init_expert(rng, 2, 8, heads=2, prefix="geo")
-        sem = init_expert(rng, 2, 12, heads=2, prefix="sem")
+        geo = init_expert(rng, 2, 8, heads=2)
+        sem = init_expert(rng, 2, 12, heads=2)
         c = constant(rng.uniform(-1, 1, (4, 2)))
         grads = backward(ad.sum_all(run_expert(c, geo)))
-        geo_names = set(named_tensors(geo))
-        touched = {t.name for t in grads}
-        assert touched <= geo_names
+        names = {id(t): name for name, t in named_tensors(SimpleNamespace(geo=geo, sem=sem)).items()}
+        touched = {names.get(id(t)) for t in grads}
+        assert touched == {"geo.cores", "geo.mix", "geo.ln_gamma"}
         for t in named_tensors(sem).values():
             assert t.grad is None
 
     def test_gradient_vs_finite_differences(self, rng):
-        params = init_expert(rng, 2, 8, heads=2, prefix="e")
+        params = init_expert(rng, 2, 8, heads=2)
         for t in named_tensors(params).values():  # move the zero bias and its factor rows
             t.data = t.data + rng.normal(0, 0.1, t.shape)
         c = parameter(rng.uniform(-1, 1, (3, 2)))
@@ -133,7 +135,7 @@ class TestLowRankAttention:
     @pytest.mark.parametrize("d", [192, 512])
     def test_matches_dense_attention(self, d, n_way, n):
         seed = [d, n_way, n]
-        params = init_expert(np.random.default_rng(seed), n_way + 1, d, heads=4, prefix="e")
+        params = init_expert(np.random.default_rng(seed), n_way + 1, d, heads=4)
         lift, attn, rng = dense_draws(seed, n_way + 1, d, 4)
         # Move the bias and the norm off their trivial init, and give the
         # expert the factors of the dense weights with that bias.
@@ -141,7 +143,7 @@ class TestLowRankAttention:
         params.ln_gamma.data = params.ln_gamma.data + rng.normal(0, 0.1, d)
         cores, mix = dense_factors(lift, attn)
         params.cores.data, params.mix.data = np.hstack(cores), mix
-        corr = parameter(rng.uniform(-1, 1, (n, n_way + 1)), name="corr")
+        corr = parameter(rng.uniform(-1, 1, (n, n_way + 1)))
         w_ref = constant(rng.standard_normal((n, d)))
         no_shift = constant(np.zeros(d))
 

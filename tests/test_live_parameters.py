@@ -13,21 +13,22 @@ from dafss.scenes import SceneConfig, build_pool, fold_classes, sample_episode
 from dafss.training import LossWeights, train_episode
 
 # Of the largest |grad| in the model. Rounding noise reads about 1e-14 of
-# it; on this episode the least live tensor, fused.ln_gamma, reads 5.5e-4,
-# and the decoupled model's least live block, geo.attn.cores[0], 2.0e-3.
+# it; on this episode the least live tensor, the fused variant's
+# geo_expert.ln_gamma, reads 5.5e-4, and the decoupled model's least live
+# block, geo_expert.cores[0], 2.0e-3.
 LIVE_FRACTION = 1e-8
 
 
 def head_blocks(name: str, grad: np.ndarray, params: dict) -> dict:
     """``grad`` by name, or split per head for an expert's merged attention
     tensors, whose heads share one tensor: each head's ``[r, r]`` column
-    block of ``<p>.attn.cores``, and each of the H+1 ``r``-row blocks of
-    ``<p>.attn.mix`` (block 0 is the residual lift, block h+1 head h's
+    block of ``<expert>.cores``, and each of the H+1 ``r``-row blocks of
+    ``<expert>.mix`` (block 0 is the residual lift, block h+1 head h's
     values). One dead head then shows, however live the others are."""
-    prefix, _, field = name.rpartition(".attn.")
+    expert, _, field = name.partition(".")
     if field not in ("cores", "mix"):
         return {name: grad}
-    r = params[f"{prefix}.attn.cores"].shape[0]
+    r = params[f"{expert}.cores"].shape[0]
     axis = 1 if field == "cores" else 0
     return {f"{name}[{i}]": block
             for i, block in enumerate(np.split(grad, grad.shape[axis] // r, axis=axis))}

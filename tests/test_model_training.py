@@ -35,6 +35,16 @@ def tiny_config(**kw):
     return ModelConfig(**defaults)
 
 
+# Each real-valued setting, built from one value.
+REAL_SETTINGS = {
+    **{field: (lambda v, field=field: LossWeights(**{field: v}))
+       for field in ("lambda_base", "lambda_proto", "lambda_consistency")},
+    "lr": lambda v: AdamW({}, lr=v),
+    "weight_decay": lambda v: AdamW({}, weight_decay=v),
+    "texture_confusion": lambda v: SceneConfig(texture_confusion=v),
+}
+
+
 @pytest.fixture(scope="module")
 def pool():
     cfg = SceneConfig(points_per_object=(12, 20), plane_count=(2, 3), box_count=(1, 2),
@@ -44,12 +54,14 @@ def pool():
 
 def expert_features(monkeypatch, model, episode, train):
     """``model.forward`` once, returning the features each expert produced,
-    keyed by its parameter prefix ("geo", "sem" or "fused"). The semantic
-    expert's features hold one row per distinct row of its correlation."""
+    keyed by its attribute: "geo_expert" (also the fused variant's one
+    expert) or "sem_expert". The semantic expert's features hold one row per
+    distinct row of its correlation."""
     seen = {}
+    names = {id(t): name for name, t in named_tensors(model).items()}
 
     def recording_expert(corr, params, counts=None):
-        seen[params.ln_gamma.name.split(".")[0]] = out = run_expert(corr, params, counts)
+        seen[names[id(params.ln_gamma)].split(".")[0]] = out = run_expert(corr, params, counts)
         return out
 
     monkeypatch.setattr(model_module, "run_expert", recording_expert)
@@ -291,35 +303,57 @@ class TestConfigurationErrors:
         with pytest.raises(ConfigurationError):
             make()
 
+    @pytest.mark.parametrize("field", list(REAL_SETTINGS))
+    @pytest.mark.parametrize("value", ["0.1", None, True, np.array([0.1, 0.2])],
+                             ids=["string", "none", "bool", "array"])
+    def test_real_setting_rejects_a_non_number_by_name(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} = .*number"):
+            REAL_SETTINGS[field](value)
+
+    @pytest.mark.parametrize("field", list(REAL_SETTINGS))
+    def test_real_setting_takes_numpy_scalars(self, field):
+        for value in (np.float32(0.5), np.int64(1)):
+            assert getattr(REAL_SETTINGS[field](value), field) == value
+
 
 class TestModelStructure:
     def test_unknown_mode(self):
         with pytest.raises(ConfigurationError):
             SegModel(tiny_config(), "hybrid")
 
-    def test_parameter_keys_are_tensor_names(self):
+    def test_parameter_keys_are_attribute_paths(self):
         for mode in MODES:
-            params = SegModel(tiny_config(sam_layers=2), mode).parameters()
-            assert all(name == t.name for name, t in params.items())
+            model = SegModel(tiny_config(sam_layers=2), mode)
+            for name, t in model.parameters().items():
+                owner = model
+                for key in name.split("."):
+                    owner = owner[int(key)] if isinstance(owner, list) else getattr(owner, key)
+                assert owner is t, name
 
-    def test_duplicate_parameter_name_rejected(self):
+    def test_one_tensor_under_two_paths_rejected(self):
+        # AdamW would step a tensor reached twice twice.
         model = SegModel(tiny_config(), "fused")
-        model.base.b.name = model.base.w.name
-        with pytest.raises(ConfigurationError, match="base_w"):
+        model.base.b = model.base.w
+        with pytest.raises(ConfigurationError, match="'base.w' and 'base.b'"):
             model.parameters()
 
-    def test_state_dict_keys(self):
-        model = SegModel(tiny_config(), "decoupled")
-        expected = (["uf.hidden_w", "uf.hidden_b", "uf.out_w", "uf.out_b"]
-                    + [f"{e}.{n}" for e in ("geo", "sem") for n in
-                       ("attn.cores", "attn.mix", "ln_gamma", "cls_w", "cls_b")]
-                    + ["align.proj_w", "align.proj_b"]
-                    + [f"arb.{p}.{n}" for p in ("geo", "sem") for n in
-                       ("bn_gamma", "bn_beta", "bn_mean", "bn_var", "conv_w")]
-                    + ["arb.conv_b", "arb.gate_w", "arb.gate_b"]
-                    + [f"arb.l0.{n}" for n in
-                       ("inject_w", "inject_b", "ln_gamma", "ln_beta", "attn.wqkv", "attn.wo")]
-                    + ["dec.conv_w", "dec.conv_b", "dec.out_w", "dec.out_b", "base_w", "base_b"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_state_dict_keys(self, mode):
+        model = SegModel(tiny_config(sam_layers=2), mode)
+        decoupled = mode == "decoupled"
+        linear = ("w", "b")
+        pathway = ("bn_gamma", "bn_beta", "bn_mean", "bn_var", "conv_w")
+        layer = ("inject.w", "inject.b", "ln_gamma", "ln_beta", "attn.wqkv", "attn.wo")
+        expected = ([f"uf.{n}.{p}" for n in ("hidden", "out") for p in linear]
+                    + ["geo_expert.cores", "geo_expert.mix", "geo_expert.ln_gamma"]
+                    + (["geo_head.w", "geo_head.b",
+                        "sem_expert.cores", "sem_expert.mix", "sem_expert.ln_gamma",
+                        "sem_head.w", "sem_head.b", "align.w", "align.b"] if decoupled else [])
+                    + [f"arb.pathways.{i}.{n}" for i in range(1 + decoupled) for n in pathway]
+                    + ["arb.conv_b", "arb.gate.w", "arb.gate.b"]
+                    + [f"arb.layers.{i}.{n}" for i in range(2) for n in layer]
+                    + [f"decoder.{n}.{p}" for n in ("conv", "out") for p in linear]
+                    + ["base.w", "base.b"])
         assert list(model.state_dict()) == expected
 
     @pytest.mark.parametrize("mode, count", [("decoupled", 41), ("fused", 27)])
@@ -328,9 +362,9 @@ class TestModelStructure:
         model = SegModel(ModelConfig(), mode)
         params, state = model.parameters(), model.state_dict()
         assert len(state) == count
-        pathways = {"decoupled": ("geo", "sem"), "fused": ("fused",)}[mode]
+        pathways = {"decoupled": 2, "fused": 1}[mode]
         assert [n for n in state if n not in params] == [
-            f"arb.{p}.bn_{s}" for p in pathways for s in ("mean", "var")]
+            f"arb.pathways.{i}.bn_{s}" for i in range(pathways) for s in ("mean", "var")]
         assert [n for n in state if n in params] == list(params)
 
     def test_parameters_hold_no_statistic(self):
@@ -344,10 +378,12 @@ class TestModelStructure:
                 assert p.bn_var not in params.values()
 
     def test_pathways_are_disjoint_expert_groups(self):
-        pathways = {"decoupled": (("uf", "geo"), ("sem",)), "fused": (("uf", "fused"), ())}
+        pathways = {"decoupled": (("uf", "geo_expert", "geo_head"), ("sem_expert", "sem_head")),
+                    "fused": (("uf", "geo_expert"), ())}
         for mode, prefixes in pathways.items():
             model = SegModel(tiny_config(), mode)
-            uf, sem = ([t.name for t in tensors] for tensors in model.pathway_tensors())
+            names = {id(t): name for name, t in named_tensors(model).items()}
+            uf, sem = ([names[id(t)] for t in tensors] for tensors in model.pathway_tensors())
             assert not set(uf) & set(sem)
             for names, owners in zip((uf, sem), prefixes):
                 assert names == [n for n in model.parameters() if n.split(".")[0] in owners]
@@ -355,11 +391,34 @@ class TestModelStructure:
     def test_fused_has_no_classifier_head(self):
         # the fused variant is the decoupled one without the semantic expert,
         # its merge pathway, the alignment projection and both classifier heads
-        fused = [n.replace("fused.", "geo.") for n in SegModel(tiny_config(), "fused").parameters()]
+        fused = list(SegModel(tiny_config(), "fused").parameters())
         decoupled = [n for n in SegModel(tiny_config(), "decoupled").parameters()
-                     if n.split(".")[0] not in ("sem", "align") and ".cls_" not in n
-                     and not n.startswith("arb.sem.")]
+                     if n.split(".")[0] not in ("geo_head", "sem_expert", "sem_head", "align")
+                     and not n.startswith("arb.pathways.1.")]
         assert fused == decoupled
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_support_mask_that_is_not_bool_rejected(self, episode, mode):
+        shot = episode.support[0][0]
+        ints = dataclasses.replace(shot, mask=shot.mask.astype(np.int64))
+        with pytest.raises(InputError, match="^support mask of way 0, shot 0 has dtype int64, not bool$"):
+            SegModel(tiny_config(), mode).forward(dataclasses.replace(episode, support=[[ints]]),
+                                                  train=False)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+    def test_support_mask_of_another_size_names_way_shot_and_sizes(self, pool, mode, change):
+        base, _ = fold_classes(0)
+        episode = sample_episode(pool, n_way=1, k_shot=2, seed=4, base_classes=base,
+                                 candidate_classes=base)
+        shot = episode.support[0][1]
+        n = len(shot.scene)
+        mask = np.resize(shot.mask, n + change)
+        bad = [[episode.support[0][0], dataclasses.replace(shot, mask=mask)]]
+        with pytest.raises(ShapeError, match=rf"^support mask of way 0, shot 1 has shape "
+                                             rf"\({n + change},\), its scene has {n} points"):
+            SegModel(tiny_config(), mode).forward(dataclasses.replace(episode, support=bad),
+                                                  train=False)
 
     def test_variants_share_logit_interface(self, episode):
         cfg = tiny_config()
@@ -382,15 +441,15 @@ class TestModelStructure:
         before = expert_features(monkeypatch, model, episode, train=False)
         model.if_head.class_embed = model.if_head.class_embed[::-1].copy()
         after = expert_features(monkeypatch, model, episode, train=False)
-        assert before["geo"].data.tobytes() == after["geo"].data.tobytes()
-        assert not np.array_equal(before["sem"].data, after["sem"].data)
+        assert before["geo_expert"].data.tobytes() == after["geo_expert"].data.tobytes()
+        assert not np.array_equal(before["sem_expert"].data, after["sem_expert"].data)
 
     def test_cross_expert_gradients_zero_with_alignment_off(self, episode, monkeypatch):
         model = SegModel(tiny_config(), "decoupled")
-        r_geo = expert_features(monkeypatch, model, episode, train=True)["geo"]
+        r_geo = expert_features(monkeypatch, model, episode, train=True)["geo_expert"]
         grads = backward(ad.sum_all(r_geo))
-        sem_names = set(named_tensors(model.sem_expert))
-        assert all(t.name not in sem_names for t in grads)
+        names = {id(t): name for name, t in named_tensors(model).items()}
+        assert all(not names[id(t)].startswith("sem_expert.") for t in grads)
         for t in named_tensors(model.sem_expert).values():
             assert t.grad is None
 
@@ -441,10 +500,10 @@ class TestModelStructure:
                                       model.forward(episode, train=False).logits.data)
 
     def test_load_empty_checkpoint_rejected(self):
-        with pytest.raises(ConfigurationError, match="arb.fused.bn_var"):
+        with pytest.raises(ConfigurationError, match="arb.pathways.0.bn_var"):
             SegModel(tiny_config(), "fused").load_state_dict({})
 
-    @pytest.mark.parametrize("key", ["geo.attn.mix", "arb.sem.bn_mean"])
+    @pytest.mark.parametrize("key", ["geo_expert.mix", "arb.pathways.1.bn_mean"])
     def test_load_checkpoint_missing_key_rejected(self, key):
         model = SegModel(tiny_config(), "decoupled")
         state = model.state_dict()
@@ -453,19 +512,32 @@ class TestModelStructure:
             model.load_state_dict(state)
 
     @pytest.mark.parametrize("mode, old, new", [
-        ("decoupled", "uf.w1", "uf.hidden_w"), ("decoupled", "base.b", "base_b"),
-        ("decoupled", "arb.bn_state.running_mean", "arb.geo.bn_mean"),
-        ("decoupled", "arb.bn_state.running_var", "arb.geo.bn_var"),
-        ("decoupled", "arb.bn_gamma", "arb.geo.bn_gamma"),
-        ("decoupled", "arb.conv_w", "arb.sem.conv_w"),
-        ("fused", "arb.bn_mean", "arb.fused.bn_mean"),
-        ("decoupled", "arb.l0.attn.wq0", "arb.l0.attn.wqkv"),
-        ("decoupled", "geo.attn.wqkv", "geo.attn.cores"),
-        ("decoupled", "sem.attn.wo", "sem.attn.mix"),
-        ("decoupled", "geo.lift_w", "geo.attn.mix"),
-        ("decoupled", "geo.attn.core0", "geo.attn.cores"),
-        ("fused", "fused.attn.proj", "fused.attn.mix"),
-        ("fused", "fused.ln_beta", "fused.ln_gamma"),
+        ("decoupled", "uf.w1", "uf.hidden.w"),
+        ("decoupled", "arb.bn_state.running_mean", "arb.pathways.0.bn_mean"),
+        ("decoupled", "arb.bn_state.running_var", "arb.pathways.0.bn_var"),
+        ("decoupled", "arb.bn_gamma", "arb.pathways.0.bn_gamma"),
+        ("decoupled", "arb.conv_w", "arb.pathways.1.conv_w"),
+        ("fused", "arb.bn_mean", "arb.pathways.0.bn_mean"),
+        ("decoupled", "arb.l0.attn.wq0", "arb.layers.0.attn.wqkv"),
+        ("decoupled", "geo.attn.wqkv", "geo_expert.cores"),
+        ("decoupled", "sem.attn.wo", "sem_expert.mix"),
+        ("decoupled", "geo.lift_w", "geo_expert.mix"),
+        ("decoupled", "geo.attn.core0", "geo_expert.cores"),
+        ("fused", "fused.attn.proj", "geo_expert.mix"),
+        ("fused", "fused.ln_beta", "geo_expert.ln_gamma"),
+        # the names tensors carried before a name became the attribute path
+        ("decoupled", "uf.hidden_w", "uf.hidden.w"), ("decoupled", "base_b", "base.b"),
+        ("decoupled", "geo.attn.cores", "geo_expert.cores"),
+        ("decoupled", "sem.cls_w", "sem_head.w"), ("decoupled", "align.proj_b", "align.b"),
+        ("decoupled", "arb.sem.bn_mean", "arb.pathways.1.bn_mean"),
+        ("decoupled", "arb.geo.conv_w", "arb.pathways.0.conv_w"),
+        ("decoupled", "arb.gate_w", "arb.gate.w"),
+        ("decoupled", "arb.l0.attn.wqkv", "arb.layers.0.attn.wqkv"),
+        ("decoupled", "arb.l0.inject_b", "arb.layers.0.inject.b"),
+        ("decoupled", "dec.out_w", "decoder.out.w"),
+        ("fused", "fused.attn.mix", "geo_expert.mix"),
+        ("fused", "fused.ln_gamma", "geo_expert.ln_gamma"),
+        ("fused", "arb.fused.bn_var", "arb.pathways.0.bn_var"),
     ])
     def test_load_checkpoint_with_old_key_name_rejected(self, mode, old, new):
         model = SegModel(tiny_config(), mode)
@@ -507,7 +579,7 @@ class TestModelStructure:
         model = SegModel(tiny_config(), "fused")
         state = model.state_dict()
         model.load_state_dict(state)
-        state["base_b"] += 1.0
+        state["base.b"] += 1.0
         assert not np.any(model.base.b.data)
 
     @pytest.mark.parametrize("bad, match", [
@@ -524,8 +596,8 @@ class TestModelStructure:
         model = SegModel(cfg, "decoupled")
         before = model.state_dict()
         state = {name: arr + 1.0 for name, arr in SegModel(cfg, "decoupled").state_dict().items()}
-        state["arb.sem.conv_w"] = bad(state["arb.sem.conv_w"])
-        with pytest.raises(ConfigurationError, match=f"'arb.sem.conv_w'.*{match}"):
+        state["arb.pathways.1.conv_w"] = bad(state["arb.pathways.1.conv_w"])
+        with pytest.raises(ConfigurationError, match=f"'arb.pathways.1.conv_w'.*{match}"):
             model.load_state_dict(state)
         after = model.state_dict()
         assert all(after[name].tobytes() == before[name].tobytes() for name in before)
@@ -747,18 +819,18 @@ class TestTrainEpisode:
         # loaded and rolled back like the batch-norm running statistics.
         def with_counter(fill):
             model = SegModel(tiny_config(), "decoupled")
-            model.counter = Tensor(np.full(3, fill), name="extra.counter")
+            model.counter = Tensor(np.full(3, fill))
             return model
 
         model = with_counter(1.0)
-        assert "extra.counter" not in model.parameters()
+        assert "counter" not in model.parameters()
         state = model.state_dict()
-        assert state["extra.counter"].tobytes() == np.full(3, 1.0).tobytes()
+        assert state["counter"].tobytes() == np.full(3, 1.0).tobytes()
         clone = with_counter(0.0)
         clone.load_state_dict(state)
         assert clone.counter.data.tobytes() == model.counter.data.tobytes()
-        del state["extra.counter"]
-        with pytest.raises(ConfigurationError, match="extra.counter"):
+        del state["counter"]
+        with pytest.raises(ConfigurationError, match="counter"):
             clone.load_state_dict(state)
 
         merge = model_module.merge_features
@@ -846,13 +918,13 @@ class TestDistinctSemanticRows:
         reference = SegModel(tiny_config(), "decoupled")
         ref_logits, ref_grads = self.logits_and_grads(reference, episode, train)
         assert np.max(np.abs(logits - ref_logits)) <= 1e-12 * np.max(np.abs(ref_logits))
-        assert set(grads) == set(ref_grads) and "sem.attn.mix" in grads
-        assert "arb.sem.conv_w" in grads and "arb.sem.bn_gamma" in grads
+        assert set(grads) == set(ref_grads) and "sem_expert.mix" in grads
+        assert "arb.pathways.1.conv_w" in grads and "arb.pathways.1.bn_gamma" in grads
         largest = max(np.max(np.abs(g)) for g in ref_grads.values())
         worst = max(np.max(np.abs(grads[n] - ref_grads[n])) for n in grads)
         assert worst <= 1e-10 * largest
         state, ref_state = model.state_dict(), reference.state_dict()
-        for name in ("arb.sem.bn_mean", "arb.sem.bn_var", "arb.geo.bn_mean", "arb.geo.bn_var"):
+        for name in (f"arb.pathways.{i}.bn_{s}" for i in (0, 1) for s in ("mean", "var")):
             assert np.max(np.abs(state[name] - ref_state[name])) <= 1e-12 * np.max(
                 np.abs(ref_state[name])), name
 
@@ -860,19 +932,20 @@ class TestDistinctSemanticRows:
         # So do the semantic classifier head and the merge's semantic product.
         model = SegModel(tiny_config(), "decoupled")
         product_rows = {}
+        names = {id(t): name for name, t in named_tensors(model).items()}
         matmul = ad.matmul
 
         def recording_matmul(a, b):
-            product_rows[b.name] = a.shape[0]
+            product_rows[names.get(id(b))] = a.shape[0]
             return matmul(a, b)
 
         monkeypatch.setattr(ad, "matmul", recording_matmul)
         seen = expert_features(monkeypatch, model, episode, train=True)
-        n, u = len(episode.query), seen["sem"].shape[0]
-        assert seen["geo"].shape[0] == n
+        n, u = len(episode.query), seen["sem_expert"].shape[0]
+        assert seen["geo_expert"].shape[0] == n
         assert u < n // 2
-        assert product_rows["sem.cls_w"] == product_rows["arb.sem.conv_w"] == u
-        assert product_rows["geo.cls_w"] == product_rows["arb.geo.conv_w"] == n
+        assert product_rows["sem_head.w"] == product_rows["arb.pathways.1.conv_w"] == u
+        assert product_rows["geo_head.w"] == product_rows["arb.pathways.0.conv_w"] == n
 
     @pytest.mark.parametrize("train", [False, True])
     def test_forward_forms_no_array_of_points_by_semantic_width(self, monkeypatch, train):
@@ -933,3 +1006,65 @@ class TestWholeModelGradient:
             analytic = grads.get(p, np.zeros(p.shape)).reshape(-1)[idx]
             numeric = central_difference(loss, p, eps=1e-6, indices=idx)
             assert relative_error(analytic, numeric) <= 1e-6, name
+
+
+def permuted_scene(scene, perm):
+    """``scene`` with its points, and everything per point, in order ``perm``."""
+    return dataclasses.replace(scene, points=scene.points[perm], texture=scene.texture[perm],
+                               labels=scene.labels[perm])
+
+
+def with_query_permuted(episode, perm):
+    base = episode.base_class_labels
+    return dataclasses.replace(episode, query=permuted_scene(episode.query, perm),
+                               query_labels=episode.query_labels[perm],
+                               base_class_labels=None if base is None else base[perm])
+
+
+class TestWholeModelPermutation:
+    """A scene is a set of points: permuting a query's points permutes
+    everything the model says about them, and permuting a support shot's
+    points changes nothing. Only rounding may differ, since sums over
+    points run in another order."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_permuting_the_query_permutes_the_logits(self, episode, mode):
+        model = SegModel(tiny_config(), mode)
+        perm = np.random.default_rng(0).permutation(len(episode.query))
+        logits = model.forward(episode, train=False).logits.data
+        got = model.forward(with_query_permuted(episode, perm), train=False).logits.data
+        assert np.max(np.abs(got - logits[perm])) <= 1e-12 * np.max(np.abs(logits))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_permuting_each_support_shot_leaves_the_logits(self, pool, mode):
+        base, _ = fold_classes(0)
+        episode = sample_episode(pool, n_way=1, k_shot=2, seed=4, base_classes=base,
+                                 candidate_classes=base)
+        rng = np.random.default_rng(1)
+        support = []
+        for shots in episode.support:
+            support.append([])
+            for shot in shots:
+                perm = rng.permutation(len(shot.scene))
+                support[-1].append(dataclasses.replace(
+                    shot, scene=permuted_scene(shot.scene, perm), mask=shot.mask[perm]))
+        model = SegModel(tiny_config(), mode)
+        logits = model.forward(episode, train=False).logits.data
+        got = model.forward(dataclasses.replace(episode, support=support), train=False).logits.data
+        assert np.max(np.abs(got - logits)) <= 1e-12 * np.max(np.abs(logits))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_step_on_a_permuted_query_trains_the_same(self, episode, mode):
+        def step(ep):
+            model = SegModel(tiny_config(), mode)
+            record = train_episode(model, ep, AdamW(model.parameters()), LossWeights(), step=0)
+            return vars(record), model.state_dict()
+
+        perm = np.random.default_rng(2).permutation(len(episode.query))
+        record, state = step(episode)
+        got_record, got_state = step(with_query_permuted(episode, perm))
+        for field, want in record.items():
+            assert abs(got_record[field] - want) <= 1e-12 * abs(want), field
+        largest = max(np.max(np.abs(a)) for a in state.values())
+        for name, want in state.items():
+            assert np.max(np.abs(got_state[name] - want)) <= 1e-12 * largest, name

@@ -7,7 +7,7 @@ from dafss.optim import ADAMW_BLOCK, AdamW
 
 
 def test_zero_grad_zero_decay_is_fixed_point():
-    p = parameter(np.array([1.0, -2.0, 3.0]), name="w")
+    p = parameter(np.array([1.0, -2.0, 3.0]))
     p.grad = np.zeros(3)
     opt = AdamW({"w": p}, lr=0.1, weight_decay=0.0)
     opt.step()
@@ -15,7 +15,7 @@ def test_zero_grad_zero_decay_is_fixed_point():
 
 
 def test_decoupled_decay_with_zero_gradient():
-    p = parameter(np.array([2.0, -4.0]), name="w")
+    p = parameter(np.array([2.0, -4.0]))
     p.grad = np.zeros(2)
     opt = AdamW({"w": p}, lr=0.1, weight_decay=0.01)
     opt.step()
@@ -32,7 +32,7 @@ def test_single_step_matches_hand_stepped_update():
     v_hat = v / (1 - b2)
     expected = x0 - lr * wd * x0 - lr * m_hat / (np.sqrt(v_hat) + eps)
 
-    p = parameter(np.array([x0]), name="x")
+    p = parameter(np.array([x0]))
     p.grad = np.array([g])
     opt = AdamW({"x": p}, lr=lr, weight_decay=wd)
     opt.step()
@@ -44,7 +44,7 @@ def two_steps_against_hand_stepped_reference(b1, b2, eps):
     lr, wd = 0.1, 0.0
     x = 1.0
     m = v = 0.0
-    p = parameter(np.array([x]), name="x")
+    p = parameter(np.array([x]))
     opt = AdamW({"x": p}, lr=lr, weight_decay=wd)
     for t in (1, 2):
         g = 2.0 * x
@@ -72,7 +72,7 @@ def test_other_moments_follow_the_same_rule(monkeypatch, b1, b2, eps):
 
 
 def test_nonfinite_gradient_names_parameter():
-    p = parameter(np.array([1.0]), name="uf.hidden_w")
+    p = parameter(np.array([1.0]))
     p.grad = np.array([np.nan])
     opt = AdamW({"uf.hidden_w": p})
     with pytest.raises(NumericError, match="uf.hidden_w"):
@@ -80,8 +80,8 @@ def test_nonfinite_gradient_names_parameter():
 
 
 def test_nonfinite_gradient_leaves_every_parameter_untouched():
-    a = parameter(np.array([1.0, 2.0]), name="a")
-    b = parameter(np.array([3.0, 4.0]), name="b")
+    a = parameter(np.array([1.0, 2.0]))
+    b = parameter(np.array([3.0, 4.0]))
     opt = AdamW({"a": a, "b": b}, lr=0.1, weight_decay=0.01)
 
     def snapshot():
@@ -99,7 +99,7 @@ def test_nonfinite_gradient_leaves_every_parameter_untouched():
 
 
 def test_none_grad_is_skipped():
-    p = parameter(np.array([1.0]), name="w")
+    p = parameter(np.array([1.0]))
     opt = AdamW({"w": p}, lr=0.1, weight_decay=0.01)
     opt.step()
     np.testing.assert_array_equal(p.data, [1.0])
@@ -107,7 +107,7 @@ def test_none_grad_is_skipped():
 
 
 def test_descends_quadratic():
-    p = parameter(np.array([3.0]), name="x")
+    p = parameter(np.array([3.0]))
     opt = AdamW({"x": p}, lr=0.1, weight_decay=0.0)
     for _ in range(200):
         p.grad = 2.0 * p.data
@@ -121,7 +121,7 @@ def test_in_place_step_matches_out_of_place_formula_bitwise():
     # and one spans four blocks, the last of them partly filled.
     rng = np.random.default_rng(0)
     shapes = {"blocks": (3, ADAMW_BLOCK // 2 + 7, 2), "big": (7, 5), "row": (5,), "scalar": ()}
-    params = {n: parameter(rng.standard_normal(s), name=n) for n, s in shapes.items()}
+    params = {n: parameter(rng.standard_normal(s)) for n, s in shapes.items()}
     opt = AdamW(params, lr=0.01, weight_decay=0.1)
     ref = {n: [p.data.copy(), np.zeros(shapes[n]), np.zeros(shapes[n]), 0] for n, p in params.items()}
     for step in range(4):
@@ -159,7 +159,7 @@ def test_invalid_setting_names_field(field, value):
 
 
 def test_boundary_settings_accepted():
-    p = parameter(np.array([1.0, -2.0]), name="x")
+    p = parameter(np.array([1.0, -2.0]))
     p.grad = np.array([0.5, -0.25])
     opt = AdamW({"x": p}, lr=1e-3, weight_decay=0.0)
     opt.step()

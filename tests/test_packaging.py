@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 PACKAGE = PYPROJECT.parent / "src" / "dafss"
+WORKFLOW = PYPROJECT.parent / ".github" / "workflows" / "tier1.yml"
+ROADMAP = PYPROJECT.parent / "ROADMAP.md"
 # The library runs on numpy and the standard library alone.
 ALLOWED_IMPORTS = {"numpy", "dafss", "__future__"} | set(sys.stdlib_module_names)
 
@@ -25,6 +28,40 @@ def test_declared_console_scripts_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"console script {name!r} -> {target!r} is not callable"
+
+
+def workflow_steps() -> dict:
+    """``{step name: its run command}`` of the CI workflow's one-line steps."""
+    steps, name = {}, None
+    for line in WORKFLOW.read_text().splitlines():
+        if m := re.match(r"\s*- name:\s*(.+)", line):
+            name = m.group(1).strip()
+        elif (m := re.match(r"\s*run:\s*(.+)", line)) and name is not None:
+            steps[name] = m.group(1).strip()
+    return steps
+
+
+def requirement_name(requirement: str) -> str:
+    """The distribution name a requirement starts with, normalised."""
+    return re.sub(r"[-_.]+", "-", re.match(r"[A-Za-z0-9._-]+", requirement).group()).lower()
+
+
+def test_ci_installs_exactly_the_declared_packages():
+    # The workflow names the packages it installs instead of installing the
+    # project with its test extra; the two lists must not drift apart.
+    tomllib = pytest.importorskip("tomllib",
+                                  reason="tomllib is in the standard library from Python 3.11")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    declared = project["dependencies"] + project["optional-dependencies"]["test"]
+    command = workflow_steps()["Install"].split()
+    assert command[:4] == ["python", "-m", "pip", "install"], command
+    installed = [requirement_name(arg) for arg in command[4:] if not arg.startswith("-")]
+    assert sorted(installed) == sorted(requirement_name(r) for r in declared)
+
+
+def test_ci_runs_the_tier1_command():
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", ROADMAP.read_text()).group(1)
+    assert workflow_steps()["Tier-1 tests"] == tier1
 
 
 def imported_modules(source: str) -> set:

@@ -255,7 +255,8 @@ def neighbours(points: np.ndarray, k: int, radius: float) -> tuple:
 def knn_weights(points: np.ndarray, k: int, radius: float) -> np.ndarray:
     """The dense ``[N, N]`` row-stochastic view of :func:`neighbours`, for
     ``bench/checks.py`` to compare with its reference: ``w`` scattered
-    into its rows and each row normalised. The decoder never forms it."""
+    into its rows and each row normalised. The decoder's forward pass
+    never forms it."""
     idx, w = neighbours(points, k, radius)
     n = len(points)
     weights = np.zeros((n, n))
@@ -268,7 +269,9 @@ def decode(r_final: Tensor, query_points: np.ndarray, params: DecoderParams) -> 
     """Smoothing over each point's neighbours (over every point of a query
     smaller than k) with weights normalised over its k, then a pointwise
     transform and the logits. One weighted row gather does the smoothing,
-    so no ``[N, N]`` array is formed."""
+    so the forward pass forms no ``[N, N]`` array. Its backward does: the
+    gather's backward multiplies by an ``[N, N]`` spread matrix, as
+    :func:`autodiff.take_rows` says for U = M."""
     idx, w = neighbours(query_points, min(params.k, len(query_points)), params.radius)
     agg = ad.take_rows(r_final, idx, w / w.sum(axis=1, keepdims=True))
     return linear(ad.relu(linear(agg, params.conv)), params.out)

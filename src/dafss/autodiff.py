@@ -2,8 +2,10 @@
 
 Every operation returns a new ``Tensor`` and, when any input requires a
 gradient, records a backward closure plus references to its parents. Calling
-:func:`backward` on a scalar walks the graph once in reverse topological
-order and accumulates gradients additively into every reachable leaf.
+:func:`backward` on a scalar walks the graph once in reverse creation
+order, which is a reverse topological order because an op creates its
+result after its inputs, and accumulates gradients additively into every
+reachable leaf.
 
 Conventions:
   * all data is float64, row-major, CPU-only;
@@ -19,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import ctypes
+import itertools
 import platform
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +31,6 @@ from dafss.errors import DegenerateBatchError, GraphError, InputError, ShapeErro
 
 NORM_EPS = 1e-5  # added to the variance by layer_norm and batch_norm
 BATCH_NORM_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
-LOG_FLOOR = 1e-12  # safe_log clips its input here
 COSINE_EPS = 1e-12  # smallest row norm cosine_rows divides by
 HEAP_KEEP_BYTES = 64 << 20  # free heap top that glibc keeps instead of returning
 HEAP_MMAP_BYTES = 32 << 20  # smallest block glibc maps on its own (its largest allowed)
@@ -58,10 +60,13 @@ def _keep_freed_heap() -> None:
 _keep_freed_heap()
 
 
+_creation = itertools.count()  # numbers every Tensor in the order it is made
+
+
 class Tensor:
     """A dense array plus the bookkeeping needed for reverse-mode autodiff."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_done", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64, order="C")
@@ -70,6 +75,7 @@ class Tensor:
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._done = False
+        self._seq = next(_creation)
 
     @property
     def shape(self) -> tuple:
@@ -471,17 +477,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _node(s, (x,), backward)
 
 
-def safe_log(x: Tensor) -> Tensor:
-    """log(max(x, LOG_FLOOR)); the gradient is zero wherever the floor binds."""
-    clipped = np.maximum(x.data, LOG_FLOOR)
-    above = x.data > LOG_FLOOR
-
-    def backward(g: np.ndarray) -> None:
-        _accum(x, np.where(above, g / clipped, 0.0), owned=True)
-
-    return _node(np.log(clipped), (x,), backward)
-
-
 def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op} requires identical shapes, got {a.shape} and {b.shape}")
@@ -737,29 +732,15 @@ def stop_gradient(x: Tensor) -> Tensor:
 
 
 def _toposort(root: Tensor) -> list:
-    order: list = []
-    state: dict = {}  # id -> 1 while on stack, 2 when finished
-    stack: list = [(root, iter(root._parents))]
-    state[id(root)] = 1
+    """The nodes reachable from ``root`` that need a gradient, in creation order."""
+    seen = {id(root): root}
+    stack = [root]
     while stack:
-        node, it = stack[-1]
-        advanced = False
-        for parent in it:
-            if not parent.requires_grad:
-                continue
-            s = state.get(id(parent))
-            if s == 1:
-                raise GraphError("cycle detected in differentiation graph")
-            if s is None:
-                state[id(parent)] = 1
-                stack.append((parent, iter(parent._parents)))
-                advanced = True
-                break
-        if not advanced:
-            state[id(node)] = 2
-            order.append(node)
-            stack.pop()
-    return order
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return sorted(seen.values(), key=lambda t: t._seq)
 
 
 def backward(loss: Tensor) -> dict:

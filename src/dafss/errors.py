@@ -12,7 +12,7 @@ class ShapeError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """The differentiation graph is in an invalid state (cycle, reuse)."""
+    """Backward was called again on a graph it has already swept."""
 
 
 class NumericError(RuntimeError):

@@ -7,9 +7,9 @@ the fused baseline sums the two correlation matrices and refines them in a
 single expert, with no heads and no alignment graph at all. The semantic
 expert refines only the distinct rows of its detached correlation, and its
 features stay at those rows through its classifier head and the merge's
-batch norm and product: only the head's class probabilities and the
-merge's ``[rows, d_arb]`` product are gathered to the points. The geometric
-and fused experts, whose inputs carry a gradient per row, refine every row.
+batch norm and product: only the head's class logits and the merge's
+``[rows, d_arb]`` product are gathered to the points. The geometric and
+fused experts, whose inputs carry a gradient per row, refine every row.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from dafss import autodiff as ad
-from dafss.alignment import consistency_loss, head_probs, prototype_alignment_loss
+from dafss.alignment import consistency_loss, prototype_alignment_loss
 from dafss.arbitration import (
     arbitrate,
     decode,
@@ -235,9 +235,14 @@ class SegModel:
     # -- forward --------------------------------------------------------------
 
     def _encode_support(self, episode: Episode):
+        if len(episode.support) != episode.n_way:
+            raise ShapeError(f"support holds {len(episode.support)} ways, "
+                             f"the episode is {episode.n_way}-way")
         geo_parts, sem_parts = [], []
         mask_cols: list[list[np.ndarray]] = [[] for _ in range(episode.n_way)]
         for way, shots in enumerate(episode.support):
+            if len(shots) == 0:
+                raise ShapeError(f"support way {way} holds no shot")
             for i, shot in enumerate(shots):
                 n, mask, which = len(shot.scene), np.asarray(shot.mask), f"way {way}, shot {i}"
                 if mask.dtype != bool:
@@ -276,8 +281,8 @@ class SegModel:
             if train:
                 proto_loss = prototype_alignment_loss(geo_protos, sem_protos, self.align)
                 consist_loss = consistency_loss(
-                    head_probs(r_geo, self.geo_head),
-                    ad.take_rows(head_probs(r_sem, self.sem_head), groups[0]))
+                    linear(r_geo, self.geo_head),
+                    ad.take_rows(linear(r_sem, self.sem_head), groups[0]))
             blocks = [(r_geo, None), (r_sem, groups)]
         else:
             blocks = [(run_expert(ad.add(corr.geo, corr.sem), self.geo_expert), None)]

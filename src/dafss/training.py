@@ -17,7 +17,7 @@ from dafss.optim import AdamW
 from dafss.scenes import Episode
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     """The one home of every loss weight; ``total_loss`` applies them."""
 

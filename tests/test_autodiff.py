@@ -661,19 +661,6 @@ class TestElementwise:
         x = parameter(rng.standard_normal(6))
         check_grads(lambda: ad.sum_all(ad.sigmoid(x)), {"x": x}, tol=1e-4)
 
-    def test_safe_log_mul_gradients(self, rng):
-        x = parameter(rng.uniform(0.5, 2.0, size=5))
-        y = parameter(rng.standard_normal(5))
-        check_grads(lambda: ad.sum_all(ad.mul(ad.safe_log(x), ad.sigmoid(y))), {"x": x, "y": y},
-                    tol=1e-4)
-
-    def test_safe_log_floor_blocks_gradient(self):
-        x = parameter([1e-30, 2.0])
-        loss = ad.sum_all(ad.safe_log(x))
-        grads = backward(loss)
-        np.testing.assert_allclose(grads[x], [0.0, 0.5])
-        assert ad.safe_log(constant([1e-30])).data[0] == np.log(1e-12)
-
     def test_rowvec_ops(self, rng):
         x = parameter(rng.standard_normal((4, 3)))
         v = parameter(rng.standard_normal(3))
@@ -1047,6 +1034,26 @@ class TestBackward:
         l1, gx1, gw1 = run()
         l2, gx2, gw2 = run()
         assert np.array_equal(l1, l2) and np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
+
+    def test_long_chain_gives_the_product_of_its_factors(self, rng):
+        # far deeper than Python's recursion limit
+        factors = rng.uniform(0.99, 1.01, size=5000)
+        x = parameter(np.array([2.0]))
+        h = x
+        for c in factors:
+            h = ad.scale(h, c)
+        grads = backward(ad.sum_all(h))
+        expected = np.ones(1)
+        for c in factors[::-1]:
+            expected = expected * c
+        np.testing.assert_array_equal(grads[x], expected)
+
+    def test_wide_fan_out_gives_the_closed_form(self):
+        # d/dx sum_i sum(i * x) over i = 1..1000 is 1000 * 1001 / 2 per entry
+        x = parameter(np.array([0.5, -1.5]))
+        terms = [ad.mul(x, constant(np.full(2, float(i)))) for i in range(1, 1001)]
+        grads = backward(ad.sum_all(ad.concat(terms, axis=0)))
+        np.testing.assert_array_equal(grads[x], [500500.0, 500500.0])
 
 
 class TestCosineRows:

@@ -286,6 +286,13 @@ class TestConfigurationErrors:
         for mode in MODES:
             assert SegModel(cfg, mode).forward(episode, train=True).logits.shape[1] == 2
 
+    def test_loss_weights_cannot_be_changed_past_their_checks(self):
+        weights = LossWeights()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            weights.lambda_base = "0.1"
+        with pytest.raises(ConfigurationError, match="^lambda_base = "):
+            dataclasses.replace(weights, lambda_base="0.1")
+
     @pytest.mark.parametrize("field", ["lambda_base", "lambda_proto", "lambda_consistency"])
     @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
     def test_invalid_loss_weight_names_field(self, field, value):
@@ -418,6 +425,20 @@ class TestModelStructure:
         with pytest.raises(ShapeError, match=rf"^support mask of way 0, shot 1 has shape "
                                              rf"\({n + change},\), its scene has {n} points"):
             SegModel(tiny_config(), mode).forward(dataclasses.replace(episode, support=bad),
+                                                  train=False)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("ways", [0, 2], ids=["none", "twice"])
+    def test_support_with_another_number_of_ways_names_both_counts(self, episode, mode, ways):
+        support = [episode.support[0]] * ways
+        with pytest.raises(ShapeError, match=f"^support holds {ways} ways, the episode is 1-way$"):
+            SegModel(tiny_config(), mode).forward(dataclasses.replace(episode, support=support),
+                                                  train=False)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_support_way_without_shots_named(self, episode, mode):
+        with pytest.raises(ShapeError, match="^support way 0 holds no shot$"):
+            SegModel(tiny_config(), mode).forward(dataclasses.replace(episode, support=[[]]),
                                                   train=False)
 
     def test_variants_share_logit_interface(self, episode):
@@ -784,6 +805,20 @@ class TestTrainEpisode:
         base = base_loss(out.base_logits, episode.base_class_labels)
         backward(total_loss(seg, base, out.proto_loss, out.consist_loss, LossWeights()))
         assert [n for n, p in model.parameters().items() if p.grad is None] == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sweep_reaches_every_parent_before_its_child(self, mode, episode):
+        out = SegModel(tiny_config(), mode).forward(episode, train=True)
+        seg = seg_loss(out.logits, episode.query_labels)
+        base = base_loss(out.base_logits, episode.base_class_labels)
+        total = total_loss(seg, base, out.proto_loss, out.consist_loss, LossWeights())
+        order = ad._toposort(total)
+        place = {id(t): i for i, t in enumerate(order)}
+        assert order[-1] is total and len(place) == len(order)
+        for child in order:
+            for parent in child._parents:
+                if parent.requires_grad:
+                    assert place[id(parent)] < place[id(child)]
 
     def test_nonfinite_loss_leaves_batch_norm_statistics_untouched(self, episode):
         model = SegModel(tiny_config(), "decoupled")

@@ -83,6 +83,25 @@ def test_library_imports_only_numpy_and_the_standard_library():
     assert {name: mods for name, mods in foreign.items() if mods} == {}
 
 
+def print_calls(source: str) -> list:
+    """Line numbers of every call of the builtin name ``print`` in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print"]
+
+
+def test_library_neither_prints_nor_logs():
+    # A run's record comes from one mechanism, not from prints or log lines
+    # scattered through the modules.
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        source = path.read_text()
+        lines, logs = print_calls(source), "logging" in imported_modules(source)
+        if lines or logs:
+            found[str(path.relative_to(PACKAGE))] = {"print at lines": lines, "imports logging": logs}
+    assert found == {}
+
+
 FAILING_PROPERTY = """
 from hypothesis import given, strategies as st
 

@@ -8,7 +8,9 @@ result after its inputs, and accumulates gradients additively into every
 reachable leaf.
 
 Conventions:
-  * all data is float64, row-major, CPU-only;
+  * all data is float64, row-major, CPU-only; the heads of one
+    :func:`attention` call may run on several threads of the process, and
+    no result depends on how many;
   * leaf gradients are NOT cleared implicitly -- callers zero them between
     steps; the gradients of intermediate nodes live only during a sweep;
   * :func:`stop_gradient` is the identity on values and detaches the result
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+import os
 import platform
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,7 +41,8 @@ HEAP_MMAP_BYTES = 32 << 20  # smallest block glibc maps on its own (its largest 
 
 
 def _keep_freed_heap() -> None:
-    """Fix glibc's trim and mmap thresholds for this process.
+    """Fix glibc's trim and mmap thresholds for this process, and keep every
+    thread's allocations in the one main arena.
 
     A training step records a graph that holds every intermediate and frees
     them together after the update. By default glibc derives both
@@ -48,13 +53,24 @@ def _keep_freed_heap() -> None:
     the default 1-way 1-shot training, a warm decoupled step made 0 to
     2500 minor faults and 0 to 10 ms of kernel time, against 35-50 ms of
     step (2-core VM). With the thresholds fixed, every seed made at most
-    6 faults and no kernel time. Other C libraries are left as they are."""
+    6 faults and no kernel time.
+
+    The trim threshold covers the main arena only. Without a limit of one
+    arena, the tiles that :func:`attention`'s pool threads allocate land
+    in per-thread arenas that the fixed thresholds do not govern: on 4x
+    dense evaluation (``bench/run.py --seconds 20``, seeds 1-4, 2-core VM)
+    the peak resident set then rose 3.1% over single-threaded heads, in
+    place of 1.9% with one arena, for the same evaluation rate (+10.3%
+    against +10.5%). The threads allocate a few large tiles per head, so
+    they seldom wait for the arena's lock. Other C libraries are left as
+    they are."""
     if platform.system() != "Linux" or platform.libc_ver()[0] != "glibc":
         return
     mallopt = ctypes.CDLL(None).mallopt
-    m_trim_threshold, m_mmap_threshold = -1, -3  # from <malloc.h>
+    m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8  # from <malloc.h>
     mallopt(m_trim_threshold, HEAP_KEEP_BYTES)
     mallopt(m_mmap_threshold, HEAP_MMAP_BYTES)
+    mallopt(m_arena_max, 1)
 
 
 _keep_freed_heap()
@@ -201,6 +217,78 @@ ATTENTION_TILE_ELEMS = 65536
 # A row of attention whose exp sum falls below this is formed again from
 # its exact row max: its bound overshot its largest score by about 460 or more.
 ROW_SUM_FLOOR = 1e-200
+# Work per head, n * m * (dk + dv) for n queries and m keys, from which an
+# attention call spreads its heads over threads. End to end (bench/run.py
+# --seconds 20, seeds 1-4, 2-core VM, one BLAS thread), threading the
+# arbitration heads of 4x dense evaluation (n = m = 442-826 at dk = dv = 48,
+# 18.7e6 and up) raised decoupled evaluation by 11%; also threading the
+# expert heads there (dk = dv = 3, at most 4.1e6) moved it by -0.8%; and
+# threading every call of default-density scenes (n m <= 55225, at most
+# 5.3e6) cut their evaluation by 8-9% and decoupled training by 3%.
+ATTENTION_THREAD_WORK = 10_000_000
+
+_pool: Optional[tuple] = None  # (threads, executor or None), made at the first threaded call
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _drop_pool() -> None:
+    """Forget the pool: a forked child holds none of its parent's threads,
+    and a task queued to their executor would wait for ever."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _each_head(task: Callable[[int], object], heads: int, work: int) -> list:
+    """``[task(h) for h in range(heads)]``. From ``ATTENTION_THREAD_WORK``
+    per head on, the calling thread and each of the pool's threads, one
+    fewer than the usable CPUs, take every ``T``-th head for ``T`` threads
+    in all; below it, or on one CPU, the caller takes every head. The
+    caller waits for every head, also when one raises, and then re-raises
+    the error."""
+    global _pool
+    share = 1
+    if heads > 1 and work >= ATTENTION_THREAD_WORK:
+        if _pool is None:
+            threads = _usable_cpus() - 1
+            _pool = (threads, ThreadPoolExecutor(threads) if threads else None)
+        share = _pool[0] + 1
+
+    def run(first: int) -> list:
+        return [task(h) for h in range(first, heads, share)]
+
+    futures = [_pool[1].submit(run, j) for j in range(1, min(share, heads))]
+    try:
+        parts = [run(0)]
+    finally:
+        wait(futures)
+    parts += [f.result() for f in futures]
+    out = [None] * heads
+    for j, part in enumerate(parts):
+        out[j::share] = part
+    return out
+
+
+def _block_sums(parts: Sequence[np.ndarray], blocks: int) -> Sequence[np.ndarray]:
+    """Per-head gradient partials of a ``k`` or ``v`` with ``blocks`` column
+    blocks: each head's own, or, for one block all heads share, their sum
+    taken in head order whatever thread made each."""
+    if blocks == len(parts):
+        return parts
+    total = parts[0]
+    for part in parts[1:]:
+        total += part
+    return [total]
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0,
@@ -255,6 +343,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0,
     and ``k`` and ``v`` hold a block per head or one all heads share (``dk``
     wide if ``H > 1``). Each head keeps its own tiles and has the bits of its
     own call; a shared block is set up once and its gradient summed.
+
+    Each head's tile loop is one task, in the forward pass and in the
+    backward pass, and from ``ATTENTION_THREAD_WORK`` per head on the tasks
+    run on a private thread pool as well as the calling thread (numpy
+    releases the interpreter lock in its products and ``exp``). A task
+    writes only its own column block of the output and of ``dq``, keeps its
+    own tiles and returns its own ``dk`` and ``dv`` partials, which the
+    caller sums over the heads in head order. So no output or gradient bit
+    depends on the number of threads or on their timing.
     """
     if not (is_integer(heads) and heads >= 1 and q.data.ndim == k.data.ndim == v.data.ndim == 2
             and q.shape[1] % heads == 0 and k.shape[0] == v.shape[0] >= 1
@@ -275,26 +372,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0,
     n_kb, n_vb = (1 if t.shape[1] == d else heads for t, d in ((k, dk), (v, dv)))
     step = max(1, ATTENTION_TILE_ELEMS // m)
     rows = [slice(lo, lo + step) for lo in range(0, n, step)]
+    work = n * m * (dk + dv)
     # Tiles are kept only for a graph that will be recorded, so a forward pass
-    # without one holds a single tile at a time.
+    # without one holds a single tile per running head at a time.
     record = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
-    tiles = []
     out_data = np.empty((n, heads * dv))
-    qs = np.empty((n, dk + 2))  # [c q_h, 1, -bound] @ kb = [k_h^T; key_bias; 1] is s - bound
-    qs[:, dk] = 1.0
-    kbs, vbs = [], []  # per distinct block, built at the first head that reads it
-    for h in range(heads):
-        if h < n_kb:
-            kj, kb = k.data[:, h * dk:(h + 1) * dk], np.empty((dk + 2, m))
-            kb[:dk], kb[dk], kb[dk + 1] = kj.T, bias, 1.0
-            kbs.append((kj, kb, float(np.einsum("ij,ij->i", kj, kj).max()) ** 0.5))
-        if h < n_vb:  # [v_h, 1]: e @ vb = [e @ v_h, l]
-            vbs.append(np.hstack([v.data[:, h * dv:(h + 1) * dv], np.ones((m, 1))]))
+    kbs = []  # per distinct block: k_j, [k_j^T; key_bias; 1] and max_j |k_j|
+    for j in range(n_kb):
+        kj, kb = k.data[:, j * dk:(j + 1) * dk], np.empty((dk + 2, m))
+        kb[:dk], kb[dk], kb[dk + 1] = kj.T, bias, 1.0
+        kbs.append((kj, kb, float(np.einsum("ij,ij->i", kj, kj).max()) ** 0.5))
+    # [v_j, 1]: e @ vb = [e @ v_j, l]
+    vbs = [np.hstack([v.data[:, j * dv:(j + 1) * dv], np.ones((m, 1))]) for j in range(n_vb)]
+    bias_max = bias.max()
+
+    def head_forward(h: int) -> list:
+        """Writes head ``h``'s output column block; returns its kept tiles."""
         (_, kb, k_norm), vb = kbs[h % n_kb], vbs[h % n_vb]
+        qs = np.empty((n, dk + 2))  # [c q_h, 1, -bound] @ kb = [k_h^T; key_bias; 1] is s - bound
+        qs[:, dk] = 1.0
         cq = np.multiply(q.data[:, h * dk:(h + 1) * dk], c, out=qs[:, :dk])
         np.sqrt(np.einsum("ij,ij->i", cq, cq), out=qs[:, dk + 1])
         qs[:, dk + 1] *= -k_norm
-        qs[:, dk + 1] -= bias.max()
+        qs[:, dk + 1] -= bias_max
+        kept = []
         for r in rows:
             e = qs[r] @ kb
             np.exp(e, out=e)
@@ -308,36 +409,47 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float = 1.0,
             l = p[:, dv:]
             np.divide(p[:, :dv], l, out=out_data[r, h * dv:(h + 1) * dv])
             if record:
-                tiles.append((e, l.copy()))  # a view would keep all of p alive
+                kept.append((e, l.copy()))  # a view would keep all of p alive
+        return kept
+
+    tiles = _each_head(head_forward, heads, work)  # per head, its (e, l) per row tile
 
     def backward(g: np.ndarray) -> None:
         gq = np.empty_like(q.data) if q.requires_grad else None
-        gk = np.zeros((n_kb, dk, m)) if k.requires_grad else None  # contiguous per block,
-        gv = np.zeros((n_vb, m, dv)) if v.requires_grad else None  # as += per tile is faster
-        for (h, r), (e, l) in zip([(h, r) for h in range(heads) for r in rows], tiles):
+
+        def head_backward(h: int) -> tuple:
+            """Writes head ``h``'s column block of ``gq``; returns its partial
+            gradients of its ``k`` and ``v`` blocks, unscaled by ``c``."""
             qc, oc = slice(h * dk, (h + 1) * dk), slice(h * dv, (h + 1) * dv)
-            gb = np.empty((e.shape[0], dv + 1))  # [g', -rowsum(g' * out)]
-            gr = np.divide(g[r, oc], l, out=gb[:, :dv])
-            if gv is not None:
-                gv[h % n_vb] += e.T @ gr
-            if gq is None and gk is None:
-                continue
-            np.negative(np.einsum("ij,ij->i", gr, out_data[r, oc]), out=gb[:, dv])
-            t = gb @ vbs[h % n_vb].T
-            t *= e
-            if gq is not None:
-                np.matmul(t, kbs[h % n_kb][0], out=gq[r, qc])
-            if gk is not None:
-                gk[h % n_kb] += q.data[r, qc].T @ t
-        if gv is not None:
-            _accum(v, np.hstack(gv), owned=True)
+            gk = np.zeros((dk, m)) if k.requires_grad else None  # contiguous, as += per
+            gv = np.zeros((m, dv)) if v.requires_grad else None  # tile is faster
+            for r, (e, l) in zip(rows, tiles[h]):
+                gb = np.empty((e.shape[0], dv + 1))  # [g', -rowsum(g' * out)]
+                gr = np.divide(g[r, oc], l, out=gb[:, :dv])
+                if gv is not None:
+                    gv += e.T @ gr
+                if gq is None and gk is None:
+                    continue
+                np.negative(np.einsum("ij,ij->i", gr, out_data[r, oc]), out=gb[:, dv])
+                t = gb @ vbs[h % n_vb].T
+                t *= e
+                if gq is not None:
+                    np.matmul(t, kbs[h % n_kb][0], out=gq[r, qc])
+                if gk is not None:
+                    gk += q.data[r, qc].T @ t
+            return gk, gv
+
+        gk, gv = zip(*_each_head(head_backward, heads, work))
+        if v.requires_grad:
+            _accum(v, np.hstack(_block_sums(gv, n_vb)), owned=True)
         # t is the gradient of the scaled scores (c * q) @ k.T
         if gq is not None:
             gq *= c
             _accum(q, gq, owned=True)
-        if gk is not None:
+        if k.requires_grad:
+            gk = np.vstack(_block_sums(gk, n_kb))
             gk *= c
-            _accum(k, gk.reshape(-1, m).T)
+            _accum(k, gk.T)
 
     return _node(out_data, (q, k, v), backward)
 

@@ -243,6 +243,9 @@ class SegModel:
         for way, shots in enumerate(episode.support):
             if len(shots) == 0:
                 raise ShapeError(f"support way {way} holds no shot")
+            if len(shots) != episode.k_shot:
+                raise ShapeError(f"support way {way} holds {len(shots)} shots, "
+                                 f"the episode is {episode.k_shot}-shot")
             for i, shot in enumerate(shots):
                 n, mask, which = len(shot.scene), np.asarray(shot.mask), f"way {way}, shot {i}"
                 if mask.dtype != bool:

@@ -1,5 +1,9 @@
+import contextlib
 import functools
+import multiprocessing
 import re
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -104,10 +108,11 @@ def attention_chain(q, k_t, v, c, key_bias=None):
 
 
 def kept_tiles(out):
-    """The ``(e, l)`` tiles that a recorded ``attention`` node keeps."""
+    """The ``(e, l)`` tiles that a recorded ``attention`` node keeps, head
+    by head and each head's in row order."""
     cells = dict(zip(out._backward.__code__.co_freevars,
                      (cell.cell_contents for cell in out._backward.__closure__)))
-    return cells["tiles"]
+    return [tile for head in cells["tiles"] for tile in head]
 
 
 class TestAttention:
@@ -406,6 +411,111 @@ class TestMultiHeadAttention:
         with pytest.raises(ShapeError, match=rf"3 heads.*got \(2, {q_cols}\) x \(2, {k_cols}\) "
                                              rf"x \(2, {v_cols}\)"):
             ad.attention(q, k, v, heads=3)
+
+
+@contextlib.contextmanager
+def threaded_heads(monkeypatch, cpus):
+    """Every multi-head attention call threaded, over a fresh pool made as
+    if the process could run on ``cpus`` CPUs; the pool is shut down after."""
+    monkeypatch.setattr(ad, "ATTENTION_THREAD_WORK", 0)
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ad, "_pool", None)
+    try:
+        yield
+    finally:
+        if ad._pool is not None and ad._pool[1] is not None:
+            ad._pool[1].shutdown()
+        ad._pool = None
+
+
+def attend_in_child(conn, q, k, v, heads):
+    conn.send(ad.attention(constant(q), constant(k), constant(v), 0.5, heads=heads).data.tobytes())
+
+
+class TestAttentionThreads:
+    HEADS, DK, N, M = 3, 4, 8, 6
+
+    @pytest.mark.parametrize("key_bias", [False, True])
+    @pytest.mark.parametrize("shared_k, shared_v", [(False, False), (True, True), (True, False),
+                                                    (False, True)])
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, shared_k, shared_v, key_bias):
+        # Three heads over one to four threads, several tiles per head, and
+        # head 1's even rows on the exact-max path: they are orthogonal to
+        # the long first key of every block, so their bound overshoots.
+        monkeypatch.setattr(ad, "ATTENTION_TILE_ELEMS", 3 * self.M)  # 3 rows per tile
+        rng = np.random.default_rng([shared_k, shared_v, key_bias])
+        q, k, v = TestMultiHeadAttention.inputs(rng, shared_k, shared_v)
+        k.data[0] = 0.0
+        k.data[0, ::self.DK] = 100.0
+        q.data[::2, self.DK] = 0.0
+        q.data[::2, self.DK:2 * self.DK] *= 20.0 / np.linalg.norm(q.data[::2, self.DK:2 * self.DK],
+                                                                 axis=1, keepdims=True)
+        bias = np.log(rng.integers(1, 6, size=self.M)) if key_bias else None
+        c = 0.6
+        k1 = k.data[:, :self.DK] if shared_k else k.data[:, self.DK:2 * self.DK]
+        q1, b = c * q.data[:, self.DK:2 * self.DK], np.zeros(self.M) if bias is None else bias
+        overshoot = (np.linalg.norm(q1, axis=1) * np.max(np.linalg.norm(k1, axis=1)) + np.max(b)
+                     - np.max(q1 @ k1.T + b, axis=1))
+        assert np.all(overshoot[::2] > 745) and np.all(overshoot[1::2] < 745)
+        w = constant(rng.standard_normal((self.N, self.HEADS * self.DK)))
+        bits = {}
+        for cpus in (1, 2, 3, 4):
+            with threaded_heads(monkeypatch, cpus):
+                out = ad.attention(q, k, v, c, bias, heads=self.HEADS)
+                assert len(kept_tiles(out)) == 3 * self.HEADS
+                got = TestAttention.run(lambda *a: ad.attention(*a, heads=self.HEADS),
+                                        (q, k, v), w, q, k, v, c, bias)
+                assert ad._pool[0] == cpus - 1
+                assert (ad._pool[1] is None) == (cpus == 1)
+            bits[cpus] = [a.tobytes() for a in got]
+        for cpus in (2, 3, 4):
+            for what, a, b in zip(("out", "q", "k", "v"), bits[cpus], bits[1]):
+                assert a == b, f"{what} with {cpus} CPUs"
+
+    @pytest.mark.parametrize("failing", [0, 1])  # run by the caller and by the pool's thread
+    def test_error_in_a_head_reaches_the_caller(self, monkeypatch, failing):
+        ran, fail = [], [None]
+
+        def task(h):
+            if h == fail[0]:
+                raise InputError(f"head {h} failed")
+            time.sleep(0.05)
+            ran.append(h)
+            return h
+
+        with threaded_heads(monkeypatch, 2):
+            assert ad._each_head(task, 4, 0) == [0, 1, 2, 3]
+            ran.clear()
+            fail[0] = failing
+            with pytest.raises(InputError, match=f"^head {failing} failed$"):
+                ad._each_head(task, 4, 0)
+            # The caller takes heads 0 and 2, the pool's one thread 1 and 3,
+            # and the other share ran to its end before the error came back.
+            assert sorted(ran) == ([1, 3] if failing == 0 else [0, 2])
+
+    def test_forked_child_runs_threaded_heads(self, monkeypatch):
+        # The parent's pool threads do not survive a fork; a child that used
+        # the parent's executor would wait for them for ever.
+        rng = np.random.default_rng(3)
+        q, k, v = (rng.standard_normal((self.N, self.HEADS * self.DK)) for _ in range(3))
+        with threaded_heads(monkeypatch, 2):
+            want = ad.attention(constant(q), constant(k), constant(v), 0.5, heads=self.HEADS)
+            assert ad._pool[1] is not None
+            context = multiprocessing.get_context("fork")
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=attend_in_child, args=(send, q, k, v, self.HEADS))
+            with warnings.catch_warnings():  # Python 3.12 warns of forking a threaded process
+                warnings.simplefilter("ignore", DeprecationWarning)
+                child.start()
+            try:
+                assert receive.poll(10), "the forked child did not answer within 10 s"
+                assert receive.recv() == want.data.tobytes()
+            finally:
+                child.join(5)
+                if child.is_alive():
+                    child.kill()
+                    child.join(5)
+            assert not child.is_alive()
 
 
 class TestLogSoftmax:

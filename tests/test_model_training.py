@@ -441,6 +441,18 @@ class TestModelStructure:
             SegModel(tiny_config(), mode).forward(dataclasses.replace(episode, support=[[]]),
                                                   train=False)
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shots", [2, 3])
+    def test_way_with_another_number_of_shots_names_way_shots_and_k_shot(self, episode, mode,
+                                                                          shots):
+        # Such a support used to run as a shots-shot episode, whatever k_shot said.
+        assert episode.k_shot == 1
+        support = [list(episode.support[0]) * shots]
+        with pytest.raises(ShapeError,
+                           match=f"^support way 0 holds {shots} shots, the episode is 1-shot$"):
+            SegModel(tiny_config(), mode).forward(dataclasses.replace(episode, support=support),
+                                                  train=False)
+
     def test_variants_share_logit_interface(self, episode):
         cfg = tiny_config()
         for mode in ("decoupled", "fused"):

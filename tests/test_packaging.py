@@ -64,6 +64,13 @@ def test_ci_runs_the_tier1_command():
     assert workflow_steps()["Tier-1 tests"] == tier1
 
 
+def test_ci_runs_the_tier1_command_on_one_cpu():
+    # attention runs its heads on one thread where the affinity mask gives
+    # one CPU; this step keeps that serial path under the whole suite.
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", ROADMAP.read_text()).group(1)
+    assert workflow_steps()["Tier-1 tests on one CPU"] == f"taskset -c 0 bash -c '{tier1}'"
+
+
 def imported_modules(source: str) -> set:
     """Top-level names of every absolute import in ``source``."""
     names = set()
